@@ -11,7 +11,6 @@ from econorder import (
     RevenueGrid,
     catalog,
     enumerate_outcomes,
-    spontaneous_order_exact,
 )
 
 grid = RevenueGrid(levels=(1, 2), degeneracies=(1, 1))
@@ -35,7 +34,7 @@ for regime in (Regime.MONOPOLISTIC, Regime.PERFECT):
     cat = catalog(grid, config)
     for entry in cat.entries:
         print(f"  P[{entry.order.occupancy}] = {entry.probability}")
-    best = spontaneous_order_exact(cat)
+    best = cat.most_probable()
     ties = cat.tie_set()
     if len(ties) > 1:
         print(f"  most probable: {best.occupancy} (tie among {[t.occupancy for t in ties]})")

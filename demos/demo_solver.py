@@ -13,9 +13,9 @@ from econorder import (
     Regime,
     RevenueGrid,
     detect_condensation,
-    entropy_of,
     macro_from_multipliers,
     solve_multipliers,
+    stirling_log_multiplicity,
     technology,
 )
 
@@ -42,7 +42,7 @@ config = EconomyConfig(10, 14, Regime.MONOPOLISTIC)
 two_level = RevenueGrid((1, 2), (1, 1))
 sol = solve_multipliers(two_level, config)
 params = macro_from_multipliers(sol.alpha, sol.beta, lam=1.0)
-log_omega = entropy_of(sol.occupancy, two_level, config.regime)
+log_omega = stirling_log_multiplicity(sol.occupancy, two_level, config.regime)
 print("Monopolistic two-level instance (10 firms, total 14):")
 print(f"  occupancy      : {np.round(sol.occupancy, 6)}")
 print(f"  alpha, beta    : {sol.alpha:.6f}, {sol.beta:.6f}")

@@ -18,7 +18,6 @@ from .core import (
     validate_order,
 )
 from .counting import (
-    freedom_degree,
     log_multiplicity,
     multiplicity,
     stirling_log_multiplicity,
@@ -34,7 +33,6 @@ from .enumeration import (
     feasible_outcome_count,
     mcmc_support_check,
     sample_outcomes,
-    spontaneous_order_exact,
 )
 from .errors import (
     CapExceededError,
@@ -71,7 +69,6 @@ from .maxent import (
     CondensationReport,
     MultiplierSolution,
     detect_condensation,
-    entropy_of,
     occupancy,
     solve_multipliers,
     solve_multipliers_bisection,
@@ -105,13 +102,11 @@ __all__ = [
     "detect_condensation",
     "empirical_frequencies",
     "entropy_identity_residual",
-    "entropy_of",
     "enumerate_orders",
     "enumerate_outcomes",
     "feasible_outcome_count",
     "fit_boltzmann",
     "fit_bose_einstein",
-    "freedom_degree",
     "goodness_of_fit",
     "ks_critical_value",
     "load_samples",
@@ -129,7 +124,6 @@ __all__ = [
     "shares_to_revenues",
     "solve_multipliers",
     "solve_multipliers_bisection",
-    "spontaneous_order_exact",
     "stirling_log_multiplicity",
     "synthetic_bose_einstein",
     "synthetic_exponential",

@@ -19,14 +19,11 @@ from pathlib import Path
 from . import reports
 from .checks import run_checks
 from .configio import RunConfig, load_run_config
-from .enumeration import (
-    catalog,
-    empirical_frequencies,
-    feasible_outcome_count,
-    sample_outcomes,
-)
+from .counting import stirling_log_multiplicity
+from .enumeration import catalog, empirical_frequencies, sample_outcomes
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 from .fitting import (
+    _truncate_tail,
     fit_boltzmann,
     fit_bose_einstein,
     goodness_of_fit,
@@ -127,15 +124,14 @@ def cmd_sample(args) -> int:
     )
     outcomes = list(islice(stream, draws))
     freqs = empirical_frequencies(outcomes, run.grid)
+    cat = catalog(run.grid, run.economy)
     exact = None
-    if feasible_outcome_count(run.grid, run.economy) <= run.caps.max_outcomes:
-        exact = catalog(run.grid, run.economy)
+    if cat.total_outcomes <= run.caps.max_outcomes:
+        exact = cat
     else:
         # chain-sampled run: probe irreducibility against the order list,
         # which stays enumerable long after the outcome space explodes
-        from .enumeration import enumerate_orders
-
-        missing = set(enumerate_orders(run.grid, run.economy)) - set(freqs)
+        missing = {entry.order for entry in cat.entries} - set(freqs)
         if missing:
             print(
                 "warning: chain never visited %d feasible order(s); "
@@ -198,9 +194,7 @@ def cmd_fit(args) -> int:
 def _write_binned(out: Path, samples, args, boltzmann, bose) -> None:
     import numpy as np
 
-    values = np.sort(np.asarray(samples.values, dtype=float))
-    drop = int(round(args.tail_quantile * len(values)))
-    kept = values[: len(values) - drop] if drop else values
+    kept = _truncate_tail(np.asarray(samples.values, dtype=float), args.tail_quantile)
     counts, edges = np.histogram(kept, bins=args.bins, range=(kept.min(), kept.max()))
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
@@ -235,9 +229,7 @@ def cmd_macro(args) -> int:
         raise InfeasibleError(
             "macro mapping undefined: boundary-degenerate economy has no finite multipliers"
         )
-    from .maxent import entropy_of
-
-    log_omega = entropy_of(solution.occupancy, run.grid, run.economy.regime)
+    log_omega = stirling_log_multiplicity(solution.occupancy, run.grid, run.economy.regime)
     payload = reports.macro_payload(
         macro,
         solution.alpha,
@@ -280,20 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run configuration file")
+    def add_common(p, with_lambda=False):
+        p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, action="append", help="override seeds (repeatable)")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--regime", choices=["mon", "per"], help="override the regime")
-        p.add_argument("--lambda", dest="lam", type=float, help="macro scale constant")
+        if with_lambda:
+            p.add_argument("--lambda", dest="lam", type=float, help="macro scale constant")
 
     p = sub.add_parser("enumerate", help="exact catalog of feasible orders")
     add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="solve the occupancy multipliers")
-    add_common(p)
+    add_common(p, with_lambda=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sample", help="sample outcomes uniformly")
@@ -305,12 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="CSV of samples (value rows or value,count rows)")
     p.add_argument("--tail-quantile", type=float, default=0.03)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, action="append")
     p.add_argument("--out", help="output directory (default: out)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("macro", help="macro mapping and technology report")
-    add_common(p)
+    add_common(p, with_lambda=True)
     p.set_defaults(func=cmd_macro)
 
     p = sub.add_parser("check", help="run the internal verification suites")

@@ -128,12 +128,7 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
     if "thresholds" in parser:
         tsec = parser["thresholds"]
         thresholds = Thresholds(
-            ground_fraction=(
-                _parse_float("thresholds", "ground_fraction", tsec["ground_fraction"])
-                if "ground_fraction" in tsec
-                else 0.5
-            ),
-            gap=_parse_float("thresholds", "gap", tsec["gap"]) if "gap" in tsec else 1e-6,
+            **{key: _parse_float("thresholds", key, tsec[key]) for key in tsec}
         )
         if not (0 < thresholds.ground_fraction <= 1):
             raise ConfigError("thresholds.ground_fraction: must lie in (0, 1]")
@@ -141,20 +136,7 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
     caps = Caps()
     if "caps" in parser:
         csec = parser["caps"]
-        caps = Caps(
-            max_outcomes=(
-                _parse_int("caps", "max_outcomes", csec["max_outcomes"])
-                if "max_outcomes" in csec
-                else DEFAULT_OUTCOME_CAP
-            ),
-            sample_draws=(
-                _parse_int("caps", "sample_draws", csec["sample_draws"])
-                if "sample_draws" in csec
-                else 10000
-            ),
-            burn_in=_parse_int("caps", "burn_in", csec["burn_in"]) if "burn_in" in csec else 1000,
-            thinning=_parse_int("caps", "thinning", csec["thinning"]) if "thinning" in csec else None,
-        )
+        caps = Caps(**{key: _parse_int("caps", key, csec[key]) for key in csec})
         if caps.max_outcomes < 1:
             raise ConfigError("caps.max_outcomes: must be positive")
         if caps.sample_draws < 1:

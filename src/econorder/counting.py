@@ -48,18 +48,6 @@ def multiplicity(
     return result
 
 
-def freedom_degree(
-    order: EconomicOrder | Sequence[int], grid: RevenueGrid, regime: Regime
-) -> int:
-    """Degree of freedom of an economy obeying this occupancy.
-
-    The number of equilibrium outcomes the occupancy admits is the size of
-    the opportunity set open to the firms, so multiplicity and freedom are
-    the same integer.
-    """
-    return multiplicity(order, grid, regime)
-
-
 def log_multiplicity(
     order: EconomicOrder | Sequence[int], grid: RevenueGrid, regime: Regime
 ) -> float:

@@ -216,13 +216,6 @@ def catalog(grid: RevenueGrid, config: EconomyConfig) -> OrderCatalog:
     return OrderCatalog(tuple(entries), total)
 
 
-def spontaneous_order_exact(cat: OrderCatalog) -> EconomicOrder:
-    """The most probable order; ties resolved to the lexicographically smallest."""
-    if not cat.entries:
-        raise InfeasibleError("empty catalog")
-    return cat.most_probable()
-
-
 def _initial_state(grid: RevenueGrid, config: EconomyConfig) -> MicroOutcome:
     orders = enumerate_orders(grid, config)
     if not orders:
@@ -283,20 +276,21 @@ def sample_outcomes(
         raise ConfigError("sample method must be auto, uniform, or mcmc")
     rng = np.random.default_rng(seed)
     if method != "mcmc":
-        count = feasible_outcome_count(grid, config)
-        if count == 0:
-            raise InfeasibleError("infeasible economy: no feasible outcome to sample")
-        if count <= cap:
-            flat: list[MicroOutcome] = []
-            for group in enumerate_outcomes(grid, config, cap=cap).values():
-                flat.extend(group)
+        try:
+            groups = enumerate_outcomes(grid, config, cap=cap)
+        except CapExceededError:
+            if method == "uniform":
+                raise
+        else:
+            flat = [outcome for group in groups.values() for outcome in group]
+            if not flat:
+                raise InfeasibleError("infeasible economy: no feasible outcome to sample")
+
             def uniform_stream() -> Iterator[MicroOutcome]:
                 while True:
                     for idx in rng.integers(0, len(flat), size=4096):
                         yield flat[idx]
             return uniform_stream()
-        if method == "uniform":
-            raise CapExceededError(count, cap)
     return _mcmc_stream(grid, config, rng, burn_in, thinning)
 
 

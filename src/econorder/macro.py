@@ -18,13 +18,15 @@ reports whichever matches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Regime, RevenueGrid
-from .errors import ConfigError, SingularityError
-from .maxent import entropy_of, occupancy
+from .counting import stirling_log_multiplicity
+from .errors import ConfigError
+from .maxent import _closed_form, _grid_arrays, occupancy
 
 
 @dataclass(frozen=True)
@@ -72,47 +74,21 @@ def occupancy_from_macro(
 ) -> np.ndarray:
     """Occupancy a_k = g_k / (exp((e_k - mu)/(lambda*theta)) - I).
 
-    Identical to the multiplier form under the macro mapping.  For perfect
+    The multiplier form evaluated at the mapped multipliers.  For perfect
     competition every exponent must be positive; a level at or below mu is
-    the crisis singularity and raises.
+    the crisis singularity and raises SingularityError.
     """
-    lt = params.lam * params.theta
-    e = np.asarray(grid.levels, dtype=float)
-    g = np.asarray(grid.degeneracies, dtype=float)
-    x = (e - params.mu) / lt
-    if regime is Regime.PERFECT:
-        k = int(np.argmin(x))
-        if x[k] <= 0.0:
-            raise SingularityError(
-                "perfect-competition occupancy singular at level %d "
-                "(revenue %s <= mu or inverted temperature scale)" % (k, grid.levels[k]),
-                level_index=k,
-            )
-        return g / np.expm1(x)
-    with np.errstate(over="ignore"):
-        return g * np.exp(-x)
+    return occupancy(*multipliers_from_macro(params), grid, regime)
 
 
 def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float:
-    """Level-wise generating function.
+    """Level-wise generating function, ln W = -ln Z.
 
     Perfect competition: sum_k g_k ln(1 - exp(-(alpha + beta e_k))), defined
     for alpha + beta e_k > 0.  Monopolistic competition is the indicator -> 0
     limit of (1 - I exp(-x))^(g/I), giving -sum_k g_k exp(-(alpha + beta e_k)).
     """
-    e = np.asarray(grid.levels, dtype=float)
-    g = np.asarray(grid.degeneracies, dtype=float)
-    x = alpha + beta * e
-    if regime is Regime.PERFECT:
-        k = int(np.argmin(x))
-        if x[k] <= 0.0:
-            raise SingularityError(
-                "log_W undefined at level %d: alpha + beta*e = %g <= 0"
-                % (k, x[k]),
-                level_index=k,
-            )
-        return float(np.sum(g * np.log(-np.expm1(-x))))
-    return float(-np.sum(g * np.exp(-x)))
+    return -_closed_form(alpha, beta, *_grid_arrays(grid), regime)[1]
 
 
 def log_W_gradient(
@@ -160,11 +136,17 @@ def entropy_identity_residual(
     """Compare the Stirling entropy of the closed-form occupancy against the
     generating-function expression, for both sign conventions."""
     occ = occupancy(alpha, beta, grid, regime)
-    entropy = entropy_of(tuple(float(a) for a in occ), grid, regime)
+    entropy = stirling_log_multiplicity(tuple(float(a) for a in occ), grid, regime)
     lw = log_W(alpha, beta, grid, regime)
     grad_a, grad_b = log_W_gradient(alpha, beta, grid, regime)
     ha = fd_step * max(1.0, abs(alpha))
     hb = fd_step * max(1.0, abs(beta))
+    if regime is Regime.PERFECT:
+        # both central differences must stay inside the domain x_k > 0;
+        # the smallest exponent is ln(1 + g_k / a_k) at the largest a_k / g_k
+        x_min = math.log1p(float(np.min(np.asarray(grid.degeneracies) / occ)))
+        ha = min(ha, fd_step * x_min)
+        hb = min(hb, fd_step * x_min / max(1, grid.levels[-1]))
     grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
     grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
     expression = lw - alpha * grad_a - beta * grad_b

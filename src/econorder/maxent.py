@@ -3,15 +3,26 @@
 The most probable occupancy under the firm-count and total-revenue
 constraints has the closed form
 
-    a_k = g_k / (exp(alpha + beta * e_k) - I),   I in {0, 1},
+    a_k = g_k / (exp(x_k) - I),   x_k = alpha + beta * e_k,   I in {0, 1},
 
 where I = 0 gives the Boltzmann (monopolistic competition) solution and
-I = 1 the Bose-Einstein (perfect competition) solution.  This module solves
-for (alpha, beta) by damped Newton iteration with an analytic Jacobian,
-falling back to nested bisection: the firm count is strictly decreasing in
-alpha at fixed beta, and the constrained mean revenue is strictly decreasing
-in beta, so both root problems bracket cleanly.  The bisection path doubles
-as an independent high-precision oracle for the Newton path.
+I = 1 the Bose-Einstein (perfect competition) solution.  The multipliers
+minimise the convex dual
+
+    Phi(alpha, beta) = alpha N + beta Pi + ln Z,
+    ln Z = sum_k g_k exp(-x_k)              (I = 0),
+    ln Z = -sum_k g_k ln(1 - exp(-x_k))     (I = 1, defined for every x_k > 0),
+
+whose gradient is the constraint residual and whose Hessian is positive
+definite on any grid with two or more levels.  solve_multipliers runs damped
+Newton on Phi with a backtracking Armijo line search, which converges
+globally on a strictly convex objective (Boyd & Vandenberghe, Convex
+Optimization, 2004, sec. 9.5).
+
+solve_multipliers_bisection is an independent oracle, used only by checks
+and tests: the firm count is strictly decreasing in alpha at fixed beta, and
+the constrained mean revenue is strictly decreasing in beta, so nested
+bisection brackets both roots.
 
 Near perfect competition the Bose-Einstein denominator can approach zero at
 the lowest level; detect_condensation flags that crisis regime.
@@ -25,9 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid
-from .counting import stirling_log_multiplicity
+from .core import EconomyConfig, Regime, RevenueGrid
 from .errors import ConfigError, InfeasibleError, SingularityError
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -60,24 +72,43 @@ class CondensationReport:
     gap_threshold: float
 
 
+def _closed_form(
+    alpha: float, beta: float, e: np.ndarray, g: np.ndarray, regime: Regime
+) -> tuple[np.ndarray, float]:
+    """Occupancy and ln Z at x = alpha + beta * e.
+
+    The one place that evaluates x and guards the Bose-Einstein wall:
+    raises SingularityError when some x_k <= 0 under perfect competition.
+    Bose-Einstein ln Z uses 1 / (1 - exp(-x)) = 1 + a / g.
+    """
+    x = alpha + beta * e
+    with np.errstate(over="ignore"):
+        if regime is Regime.PERFECT:
+            if x.min() <= 0.0:
+                k = int(np.argmin(x))
+                raise SingularityError(
+                    "Bose-Einstein occupancy undefined at level %d: "
+                    "alpha + beta*e = %g <= 0" % (k, x[k]),
+                    level_index=k,
+                )
+            occ = g / np.expm1(x)
+            return occ, float(g @ np.log1p(occ / g))
+        occ = g * np.exp(-x)
+    return occ, float(occ.sum())
+
+
+def _grid_arrays(grid: RevenueGrid) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.asarray(grid.levels, dtype=float),
+        np.asarray(grid.degeneracies, dtype=float),
+    )
+
+
 def occupancy(
     alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> np.ndarray:
     """Closed-form occupancy a_k = g_k / (exp(alpha + beta e_k) - I)."""
-    e = np.asarray(grid.levels, dtype=float)
-    g = np.asarray(grid.degeneracies, dtype=float)
-    x = alpha + beta * e
-    if regime is Regime.PERFECT:
-        k = int(np.argmin(x))
-        if x[k] <= 0.0:
-            raise SingularityError(
-                "Bose-Einstein occupancy undefined at level %d (revenue %s): "
-                "alpha + beta*e = %g <= 0" % (k, grid.levels[k], x[k]),
-                level_index=k,
-            )
-        return g / np.expm1(x)
-    with np.errstate(over="ignore"):
-        return g * np.exp(-x)
+    return _closed_form(alpha, beta, *_grid_arrays(grid), regime)[0]
 
 
 def _occ_scaled(indicator: int, g: Sequence[float], e: Sequence[float], alpha: float, beta: float) -> list[float]:
@@ -194,13 +225,13 @@ def solve_multipliers_bisection(
     )
 
 
-def _prepare(grid: RevenueGrid, config: EconomyConfig):
-    """Shared feasibility handling; returns either a degenerate solution or
-    the scaled problem data (indicator, g, e, N, Pi_scaled, scale)."""
+def _boundary_solution(
+    grid: RevenueGrid, config: EconomyConfig
+) -> MultiplierSolution | None:
+    """Shared feasibility handling: raises on an unsolvable economy, returns
+    the forced occupancy of a boundary-degenerate one, else None."""
     if config.total_revenue is None:
         raise ConfigError("economy.Pi: total revenue is required to solve for multipliers")
-    n_firms = float(config.n_firms)
-    pi = float(config.total_revenue)
     lo_total = config.n_firms * grid.levels[0]
     hi_total = config.n_firms * grid.levels[-1]
     if not (lo_total <= config.total_revenue <= hi_total):
@@ -210,7 +241,7 @@ def _prepare(grid: RevenueGrid, config: EconomyConfig):
         )
     if config.total_revenue == lo_total or config.total_revenue == hi_total:
         occ = [0.0] * grid.n
-        occ[0 if config.total_revenue == lo_total else -1] = n_firms
+        occ[0 if config.total_revenue == lo_total else -1] = float(config.n_firms)
         return MultiplierSolution(
             alpha=None,
             beta=None,
@@ -222,122 +253,114 @@ def _prepare(grid: RevenueGrid, config: EconomyConfig):
             boundary=True,
             method="degenerate",
         )
+    return None
+
+
+def _prepare(grid: RevenueGrid, config: EconomyConfig):
+    """Degenerate solution, or the scaled problem data for bisection
+    (indicator, g, e, N, Pi_scaled, scale)."""
+    degenerate = _boundary_solution(grid, config)
+    if degenerate is not None:
+        return degenerate
+    n_firms = float(config.n_firms)
+    pi = float(config.total_revenue)
     scale = float(grid.levels[-1]) if grid.levels[-1] > 0 else 1.0
     e = [ei / scale for ei in grid.levels]
     g = [float(gi) for gi in grid.degeneracies]
     return int(config.regime), g, e, n_firms, pi / scale, scale
 
 
-def solve_multipliers(
-    grid: RevenueGrid,
-    config: EconomyConfig,
-    tol: float = 1e-10,
-    max_iterations: int = 80,
-    method: str = "newton",
-) -> MultiplierSolution:
+_TOL = 1e-10  # residuals relative to N and Pi
+_MAX_STEPS = 100
+_MIN_STEP = 2.0**-50
+_ARMIJO = 1e-4
+
+
+def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSolution:
     """Solve the two-constraint system for (alpha, beta).
 
-    Damped Newton with the analytic Jacobian; steps that leave the
-    Bose-Einstein domain (alpha + beta*e_k <= 0) or fail to shrink the
-    residual are halved.  If Newton stalls, the nested-bisection fallback
-    finishes the job.  Residual tolerances are relative to N and Pi.
+    Damped Newton on the dual Phi in shifted coordinates x = a + b u with
+    u = (e - e_0) / (e_far - e_0) in [0, 1].  The anchor e_0 is the end of
+    the grid where x is smallest: the lowest level when the mean revenue
+    lies below the degeneracy-weighted grid mean (beta > 0), else the
+    highest.  Then the Bose-Einstein domain is a > 0, a + b > 0, a is the
+    condensation gap, and close levels stay well conditioned.  Each step
+    backtracks until it stays inside the domain and meets the Armijo
+    condition on Phi, up to a few ulps of rounding.  Once the residuals are
+    within 1e-10 of N and Pi, one more Newton step is taken to settle the
+    last digits.  pinned marks a perfect-competition solve that stopped
+    unconverged because no step inside the domain lowered Phi.
     """
-    if method == "bisection":
-        return solve_multipliers_bisection(grid, config)
-    if method != "newton":
-        raise ConfigError("solver method must be 'newton' or 'bisection'")
-    prepared = _prepare(grid, config)
-    if isinstance(prepared, MultiplierSolution):
-        return prepared
-    indicator, g_list, e_list, n_firms, pi_scaled, scale = prepared
-    g = np.array(g_list)
-    e = np.array(e_list)
-    denom_pi = max(abs(pi_scaled), 1e-12 * n_firms)
+    degenerate = _boundary_solution(grid, config)
+    if degenerate is not None:
+        return degenerate
+    e, g = _grid_arrays(grid)
+    e0, e_far = grid.levels[0], grid.levels[-1]
+    weighted_sum = sum(gk * ek for gk, ek in zip(grid.degeneracies, grid.levels))
+    if config.total_revenue * grid.total_slots > config.n_firms * weighted_sum:
+        e0, e_far = e_far, e0
+    span = e_far - e0
+    u = (e - e0) / span
+    n_firms, pi = float(config.n_firms), float(config.total_revenue)
+    pi_u = (config.total_revenue - config.n_firms * e0) / span  # target of sum a_k u_k
+    regime = config.regime
+    perfect = regime is Regime.PERFECT
 
-    span = float(e[-1] - e[0])
-    if indicator == 0:
-        alpha, beta = math.log(float(g.sum()) / n_firms), 0.0
-    else:
-        alpha, beta = 0.1 * span, 0.0
-
-    def occ_and_residual(a: float, b: float):
-        x = a + b * e
-        if indicator:
-            if float(x.min()) <= 0.0:
-                return None, None
-            occ = g / np.expm1(x)
+    # at b = 0 the firm-count constraint has a closed-form root in a
+    a = math.log1p(g.sum() / n_firms) if perfect else math.log(g.sum() / n_firms)
+    b = 0.0
+    occ, log_z = _closed_form(a, b, u, g, regime)
+    phi = a * n_firms + b * pi_u + log_z
+    steps = 0
+    polishing = converged = pinned = False
+    while True:
+        s_u = float(occ @ u)
+        res_n = float(occ.sum()) - n_firms
+        res_pi = e0 * res_n + span * (s_u - pi_u)
+        converged = abs(res_n) <= _TOL * n_firms and abs(res_pi) <= _TOL * pi
+        if (converged and polishing) or steps == _MAX_STEPS:
+            break
+        polishing = converged
+        # Hessian sum_k w_k (1, u_k)(1, u_k)^T, factored about the weighted
+        # mean of u so that the 2x2 solve never subtracts nearly equal terms
+        w = occ + occ * (occ / g) if perfect else occ
+        w_sum = float(w.sum())
+        u_mean = float(w @ u) / w_sum
+        spread = float(w @ (u - u_mean) ** 2)
+        grad_a, grad_b = -res_n, pi_u - s_u  # gradient of Phi
+        step_b = -(grad_b - u_mean * grad_a) / spread
+        step_a = -grad_a / w_sum - u_mean * step_b
+        slope = grad_a * step_a + grad_b * step_b
+        slack = 4 * _EPS * (abs(a) * n_firms + abs(b * pi_u) + abs(log_z))
+        t = 1.0
+        while t >= _MIN_STEP:
+            try:
+                occ_t, log_z_t = _closed_form(a + t * step_a, b + t * step_b, u, g, regime)
+            except SingularityError:
+                t *= 0.5
+                continue
+            phi_t = (a + t * step_a) * n_firms + (b + t * step_b) * pi_u + log_z_t
+            if phi_t <= phi + _ARMIJO * t * slope + slack:
+                break
+            t *= 0.5
         else:
-            with np.errstate(over="ignore"):
-                occ = g * np.exp(-x)
-        if not np.all(np.isfinite(occ)):
-            return None, None
-        f1 = float(occ.sum()) - n_firms
-        f2 = float((occ * e).sum()) - pi_scaled
-        return occ, (f1, f2)
+            pinned = perfect and not converged
+            break
+        a, b = a + t * step_a, b + t * step_b
+        occ, log_z, phi = occ_t, log_z_t, phi_t
+        steps += 1
 
-    occ, resid = occ_and_residual(alpha, beta)
-    pinned = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if occ is None:
-            break
-        f1, f2 = resid
-        if abs(f1) <= tol * n_firms and abs(f2) <= tol * denom_pi:
-            return MultiplierSolution(
-                alpha=alpha,
-                beta=beta / scale,
-                occupancy=tuple(float(a) for a in occ),
-                residual_n=f1,
-                residual_pi=f2 * scale,
-                iterations=iterations - 1,
-                converged=True,
-                pinned=pinned,
-                method="newton",
-            )
-        if indicator:
-            dda = -occ * (occ + g) / g
-        else:
-            dda = -occ
-        ddb = dda * e
-        j11, j12 = float(dda.sum()), float(ddb.sum())
-        j21, j22 = float((dda * e).sum()), float((ddb * e).sum())
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            break
-        step_a = -(j22 * f1 - j12 * f2) / det
-        step_b = -(-j21 * f1 + j11 * f2) / det
-        norm0 = math.hypot(f1 / n_firms, f2 / denom_pi)
-        lam = 1.0
-        moved = False
-        while lam >= 1e-12:
-            cand_a, cand_b = alpha + lam * step_a, beta + lam * step_b
-            occ_new, resid_new = occ_and_residual(cand_a, cand_b)
-            if occ_new is not None:
-                f1n, f2n = resid_new
-                if math.hypot(f1n / n_firms, f2n / denom_pi) < norm0:
-                    alpha, beta = cand_a, cand_b
-                    occ, resid = occ_new, resid_new
-                    moved = True
-                    break
-            lam *= 0.5
-        if not moved:
-            pinned = indicator == 1 and lam < 1e-12
-            break
-
-    # Newton stalled or ran out of iterations: finish with bisection
-    fallback = solve_multipliers_bisection(grid, config)
-    if fallback.converged:
-        return fallback
+    beta = b / span
     return MultiplierSolution(
-        alpha=fallback.alpha,
-        beta=fallback.beta,
-        occupancy=fallback.occupancy,
-        residual_n=fallback.residual_n,
-        residual_pi=fallback.residual_pi,
-        iterations=iterations + fallback.iterations,
-        converged=False,
+        alpha=a - beta * e0,
+        beta=beta,
+        occupancy=tuple(float(x) for x in occ),
+        residual_n=res_n,
+        residual_pi=res_pi,
+        iterations=steps,
+        converged=converged,
         pinned=pinned,
-        method="bisection",
+        method="newton",
     )
 
 
@@ -370,10 +393,3 @@ def detect_condensation(
         fraction_threshold=fraction_threshold,
         gap_threshold=gap_threshold,
     )
-
-
-def entropy_of(
-    order: EconomicOrder | Sequence[float], grid: RevenueGrid, regime: Regime
-) -> float:
-    """Stirling log-multiplicity of an occupancy; accepts real values."""
-    return stirling_log_multiplicity(order, grid, regime)

@@ -167,6 +167,21 @@ class TestSolve:
         assert solution["alpha"] > 0
 
 
+    @pytest.mark.parametrize(
+        "levels, degens, n_firms, total",
+        [("174 190", "21 17", 803586, 152681318), ("87 95", "1 18", 752586, 65474989)],
+    )
+    def test_near_condensed_close_levels_solve(self, tmp_path, levels, degens, n_firms, total):
+        text = (
+            f"[grid]\nlevels = {levels}\ndegeneracies = {degens}\n\n"
+            f"[economy]\nN = {n_firms}\nPi = {total}\nregime = per\n"
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert solution["converged"] is True and solution["method"] == "newton"
+
 class TestSample:
     def test_constrained_two_firm_only_split_order(self, tmp_path):
         text = EXAMPLE_TWO_FIRMS.replace("regime = mon", "regime = mon\nPi = 3")
@@ -305,6 +320,12 @@ class TestConfigValidation:
         assert main(["enumerate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "grid.levels" in err["message"]
+
+    def test_lambda_rejected_where_unused(self, tmp_path):
+        config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--config", str(config), "--lambda", "2"])
+        assert exc.value.code == 2
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["enumerate", "--config", str(tmp_path / "nope.ini")]) == 1

@@ -13,7 +13,6 @@ from econorder import (
     Regime,
     RevenueGrid,
     enumerate_outcomes,
-    freedom_degree,
     log_multiplicity,
     multiplicity,
     stirling_log_multiplicity,
@@ -64,13 +63,6 @@ def test_multiplicity_examples(occ, degens, regime, expected):
     grid = RevenueGrid(tuple(range(1, len(occ) + 1)), degens)
     assert multiplicity(EconomicOrder(occ), grid, regime) == expected
     assert brute_force_count(occ, degens, regime) == expected
-
-
-def test_freedom_degree_is_multiplicity():
-    grid = RevenueGrid((1, 2), (2, 1))
-    for occ in ((1, 1), (2, 0), (0, 2)):
-        for regime in Regime:
-            assert freedom_degree(occ, grid, regime) == multiplicity(occ, grid, regime)
 
 
 def test_multiplicity_small_lattice_against_brute_force():

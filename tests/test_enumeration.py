@@ -23,7 +23,6 @@ from econorder import (
     mcmc_support_check,
     multiplicity,
     sample_outcomes,
-    spontaneous_order_exact,
 )
 from econorder.checks import random_counting_instance
 
@@ -155,15 +154,15 @@ class TestCatalog:
 class TestSpontaneousOrder:
     def test_even_split_most_probable(self):
         cat = catalog(GRID_2, EconomyConfig(2, None, Regime.MONOPOLISTIC))
-        assert spontaneous_order_exact(cat).occupancy == (1, 1)
+        assert cat.most_probable().occupancy == (1, 1)
 
     def test_single_feasible_order(self):
         cat = catalog(GRID_2, EconomyConfig(2, 3, Regime.MONOPOLISTIC))
-        assert spontaneous_order_exact(cat).occupancy == (1, 1)
+        assert cat.most_probable().occupancy == (1, 1)
 
     def test_perfect_tie_reported_and_lex_smallest_chosen(self):
         cat = catalog(GRID_2, EconomyConfig(2, None, Regime.PERFECT))
-        assert spontaneous_order_exact(cat).occupancy == (0, 2)
+        assert cat.most_probable().occupancy == (0, 2)
         assert [o.occupancy for o in cat.tie_set()] == [(0, 2), (1, 1), (2, 0)]
 
     def test_constrained_argmax_against_direct_comparison(self):
@@ -175,7 +174,7 @@ class TestSpontaneousOrder:
             key=lambda o: (multiplicity(o, grid, config.regime),
                            tuple(-a for a in o.occupancy)),
         )
-        assert spontaneous_order_exact(cat) == best
+        assert cat.most_probable() == best
 
     def test_argmax_matches_largest_outcome_group(self):
         rng = np.random.default_rng(99)
@@ -187,7 +186,7 @@ class TestSpontaneousOrder:
             cat = catalog(grid, config)
             groups = enumerate_outcomes(grid, config, cap=200_000)
             best_by_size = max(len(m) for m in groups.values())
-            chosen = spontaneous_order_exact(cat)
+            chosen = cat.most_probable()
             assert len(groups[chosen]) == best_by_size
 
 

@@ -14,7 +14,6 @@ from econorder import (
     SingularityError,
     catalog,
     entropy_identity_residual,
-    entropy_of,
     enumerate_orders,
     log_W,
     log_W_gradient,
@@ -25,6 +24,7 @@ from econorder import (
     occupancy,
     occupancy_from_macro,
     solve_multipliers,
+    stirling_log_multiplicity,
     technology,
 )
 
@@ -245,5 +245,5 @@ class TestTechnology:
     def test_solution_entropy_feeds_technology(self):
         config = EconomyConfig(10, 14, Regime.MONOPOLISTIC)
         sol = solve_multipliers(GRID_2, config)
-        log_omega = entropy_of(sol.occupancy, GRID_2, config.regime)
+        log_omega = stirling_log_multiplicity(sol.occupancy, GRID_2, config.regime)
         assert technology(log_omega, 2.0) == pytest.approx(2 * log_omega)

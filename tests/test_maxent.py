@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from econorder import (
     ConfigError,
@@ -14,11 +16,11 @@ from econorder import (
     SingularityError,
     catalog,
     detect_condensation,
-    entropy_of,
     enumerate_orders,
     occupancy,
     solve_multipliers,
     solve_multipliers_bisection,
+    stirling_log_multiplicity,
 )
 from econorder.checks import random_solver_instance
 
@@ -150,6 +152,72 @@ class TestSolve:
             assert be > mb
 
 
+# Close levels with almost every firm on one of them: a tiny condensation
+# gap next to large multipliers.  The last instance sits one revenue unit
+# below the top of its feasible range.
+HARD_INSTANCES = [
+    ((174, 190), (21, 17), 803586, 152681318, Regime.PERFECT),
+    ((87, 95), (1, 18), 752586, 65474989, Regime.PERFECT),
+    ((146, 149), (2, 25), 76, 11156, Regime.MONOPOLISTIC),
+    ((101, 117, 207, 272, 316, 391, 393), (2, 1, 11, 1, 4, 18, 21), 1745, 685784, Regime.PERFECT),
+]
+
+
+def assert_newton_solves(grid, config):
+    """Converged Newton solution whose occupancy meets both constraints to
+    1e-10, recomputed here from the returned occupancy."""
+    sol = solve_multipliers(grid, config)
+    assert sol.converged and sol.method == "newton" and not sol.pinned
+    occ = np.array(sol.occupancy)
+    assert abs(occ.sum() - config.n_firms) <= 1e-10 * config.n_firms
+    revenue = float(occ @ np.array(grid.levels, float))
+    assert abs(revenue - config.total_revenue) <= 1e-10 * config.total_revenue
+    return sol
+
+
+class TestNewtonRobustness:
+    @pytest.mark.parametrize("levels, degens, n_firms, total, regime", HARD_INSTANCES)
+    def test_hard_instances_converge(self, levels, degens, n_firms, total, regime):
+        grid = RevenueGrid(levels, degens)
+        sol = assert_newton_solves(grid, EconomyConfig(n_firms, total, regime))
+        # the returned occupancy is the closed form at the returned multipliers
+        closed = occupancy(sol.alpha, sol.beta, grid, regime)
+        assert np.max(np.abs(closed - np.array(sol.occupancy))) <= 1e-8 * n_firms
+
+    @given(
+        regime=st.sampled_from(list(Regime)),
+        base=st.integers(0, 200),
+        gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 60)), min_size=1, max_size=6),
+        degens=st.lists(st.integers(1, 30), min_size=7, max_size=7),
+        n_firms=st.integers(1, 10**6),
+        end=st.sampled_from(["low", "high", "inside"]),
+        offset=st.integers(1, 50),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_converges_and_matches_oracle(
+        self, regime, base, gaps, degens, n_firms, end, offset, fraction
+    ):
+        levels = tuple(base + sum(gaps[:k]) for k in range(len(gaps) + 1))
+        grid = RevenueGrid(levels, tuple(degens[: len(levels)]))
+        lo, hi = n_firms * levels[0], n_firms * levels[-1]
+        assume(hi - lo >= 2)
+        total = {
+            "low": lo + min(offset, hi - lo - 1),
+            "high": hi - min(offset, hi - lo - 1),
+            "inside": lo + 1 + int(fraction * (hi - lo - 2)),
+        }[end]
+        config = EconomyConfig(n_firms, total, regime)
+        sol = assert_newton_solves(grid, config)
+        try:
+            oracle = solve_multipliers_bisection(grid, config)
+        except OverflowError:
+            return  # the oracle's scalar expm1 overflows on some near-top economies
+        if oracle.converged:
+            gap = np.max(np.abs(np.array(sol.occupancy) - np.array(oracle.occupancy)))
+            assert gap <= 1e-8 * n_firms
+
+
 class TestArgmaxConvergence:
     @pytest.mark.parametrize("regime", [Regime.MONOPOLISTIC, Regime.PERFECT])
     def test_normalized_distance_shrinks(self, regime):
@@ -201,7 +269,7 @@ class TestEntropyOf:
         # closed Stirling form for the (6, 4) occupancy; the exact count is
         # ln C(10,6) = ln 210 = 5.3471, which the crude Stirling substitution
         # overshoots at these small arguments
-        value = entropy_of((6.0, 4.0), GRID_2, Regime.MONOPOLISTIC)
+        value = stirling_log_multiplicity((6.0, 4.0), GRID_2, Regime.MONOPOLISTIC)
         assert value == pytest.approx(8.80868, abs=1e-4)
         assert value == pytest.approx(
             math.lgamma(11) - 6 * math.log(6) - 4 * math.log(4) + 10, rel=1e-12
@@ -210,7 +278,7 @@ class TestEntropyOf:
     def test_concentrated_order_minimises_entropy(self):
         config = EconomyConfig(6, None, Regime.MONOPOLISTIC)
         values = {
-            o.occupancy: entropy_of(o, GRID_2, Regime.MONOPOLISTIC)
+            o.occupancy: stirling_log_multiplicity(o, GRID_2, Regime.MONOPOLISTIC)
             for o in enumerate_orders(GRID_2, config)
         }
         lowest = min(values.values())
@@ -220,20 +288,20 @@ class TestEntropyOf:
     def test_perfect_extensivity_under_doubling(self):
         small = RevenueGrid((1, 2), (100, 80))
         large = RevenueGrid((1, 2), (200, 160))
-        u1 = entropy_of((150.0, 90.0), small, Regime.PERFECT)
-        u2 = entropy_of((300.0, 180.0), large, Regime.PERFECT)
+        u1 = stirling_log_multiplicity((150.0, 90.0), small, Regime.PERFECT)
+        u2 = stirling_log_multiplicity((300.0, 180.0), large, Regime.PERFECT)
         assert u2 / (2 * u1) == pytest.approx(1.0, abs=0.01)
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ConfigError):
-            entropy_of((-1.0, 2.0), GRID_2, Regime.MONOPOLISTIC)
+            stirling_log_multiplicity((-1.0, 2.0), GRID_2, Regime.MONOPOLISTIC)
 
     def test_solution_entropy_close_to_feasible_maximum(self):
         config = EconomyConfig(30, 45, Regime.MONOPOLISTIC)
         sol = solve_multipliers(GRID_3, config)
-        relaxed = entropy_of(sol.occupancy, GRID_3, config.regime)
+        relaxed = stirling_log_multiplicity(sol.occupancy, GRID_3, config.regime)
         best_feasible = max(
-            entropy_of(o, GRID_3, config.regime)
+            stirling_log_multiplicity(o, GRID_3, config.regime)
             for o in enumerate_orders(GRID_3, config)
         )
         assert relaxed >= best_feasible - 1e-9
