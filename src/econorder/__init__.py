@@ -31,7 +31,6 @@ from .enumeration import (
     enumerate_orders,
     enumerate_outcomes,
     feasible_outcome_count,
-    mcmc_support_check,
     sample_outcomes,
 )
 from .errors import (
@@ -115,7 +114,6 @@ __all__ = [
     "log_multiplicity",
     "macro_from_multipliers",
     "macro_production",
-    "mcmc_support_check",
     "multiplicity",
     "multipliers_from_macro",
     "occupancy",

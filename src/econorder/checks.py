@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import islice
 
 import numpy as np
-from scipy import stats
 
 from .configio import RunConfig
 from .core import EconomyConfig, Regime, RevenueGrid
@@ -211,6 +210,7 @@ def check_argmax_convergence(max_n: int = 40) -> CheckResult:
 
 def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
     """Uniform sampling reproduces the exact catalog probabilities."""
+    from scipy import stats  # scipy loads only when the checks run
     cases = [
         (RevenueGrid((1, 2), (1, 1)), EconomyConfig(4, None, Regime.MONOPOLISTIC)),
         (RevenueGrid((1, 2, 3), (1, 1, 1)), EconomyConfig(4, 8, Regime.PERFECT)),

@@ -114,29 +114,11 @@ def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     out = _out_dir(args, run)
     draws = run.caps.sample_draws
-    stream = sample_outcomes(
-        run.grid,
-        run.economy,
-        run.seeds[0],
-        burn_in=run.caps.burn_in,
-        thinning=run.caps.thinning,
-        cap=run.caps.max_outcomes,
-    )
+    stream = sample_outcomes(run.grid, run.economy, run.seeds[0], cap=run.caps.max_outcomes)
     outcomes = list(islice(stream, draws))
     freqs = empirical_frequencies(outcomes, run.grid)
     cat = catalog(run.grid, run.economy)
-    exact = None
-    if cat.total_outcomes <= run.caps.max_outcomes:
-        exact = cat
-    else:
-        # chain-sampled run: probe irreducibility against the order list,
-        # which stays enumerable long after the outcome space explodes
-        missing = {entry.order for entry in cat.entries} - set(freqs)
-        if missing:
-            print(
-                "warning: chain never visited %d feasible order(s); "
-                "frequencies are not trustworthy on this grid" % len(missing)
-            )
+    exact = cat if cat.total_outcomes <= run.caps.max_outcomes else None
     reports.write_frequencies_csv(out / "frequencies.csv", freqs, exact, draws)
     if args.log_outcomes:
         with (out / "outcomes.csv").open("w", newline="") as handle:

@@ -15,7 +15,7 @@ _KNOWN_KEYS = {
     "grid": {"levels", "degeneracies", "quantum"},
     "economy": {"n", "pi", "regime", "lambda", "seeds", "output_dir"},
     "thresholds": {"ground_fraction", "gap"},
-    "caps": {"max_outcomes", "sample_draws", "burn_in", "thinning"},
+    "caps": {"max_outcomes", "sample_draws"},
 }
 
 
@@ -29,8 +29,6 @@ class Thresholds:
 class Caps:
     max_outcomes: int = DEFAULT_OUTCOME_CAP
     sample_draws: int = 10000
-    burn_in: int = 1000
-    thinning: int | None = None
 
 
 @dataclass(frozen=True)

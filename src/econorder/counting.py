@@ -14,7 +14,7 @@ entropy-maximisation layer, which accept real-valued occupancies.
 from __future__ import annotations
 
 import math
-from math import comb, factorial, lgamma
+from math import comb, lgamma
 from typing import Sequence
 
 from .core import EconomicOrder, Regime, RevenueGrid, as_occupancy
@@ -35,14 +35,14 @@ def multiplicity(
     """Number of distinct micro-outcomes realising the occupancy (exact)."""
     occ = as_occupancy(order)
     _check_lengths(occ, grid)
-    if regime is Regime.MONOPOLISTIC:
-        n_firms = sum(occ)
-        result = factorial(n_firms)
-        for a, g in zip(occ, grid.degeneracies):
-            result //= factorial(a)
-            result *= g**a
-        return result
     result = 1
+    if regime is Regime.MONOPOLISTIC:
+        # N! / prod a_k! as a product of binomials C(firms left, a_k)
+        left = sum(occ)
+        for a, g in zip(occ, grid.degeneracies):
+            result *= comb(left, a) * g**a
+            left -= a
+        return result
     for a, g in zip(occ, grid.degeneracies):
         result *= comb(a + g - 1, a)
     return result

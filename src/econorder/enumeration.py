@@ -3,22 +3,22 @@
 Desk-scale machinery: list every occupancy vector satisfying the firm-count
 and revenue constraints, list every micro-outcome (labeled assignment or
 multiset, depending on the regime), attach exact rational probabilities under
-the equal-probability rule, and sample outcomes uniformly, either by direct
-indexing (small spaces) or by a revenue-conserving Markov chain whose
-symmetric proposals make the uniform distribution stationary.
+the equal-probability rule, and sample outcomes exactly uniformly by drawing
+an order from its exact multiplicity, then an outcome inside that order.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid
 from .counting import multiplicity
-from .errors import CapExceededError, ConfigError, InfeasibleError
+from .errors import CapExceededError, InfeasibleError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
 
@@ -81,8 +81,14 @@ class OrderCatalog:
         return Fraction(0)
 
 
-def enumerate_orders(grid: RevenueGrid, config: EconomyConfig) -> list[EconomicOrder]:
-    """All occupancy vectors meeting the constraints, in lexicographic order."""
+def enumerate_orders(
+    grid: RevenueGrid, config: EconomyConfig, *, cap: int | None = None
+) -> list[EconomicOrder]:
+    """All occupancy vectors meeting the constraints, in lexicographic order.
+
+    With a ``cap``, listing stops with CapExceededError at the first order
+    past it.
+    """
     n = grid.n
     levels = grid.levels
     total = config.total_revenue
@@ -92,6 +98,8 @@ def enumerate_orders(grid: RevenueGrid, config: EconomyConfig) -> list[EconomicO
         if k == n - 1:
             if total is None or revenue + left * levels[-1] == total:
                 out.append(EconomicOrder(tuple(acc) + (left,)))
+                if cap is not None and len(out) > cap:
+                    raise CapExceededError(None, cap, "order list")
             return
         min_tail = levels[k + 1]
         max_tail = levels[-1]
@@ -216,191 +224,65 @@ def catalog(grid: RevenueGrid, config: EconomyConfig) -> OrderCatalog:
     return OrderCatalog(tuple(entries), total)
 
 
-def _initial_state(grid: RevenueGrid, config: EconomyConfig) -> MicroOutcome:
-    orders = enumerate_orders(grid, config)
-    if not orders:
-        raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
-    occ = orders[0].occupancy
-    if config.regime is Regime.MONOPOLISTIC:
-        firm_positions: list[Position] = []
-        for k, a in enumerate(occ):
-            for i in range(a):
-                firm_positions.append((k, i % grid.degeneracies[k]))
-        return MicroOutcome(config.regime, tuple(firm_positions))
-    counts: dict[Position, int] = {}
-    for k, a in enumerate(occ):
-        g = grid.degeneracies[k]
-        for i in range(a):
-            pos = (k, i % g)
-            counts[pos] = counts.get(pos, 0) + 1
-    return MicroOutcome(config.regime, tuple(sorted(counts.items())))
-
-
-def _pair_sum_table(grid: RevenueGrid) -> dict[int, list[tuple[Position, Position]]]:
-    positions = _positions(grid)
-    table: dict[int, list[tuple[Position, Position]]] = {}
-    for p in positions:
-        for q in positions:
-            s = grid.levels[p[0]] + grid.levels[q[0]]
-            table.setdefault(s, []).append((p, q))
-    return table
-
-
 def sample_outcomes(
     grid: RevenueGrid,
     config: EconomyConfig,
     seed: int,
     *,
-    burn_in: int = 1000,
-    thinning: int | None = None,
-    method: str = "auto",
     cap: int = DEFAULT_OUTCOME_CAP,
 ) -> Iterator[MicroOutcome]:
-    """Infinite stream of uniformly distributed feasible micro-outcomes.
+    """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
 
-    Small spaces (at most ``cap`` outcomes) are enumerated once and sampled
-    by uniform index, which is exactly uniform.  Larger spaces fall back to
-    a Markov chain over outcomes: each step picks two firms (or two units)
-    and moves them to new positions with an unchanged combined revenue,
-    chosen uniformly among all such position pairs.  The proposal is
-    symmetric, so the uniform distribution is stationary; streams are fully
-    reproducible from the seed.
+    Each draw is exact in two steps (the recursive method of Nijenhuis & Wilf,
+    *Combinatorial Algorithms*, 1978).  An order is picked with probability
+    multiplicity / total, by an exact big-integer index into the cumulative
+    multiplicities; then one of that order's outcomes is picked uniformly:
+    a random arrangement of the level labels over the firms with a random
+    slot per firm (distinguishable firms), or a random composition of each
+    level's firms over its slots (indistinguishable firms).  A draw costs
+    O(N log N) and no outcome other than the drawn ones is ever built.
 
-    Pairwise moves cannot connect every feasible set: on grids where no two
-    distinct level pairs share a revenue sum (for example levels 1, 3, 4)
-    the chain never changes the occupancy at all.  Ergodicity is therefore
-    an instance property, not a theorem; use mcmc_support_check before
-    trusting a forced-mcmc stream on an unfamiliar grid.
+    The order list is the only table.  It is built before this returns, so
+    an infeasible economy raises InfeasibleError here, and more than ``cap``
+    orders raise CapExceededError while they are being listed.
     """
-    if method not in ("auto", "uniform", "mcmc"):
-        raise ConfigError("sample method must be auto, uniform, or mcmc")
-    rng = np.random.default_rng(seed)
-    if method != "mcmc":
-        try:
-            groups = enumerate_outcomes(grid, config, cap=cap)
-        except CapExceededError:
-            if method == "uniform":
-                raise
-        else:
-            flat = [outcome for group in groups.values() for outcome in group]
-            if not flat:
-                raise InfeasibleError("infeasible economy: no feasible outcome to sample")
-
-            def uniform_stream() -> Iterator[MicroOutcome]:
-                while True:
-                    for idx in rng.integers(0, len(flat), size=4096):
-                        yield flat[idx]
-            return uniform_stream()
-    return _mcmc_stream(grid, config, rng, burn_in, thinning)
-
-
-def _mcmc_stream(
-    grid: RevenueGrid,
-    config: EconomyConfig,
-    rng: np.random.Generator,
-    burn_in: int,
-    thinning: int | None,
-) -> Iterator[MicroOutcome]:
-    start = _initial_state(grid, config)
-    table = _pair_sum_table(grid)
-    positions = _positions(grid)
-    n_firms = config.n_firms
-    step_thin = thinning if thinning is not None else max(1, 2 * n_firms)
-
-    # same-revenue destinations of a single firm/unit; used when N == 1
-    same_level_value: dict[int, list[Position]] = {}
-    for pos in positions:
-        same_level_value.setdefault(grid.levels[pos[0]], []).append(pos)
-
+    orders = enumerate_orders(grid, config, cap=cap)
+    if not orders:
+        raise InfeasibleError("infeasible economy: no feasible outcome to sample")
+    cumulative = list(accumulate(multiplicity(order, grid, config.regime) for order in orders))
+    total = cumulative[-1]
+    degeneracies = grid.degeneracies
+    rng = random.Random(seed)
     if config.regime is Regime.MONOPOLISTIC:
-        state = list(start.assignment)
 
-        def step() -> None:
-            if n_firms == 1:
-                candidates = same_level_value[grid.levels[state[0][0]]]
-                state[0] = candidates[int(rng.integers(0, len(candidates)))]
-                return
-            i = int(rng.integers(0, n_firms))
-            j = int(rng.integers(0, n_firms - 1))
-            if j >= i:
-                j += 1
-            s = grid.levels[state[i][0]] + grid.levels[state[j][0]]
-            candidates = table[s]
-            p, q = candidates[int(rng.integers(0, len(candidates)))]
-            state[i] = p
-            state[j] = q
-
-        def current() -> MicroOutcome:
-            return MicroOutcome(config.regime, tuple(state))
+        def place(occ: tuple[int, ...]) -> tuple:
+            labels = [k for k, a in enumerate(occ) for _ in range(a)]
+            rng.shuffle(labels)
+            return tuple((k, rng.randrange(degeneracies[k])) for k in labels)
 
     else:
-        counts: dict[Position, int] = dict(start.assignment)
 
-        def _move(removals: tuple[Position, ...], additions: tuple[Position, ...]) -> None:
-            for pos in removals:
-                new = counts.get(pos, 0) - 1
-                if new:
-                    counts[pos] = new
-                else:
-                    counts.pop(pos, None)
-            for pos in additions:
-                counts[pos] = counts.get(pos, 0) + 1
+        def place(occ: tuple[int, ...]) -> tuple:
+            # a uniform multiset of a units over g slots: a sorted sample of a
+            # star positions among a + g - 1, minus the stars before each one
+            placed = []
+            for k, a in enumerate(occ):
+                if a == 0:
+                    continue
+                if degeneracies[k] == 1:
+                    placed.append(((k, 0), a))
+                    continue
+                stars = sorted(rng.sample(range(a + degeneracies[k] - 1), a))
+                slots = [s - i for i, s in enumerate(stars)]
+                placed += [((k, slot), len(list(run))) for slot, run in groupby(slots)]
+            return tuple(placed)
 
-        def step() -> None:
-            if n_firms == 1:
-                (only,) = counts
-                candidates = same_level_value[grid.levels[only[0]]]
-                dest = candidates[int(rng.integers(0, len(candidates)))]
-                _move((only,), (dest,))
-                return
-            p = positions[int(rng.integers(0, len(positions)))]
-            q = positions[int(rng.integers(0, len(positions)))]
-            if p == q:
-                if counts.get(p, 0) < 2:
-                    return  # self-loop keeps the proposal symmetric
-            elif counts.get(p, 0) < 1 or counts.get(q, 0) < 1:
-                return
-            s = grid.levels[p[0]] + grid.levels[q[0]]
-            candidates = table[s]
-            p2, q2 = candidates[int(rng.integers(0, len(candidates)))]
-            _move((p, q), (p2, q2))
-
-        def current() -> MicroOutcome:
-            return MicroOutcome(config.regime, tuple(sorted(counts.items())))
-
-    def chain() -> Iterator[MicroOutcome]:
-        for _ in range(burn_in):
-            step()
+    def draws() -> Iterator[MicroOutcome]:
         while True:
-            for _ in range(step_thin):
-                step()
-            yield current()
+            order = orders[bisect_right(cumulative, rng.randrange(total))]
+            yield MicroOutcome(config.regime, place(order.occupancy))
 
-    return chain()
-
-
-def mcmc_support_check(
-    grid: RevenueGrid,
-    config: EconomyConfig,
-    seed: int = 0,
-    draws: int = 5000,
-    **sample_kwargs,
-) -> tuple[bool, set[EconomicOrder]]:
-    """Empirical irreducibility probe for the Markov-chain sampler.
-
-    Runs a forced-mcmc stream and compares the set of visited orders with
-    the exhaustively enumerated feasible set.  Returns (complete, missing):
-    a False flag means the chain provably failed to reach part of the
-    feasible set within the probe, so its samples cannot be trusted as
-    uniform on this instance.
-    """
-    import itertools as _it
-
-    feasible = set(enumerate_orders(grid, config))
-    stream = sample_outcomes(grid, config, seed, method="mcmc", **sample_kwargs)
-    visited = {outcome.order(grid.n) for outcome in _it.islice(stream, draws)}
-    missing = feasible - visited
-    return not missing, missing
+    return draws()
 
 
 def empirical_frequencies(

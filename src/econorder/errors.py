@@ -14,12 +14,14 @@ class InfeasibleError(EconOrderError):
 
 
 class CapExceededError(EconOrderError):
-    """Exhaustive enumeration refused: the outcome space exceeds the cap."""
+    """Exhaustive enumeration refused: the space to list exceeds the cap.
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(
-            f"outcome space has {count} elements, exceeding the cap of {cap}"
-        )
+    ``count`` is None when listing stopped at the first element past the cap.
+    """
+
+    def __init__(self, count: int | None, cap: int, space: str = "outcome space"):
+        size = "more than %d" % cap if count is None else count
+        super().__init__(f"{space} has {size} elements, exceeding the cap of {cap}")
         self.count = count
         self.cap = cap
 

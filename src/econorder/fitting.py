@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import ConfigError, EconOrderError
 
@@ -129,6 +128,7 @@ def fit_boltzmann(samples: SampleSet, tail_quantile: float = 0.03) -> FitResult:
     Location is the sample minimum and the effective temperature is the mean
     excess over it.  Degenerate samples (zero variance) have no temperature.
     """
+    from scipy import stats  # scipy loads only when a fit runs
     values = np.asarray(samples.values, dtype=float)
     kept = _truncate_tail(values, tail_quantile)
     if len(kept) < 10:
@@ -183,6 +183,7 @@ def fit_bose_einstein(
     below the first populated bin center.  A failed optimisation is reported
     as non-convergence, never as a fabricated fit.
     """
+    from scipy import optimize, stats
     values = np.asarray(samples.values, dtype=float)
     if len(values) < 100:
         raise ConfigError("bose-einstein fit requires at least 100 samples")
@@ -236,6 +237,7 @@ def fit_bose_einstein(
 
 def fitted_cdf(fit: FitResult):
     """The continuous CDF implied by a fit, on its recorded support."""
+    from scipy import stats
     if fit.model == "boltzmann":
         return stats.expon(loc=fit.parameters["mu"], scale=fit.parameters["t_eff"]).cdf
     if fit.model == "bose_einstein":
@@ -247,6 +249,7 @@ def fitted_cdf(fit: FitResult):
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Two-sided one-sample KS critical value; exact for small n."""
+    from scipy import stats
     if n < 1:
         raise ConfigError("KS critical value requires n >= 1")
     if n <= 40:
@@ -262,6 +265,7 @@ def goodness_of_fit(
     The same top-quantile truncation used by the fit is applied, so the
     statistic refers to the body the fit actually describes.
     """
+    from scipy import stats
     values = np.asarray(samples.values, dtype=float)
     kept = _truncate_tail(values, fit.tail_truncated_fraction)
     statistic = float(stats.kstest(kept, fitted_cdf(fit)).statistic)

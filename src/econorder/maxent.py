@@ -111,10 +111,15 @@ def occupancy(
     return _closed_form(alpha, beta, *_grid_arrays(grid), regime)[0]
 
 
+def _bose(g: float, x: float) -> float:
+    # g / (e^x - 1); past x = 700 expm1 overflows, and e^x - 1 == e^x in floats
+    return g / math.expm1(x) if x < 700.0 else g * math.exp(-x)
+
+
 def _occ_scaled(indicator: int, g: Sequence[float], e: Sequence[float], alpha: float, beta: float) -> list[float]:
     # python-scalar evaluation; used by the bisection paths where n is small
     if indicator:
-        return [gi / math.expm1(alpha + beta * ei) for gi, ei in zip(g, e)]
+        return [_bose(gi, alpha + beta * ei) for gi, ei in zip(g, e)]
     return [gi * math.exp(-alpha - beta * ei) for gi, ei in zip(g, e)]
 
 
@@ -136,7 +141,7 @@ def _alpha_for_beta(
 
     def excess(offset: float) -> float:
         alpha = wall + offset
-        return sum(gi / math.expm1(alpha + beta * ei) for gi, ei in zip(g, e)) - n_firms
+        return sum(_bose(gi, alpha + beta * ei) for gi, ei in zip(g, e)) - n_firms
 
     lo = 1.0
     while excess(lo) < 0.0:
@@ -168,7 +173,9 @@ def solve_multipliers_bisection(
     """Nested-bisection solve: outer on beta (mean revenue is decreasing in
     beta at fixed firm count), inner on alpha (firm count is decreasing in
     alpha at fixed beta).  Slow but bracketing-safe; serves as the oracle
-    for the Newton path.
+    for the Newton path.  It works in the levels' offsets from the lowest
+    level, so that revenue above the ground state, not the whole of Pi,
+    decides each bisection step.
     """
     prepared = _prepare(grid, config)
     if isinstance(prepared, MultiplierSolution):
@@ -209,13 +216,15 @@ def solve_multipliers_bisection(
     alpha = _alpha_for_beta(indicator, g, e, n_firms, beta_s)
     occ = _occ_scaled(indicator, g, e, alpha, beta_s)
     res_n = sum(occ) - n_firms
-    res_pi = (sum(a * ei for a, ei in zip(occ, e)) - pi_scaled) * scale
+    e0 = grid.levels[0]
+    res_pi = (sum(a * ei for a, ei in zip(occ, e)) - pi_scaled) * scale + e0 * res_n
     converged = abs(res_n) <= 1e-10 * n_firms and abs(res_pi) <= 1e-10 * max(
-        1.0, pi_scaled * scale
+        1.0, config.total_revenue
     )
+    beta = beta_s / scale
     return MultiplierSolution(
-        alpha=alpha,
-        beta=beta_s / scale,
+        alpha=alpha - beta * e0,
+        beta=beta,
         occupancy=tuple(occ),
         residual_n=res_n,
         residual_pi=res_pi,
@@ -258,16 +267,17 @@ def _boundary_solution(
 
 def _prepare(grid: RevenueGrid, config: EconomyConfig):
     """Degenerate solution, or the scaled problem data for bisection
-    (indicator, g, e, N, Pi_scaled, scale)."""
+    (indicator, g, e, N, Pi_scaled, scale): e_k = (e_k - e_0) / scale in
+    [0, 1] and Pi_scaled = (Pi - N e_0) / scale, with scale = e_max - e_0."""
     degenerate = _boundary_solution(grid, config)
     if degenerate is not None:
         return degenerate
-    n_firms = float(config.n_firms)
-    pi = float(config.total_revenue)
-    scale = float(grid.levels[-1]) if grid.levels[-1] > 0 else 1.0
-    e = [ei / scale for ei in grid.levels]
+    e0 = grid.levels[0]
+    scale = float(grid.levels[-1] - e0)
+    e = [(ei - e0) / scale for ei in grid.levels]
     g = [float(gi) for gi in grid.degeneracies]
-    return int(config.regime), g, e, n_firms, pi / scale, scale
+    pi_scaled = (config.total_revenue - config.n_firms * e0) / scale
+    return int(config.regime), g, e, float(config.n_firms), pi_scaled, scale
 
 
 _TOL = 1e-10  # residuals relative to N and Pi

@@ -211,9 +211,10 @@ class TestSample:
         assert lines[0] == "step,assignment"
         assert len(lines) == 21
 
-    def test_chain_path_warns_on_reducible_grid(self, tmp_path, capsys):
-        # a tiny cap forces the chain sampler; on this grid pairwise moves
-        # cannot change the occupancy, and the support probe says so
+    def test_grid_without_shared_pair_sums_samples_both_orders(self, tmp_path):
+        # levels (1, 3, 4): no two distinct level pairs share a revenue sum.
+        # Both orders appear at their exact probabilities 5/7 and 2/7, also
+        # when the outcome space (7) exceeds the cap, which bounds the orders (2).
         text = """
 [grid]
 levels = 1 3 4
@@ -227,15 +228,18 @@ seeds = 5
 
 [caps]
 max_outcomes = 2
-sample_draws = 500
+sample_draws = 20000
 """
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "never visited" in captured
-        rows = read_rows(out / "frequencies.csv")
-        assert len(rows) == 1  # the chain was stuck in one order
+        rows = {r["occupancy"]: int(r["count"]) for r in read_rows(out / "frequencies.csv")}
+        assert set(rows) == {"2 4 0", "3 1 2"}
+        for occupancy, p in (("2 4 0", 5 / 7), ("3 1 2", 2 / 7)):
+            sigma = (p * (1 - p) * 20000) ** 0.5
+            assert abs(rows[occupancy] - p * 20000) <= 4 * sigma
+        capped = write_config(tmp_path, text.replace("max_outcomes = 2", "max_outcomes = 1"), "capped.ini")
+        assert main(["sample", "--config", str(capped), "--out", str(out)]) == 4
 
 
 class TestFit:

@@ -3,7 +3,7 @@
 import pytest
 
 from econorder import ConfigError, Regime
-from econorder.configio import load_run_config
+from econorder.configio import Caps, load_run_config
 
 FULL = """
 [grid]
@@ -26,8 +26,6 @@ gap = 1e-7
 [caps]
 max_outcomes = 5000
 sample_draws = 777
-burn_in = 50
-thinning = 3
 """
 
 
@@ -52,8 +50,6 @@ def test_full_config_round_trip(tmp_path):
     assert run.thresholds.gap == 1e-7
     assert run.caps.max_outcomes == 5000
     assert run.caps.sample_draws == 777
-    assert run.caps.burn_in == 50
-    assert run.caps.thinning == 3
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -64,7 +60,7 @@ def test_minimal_config_defaults(tmp_path):
     assert run.economy.total_revenue is None
     assert run.seeds == (0,)
     assert run.lam == 1.0
-    assert run.caps.thinning is None
+    assert run.caps == Caps()
 
 
 def test_pi_none_keyword(tmp_path):
@@ -98,6 +94,7 @@ def test_missing_regime_without_override(tmp_path):
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nlambda = 0\n", "economy.lambda"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[mystery]\nx = 1\n", "mystery"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nmax_outcomes = 0\n", "caps.max_outcomes"),
+        ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nburn_in = 50\n", "caps.burn_in"),
     ],
 )
 def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):

@@ -1,6 +1,10 @@
 """Domain types: invariants, exact validation, and share arithmetic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +123,14 @@ def test_shares_to_revenues_rational_split():
     revenues = shares_to_revenues(shares, 8)
     assert revenues == (2, 2, 4)
     assert sum(revenues) == 8
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is imported by the fits and the checks that use it, not at start-up
+    import econorder
+
+    src = str(Path(econorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, econorder, econorder.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -115,6 +115,19 @@ def test_degeneracy_monotonicity(occ, degens, bump):
         assert multiplicity(occ, grid_up, regime) >= multiplicity(occ, grid, regime)
 
 
+@given(
+    occ=st.lists(st.integers(0, 60), min_size=1, max_size=6),
+    degens=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+)
+def test_boltzmann_multiplicity_equals_multinomial(occ, degens):
+    grid = RevenueGrid(tuple(range(1, len(occ) + 1)), tuple(degens[: len(occ)]))
+    # the closed form N! / prod a_k! * prod g_k^a_k
+    numerator = math.factorial(sum(occ)) * math.prod(g**a for a, g in zip(occ, grid.degeneracies))
+    expected, rest = divmod(numerator, math.prod(math.factorial(a) for a in occ))
+    assert rest == 0
+    assert multiplicity(occ, grid, Regime.MONOPOLISTIC) == expected
+
+
 def test_money_scale_invariance_of_multiplicity():
     grid = RevenueGrid((1, 3, 7), (2, 1, 3))
     for c in (2, 10):

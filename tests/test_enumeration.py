@@ -6,6 +6,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from econorder import (
@@ -20,7 +22,6 @@ from econorder import (
     enumerate_orders,
     enumerate_outcomes,
     feasible_outcome_count,
-    mcmc_support_check,
     multiplicity,
     sample_outcomes,
 )
@@ -232,60 +233,77 @@ class TestSampling:
         with pytest.raises(InfeasibleError):
             sample_outcomes(GRID_2, EconomyConfig(2, 5, Regime.MONOPOLISTIC), seed=0)
 
-    @pytest.mark.parametrize("regime", [Regime.MONOPOLISTIC, Regime.PERFECT])
-    def test_mcmc_matches_catalog(self, regime):
-        grid = GRID_3
-        config = EconomyConfig(6, 12, regime)
-        cat = catalog(grid, config)
-        draws = 20_000
-        stream = sample_outcomes(
-            grid, config, seed=17, method="mcmc", burn_in=2000, thinning=24
-        )
-        freqs = empirical_frequencies(islice(stream, draws), grid)
-        observed = np.array(
-            [float(freqs.get(e.order, Fraction(0))) * draws for e in cat.entries]
-        )
-        expected = np.array([float(e.probability) * draws for e in cat.entries])
-        assert float(stats.chisquare(observed, expected).pvalue) > 0.001
+    @pytest.mark.parametrize(
+        "grid, config",
+        [
+            (RevenueGrid((1, 2, 3), (1, 2, 2)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
+            (RevenueGrid((1, 2, 3), (2, 3, 2)), EconomyConfig(6, 12, Regime.PERFECT)),
+        ],
+        ids=["mon", "per"],
+    )
+    def test_micro_outcome_chi_square(self, grid, config):
+        # every feasible micro-outcome, not only every order, is equally likely
+        outcomes = [o for group in enumerate_outcomes(grid, config).values() for o in group]
+        draws = 50 * len(outcomes)
+        tally = dict.fromkeys(outcomes, 0)
+        for outcome in islice(sample_outcomes(grid, config, seed=17), draws):
+            tally[outcome] += 1  # a KeyError would be an infeasible draw
+        assert len(tally) == len(outcomes) and min(tally.values()) > 0
+        pvalue = stats.chisquare(list(tally.values())).pvalue
+        assert pvalue > 0.001
 
-    def test_mcmc_visits_full_order_support(self):
-        # empirical irreducibility: the chain reaches every feasible order
-        grid = GRID_3
-        config = EconomyConfig(6, 12, Regime.MONOPOLISTIC)
-        complete, missing = mcmc_support_check(
-            grid, config, seed=3, draws=5000, burn_in=500, thinning=6
-        )
-        assert complete and not missing
-
-    def test_mcmc_reducibility_is_detected(self):
-        # on this grid no two distinct level pairs share a revenue sum, so
-        # pairwise revenue-conserving moves never change the occupancy; the
-        # probe must expose that rather than let the chain masquerade as
-        # uniform
+    def test_grid_without_shared_pair_sums_reaches_both_orders(self):
+        # on levels (1, 3, 4) no two distinct level pairs share a revenue sum,
+        # the grid on which a pair-move chain never leaves its first order
         grid = RevenueGrid((1, 3, 4), (1, 2, 1))
         config = EconomyConfig(6, 14, Regime.PERFECT)
-        assert len(enumerate_orders(grid, config)) == 2
-        complete, missing = mcmc_support_check(grid, config, seed=5, draws=3000)
-        assert not complete
-        assert len(missing) == 1
-        # the exact-uniform path is unaffected on the same instance
-        freqs = empirical_frequencies(
-            islice(sample_outcomes(grid, config, seed=5), 20_000), grid
-        )
         cat = catalog(grid, config)
+        assert {e.order.occupancy: e.probability for e in cat.entries} == {
+            (2, 4, 0): Fraction(5, 7),
+            (3, 1, 2): Fraction(2, 7),
+        }
+        draws = 20_000
+        freqs = empirical_frequencies(islice(sample_outcomes(grid, config, seed=5), draws), grid)
+        assert set(freqs) == {e.order for e in cat.entries}
         for entry in cat.entries:
-            assert float(freqs.get(entry.order, Fraction(0))) == pytest.approx(
-                float(entry.probability), abs=0.02
-            )
+            p = float(entry.probability)
+            sigma = math.sqrt(p * (1 - p) / draws)
+            assert abs(float(freqs[entry.order]) - p) <= 4 * sigma
 
-    def test_mcmc_preserves_constraints(self):
-        grid = GRID_3
-        config = EconomyConfig(5, 11, Regime.PERFECT)
-        stream = sample_outcomes(grid, config, seed=9, method="mcmc", thinning=3)
-        for outcome in islice(stream, 500):
-            occ = outcome.order(grid.n).occupancy
-            assert sum(occ) == 5
-            assert sum(a * e for a, e in zip(occ, grid.levels)) == 11
+    def test_order_cap_raises_before_sampling(self):
+        grid = RevenueGrid((1, 3, 4), (1, 2, 1))
+        config = EconomyConfig(6, 14, Regime.PERFECT)  # 2 orders, 7 outcomes
+        with pytest.raises(CapExceededError):
+            sample_outcomes(grid, config, seed=0, cap=1)
+        # the cap bounds orders, not outcomes: 2 orders fit under a cap of 2
+        stream = sample_outcomes(grid, config, seed=0, cap=2)
+        assert next(stream).order(grid.n).occupancy in {(2, 4, 0), (3, 1, 2)}
+
+    @given(
+        levels=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+        degens=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        n_firms=st.integers(1, 7),
+        regime=st.sampled_from(list(Regime)),
+        picks=st.lists(st.integers(0, 3), min_size=7, max_size=7),
+        seed=st.integers(0, 2**40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_feasible_and_seeded(self, levels, degens, n_firms, regime, picks, seed):
+        grid = RevenueGrid(tuple(levels), tuple(degens[: len(levels)]))
+        # a realisable total: the revenue of some placement of the firms
+        total = sum(levels[p % len(levels)] for p in picks[:n_firms])
+        config = EconomyConfig(n_firms, total, regime)
+        first = list(islice(sample_outcomes(grid, config, seed), 30))
+        assert first == list(islice(sample_outcomes(grid, config, seed), 30))
+        for outcome in first:
+            if regime is Regime.MONOPOLISTIC:
+                placed = [(pos, 1) for pos in outcome.assignment]
+            else:
+                placed = list(outcome.assignment)
+                assert placed == sorted(placed) and all(c > 0 for _, c in placed)
+            assert all(0 <= s < grid.degeneracies[k] for (k, s), _ in placed)
+            assert sum(c for _, c in placed) == n_firms
+            assert sum(c * grid.levels[k] for (k, _), c in placed) == total
 
 
 class TestEmpiricalFrequencies:

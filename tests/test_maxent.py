@@ -184,6 +184,25 @@ class TestNewtonRobustness:
         closed = occupancy(sol.alpha, sol.beta, grid, regime)
         assert np.max(np.abs(closed - np.array(sol.occupancy))) <= 1e-8 * n_firms
 
+    @pytest.mark.parametrize(
+        "levels, degens, n_firms, total",
+        [
+            # one revenue unit below the top: the oracle's scalar expm1 overflowed
+            ((101, 117, 207, 272, 316, 391, 393), (2, 1, 11, 1, 4, 18, 21), 1745, 685784),
+            # 28 units above the ground state of close, high levels: the oracle
+            # lost the excess revenue in the rounding of Pi
+            ((184, 185), (1, 7), 18089, 18089 * 184 + 28),
+        ],
+    )
+    def test_oracle_agrees_on_hard_perfect_instances(self, levels, degens, n_firms, total):
+        grid = RevenueGrid(levels, degens)
+        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        sol = assert_newton_solves(grid, config)
+        oracle = solve_multipliers_bisection(grid, config)
+        assert oracle.converged
+        gap = np.max(np.abs(np.array(sol.occupancy) - np.array(oracle.occupancy)))
+        assert gap <= 1e-8 * n_firms
+
     @given(
         regime=st.sampled_from(list(Regime)),
         base=st.integers(0, 200),
@@ -209,10 +228,7 @@ class TestNewtonRobustness:
         }[end]
         config = EconomyConfig(n_firms, total, regime)
         sol = assert_newton_solves(grid, config)
-        try:
-            oracle = solve_multipliers_bisection(grid, config)
-        except OverflowError:
-            return  # the oracle's scalar expm1 overflows on some near-top economies
+        oracle = solve_multipliers_bisection(grid, config)
         if oracle.converged:
             gap = np.max(np.abs(np.array(sol.occupancy) - np.array(oracle.occupancy)))
             assert gap <= 1e-8 * n_firms
