@@ -17,14 +17,7 @@ import numpy as np
 
 from .configio import RunConfig
 from .core import EconomyConfig, Regime, RevenueGrid
-from .counting import multiplicity
-from .enumeration import (
-    catalog,
-    empirical_frequencies,
-    enumerate_orders,
-    enumerate_outcomes,
-    sample_outcomes,
-)
+from .enumeration import catalog, empirical_frequencies, enumerate_outcomes
 from .errors import EconOrderError
 from .macro import (
     entropy_identity_residual,
@@ -114,21 +107,16 @@ def check_two_firm_example(inject_fault: str | None = None) -> CheckResult:
 
 def check_counting_oracle(seed: int, instances: int = 40, scan_cap: int = 60_000) -> CheckResult:
     """Closed-form multiplicity equals exhaustive micro-outcome group sizes."""
-    from .enumeration import feasible_outcome_count
-
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < instances:
-        grid, config = random_counting_instance(rng)
-        if feasible_outcome_count(grid, config) > scan_cap:
+        grid, config = random_counting_instance(rng)  # always feasible: catalog never raises
+        cat = catalog(grid, config)
+        if cat.total_outcomes > scan_cap:
             continue  # keep the exhaustive scan desk-sized; the draw stays random
         groups = enumerate_outcomes(grid, config, cap=scan_cap)
-        expected = {
-            order: multiplicity(order, grid, config.regime)
-            for order in enumerate_orders(grid, config)
-        }
+        expected = {e.order: e.multiplicity for e in cat.listing}
         sizes = {order: len(members) for order, members in groups.items()}
-        expected = {o: m for o, m in expected.items() if m > 0}
         if sizes != expected:
             for order in set(expected) | set(sizes):
                 if sizes.get(order) != expected.get(order):
@@ -219,8 +207,7 @@ def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
     passed = True
     for idx, (grid, config) in enumerate(cases):
         cat = catalog(grid, config)
-        stream = sample_outcomes(grid, config, seed + idx)
-        freqs = empirical_frequencies(islice(stream, draws), grid)
+        freqs = empirical_frequencies(islice(cat.sample(seed + idx), draws), grid)
         observed = np.array(
             [float(freqs.get(e.order, Fraction(0))) * draws for e in cat.entries]
         )
@@ -289,7 +276,7 @@ def check_macro_identities(seed: int) -> CheckResult:
 
 
 def run_checks(run_config: RunConfig, inject_fault: str | None = None) -> list[CheckResult]:
-    seed = run_config.seeds[0]
+    seed = run_config.seed
     results = []
     for fn in (
         lambda: check_two_firm_example(inject_fault),

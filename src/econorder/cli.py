@@ -20,7 +20,7 @@ from . import reports
 from .checks import run_checks
 from .configio import RunConfig, load_run_config
 from .counting import stirling_log_multiplicity
-from .enumeration import catalog, empirical_frequencies, sample_outcomes
+from .enumeration import catalog, empirical_frequencies
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 from .fitting import (
     _truncate_tail,
@@ -52,8 +52,8 @@ def _out_dir(args, run_config: RunConfig | None = None) -> Path:
 
 def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
     updates = {}
-    if getattr(args, "seed", None):
-        updates["seeds"] = tuple(args.seed)
+    if getattr(args, "seed", None) is not None:
+        updates["seed"] = args.seed
     if getattr(args, "lam", None) is not None:
         if not (args.lam > 0):
             raise ConfigError("economy.lambda: must be positive")
@@ -64,9 +64,7 @@ def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
 def cmd_enumerate(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     out = _out_dir(args, run)
-    cat = catalog(run.grid, run.economy)
-    if cat.total_outcomes > run.caps.max_outcomes:
-        raise CapExceededError(cat.total_outcomes, run.caps.max_outcomes)
+    cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
     reports.write_orders_csv(out / "orders.csv", cat)
     reports.dump_json(out / "spontaneous.json", reports.spontaneous_payload(cat))
     print(
@@ -114,12 +112,10 @@ def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     out = _out_dir(args, run)
     draws = run.caps.sample_draws
-    stream = sample_outcomes(run.grid, run.economy, run.seeds[0], cap=run.caps.max_outcomes)
-    outcomes = list(islice(stream, draws))
+    cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
+    outcomes = list(islice(cat.sample(run.seed), draws))
     freqs = empirical_frequencies(outcomes, run.grid)
-    cat = catalog(run.grid, run.economy)
-    exact = cat if cat.total_outcomes <= run.caps.max_outcomes else None
-    reports.write_frequencies_csv(out / "frequencies.csv", freqs, exact, draws)
+    reports.write_frequencies_csv(out / "frequencies.csv", freqs, cat, draws)
     if args.log_outcomes:
         with (out / "outcomes.csv").open("w", newline="") as handle:
             handle.write("step,assignment\n")
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_lambda=False):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--seed", type=int, action="append", help="override seeds (repeatable)")
+        p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--regime", choices=["mon", "per"], help="override the regime")
         if with_lambda:

@@ -36,7 +36,7 @@ class RunConfig:
     grid: RevenueGrid
     economy: EconomyConfig
     lam: float = 1.0
-    seeds: tuple[int, ...] = (0,)
+    seed: int = 0
     output_dir: str | None = None
     thresholds: Thresholds = field(default_factory=Thresholds)
     caps: Caps = field(default_factory=Caps)
@@ -117,9 +117,9 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
     lam = _parse_float("economy", "lambda", esec["lambda"]) if "lambda" in esec else 1.0
     if not (lam > 0):
         raise ConfigError("economy.lambda: must be positive")
-    seeds = (
-        _parse_int_list("economy", "seeds", esec["seeds"]) if "seeds" in esec else (0,)
-    )
+    seeds = _parse_int_list("economy", "seeds", esec.get("seeds", "0"))
+    if len(seeds) > 1:
+        raise ConfigError(f"economy.seeds: expected one integer, got {len(seeds)}")
     output_dir = esec.get("output_dir") or None
 
     thresholds = Thresholds()
@@ -144,7 +144,7 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
         grid=grid,
         economy=economy,
         lam=lam,
-        seeds=seeds,
+        seed=seeds[0],
         output_dir=output_dir,
         thresholds=thresholds,
         caps=caps,

@@ -61,11 +61,17 @@ class OrderCatalog:
 
     Entries are sorted by decreasing multiplicity, ties broken by
     lexicographically smaller occupancy, so the first entry is the most
-    probable order under the documented tie rule.
+    probable order under the documented tie rule.  ``listing`` holds the same
+    entries in listing (lexicographic) order and ``cumulative`` their running
+    multiplicity totals, the table the exact sampler draws from.
     """
 
     entries: tuple[CatalogEntry, ...]
     total_outcomes: int
+    listing: tuple[CatalogEntry, ...]
+    cumulative: tuple[int, ...]
+    degeneracies: tuple[int, ...]
+    regime: Regime
 
     def most_probable(self) -> EconomicOrder:
         return self.entries[0].order
@@ -74,11 +80,49 @@ class OrderCatalog:
         top = self.entries[0].multiplicity
         return tuple(e.order for e in self.entries if e.multiplicity == top)
 
-    def probability_of(self, order: EconomicOrder) -> Fraction:
-        for entry in self.entries:
-            if entry.order == order:
-                return entry.probability
-        return Fraction(0)
+    def sample(self, seed: int) -> Iterator[MicroOutcome]:
+        """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
+
+        Each draw is exact in two steps (the recursive method of Nijenhuis &
+        Wilf, *Combinatorial Algorithms*, 1978).  An order is picked with
+        probability multiplicity / total, by an exact big-integer index into
+        the cumulative multiplicities; then one of that order's outcomes is
+        picked uniformly: a random arrangement of the level labels over the
+        firms with a random slot per firm (distinguishable firms), or a random
+        composition of each level's firms over its slots (indistinguishable
+        firms).  A draw costs O(N log N) and no outcome other than the drawn
+        ones is ever built.
+        """
+        listing, cumulative, total = self.listing, self.cumulative, self.total_outcomes
+        regime, degeneracies = self.regime, self.degeneracies
+        rng = random.Random(seed)
+        if regime is Regime.MONOPOLISTIC:
+
+            def place(occ: tuple[int, ...]) -> tuple:
+                labels = [k for k, a in enumerate(occ) for _ in range(a)]
+                rng.shuffle(labels)
+                return tuple((k, rng.randrange(degeneracies[k])) for k in labels)
+
+        else:
+
+            def place(occ: tuple[int, ...]) -> tuple:
+                # a uniform multiset of a units over g slots: a sorted sample of
+                # a star positions among a + g - 1, minus the stars before each one
+                placed = []
+                for k, a in enumerate(occ):
+                    if a == 0:
+                        continue
+                    if degeneracies[k] == 1:
+                        placed.append(((k, 0), a))
+                        continue
+                    stars = sorted(rng.sample(range(a + degeneracies[k] - 1), a))
+                    slots = [s - i for i, s in enumerate(stars)]
+                    placed += [((k, slot), len(list(run))) for slot, run in groupby(slots)]
+                return tuple(placed)
+
+        while True:
+            order = listing[bisect_right(cumulative, rng.randrange(total))].order
+            yield MicroOutcome(regime, place(order.occupancy))
 
 
 def enumerate_orders(
@@ -209,19 +253,27 @@ def enumerate_outcomes(
     }
 
 
-def catalog(grid: RevenueGrid, config: EconomyConfig) -> OrderCatalog:
-    """Exact catalog of feasible orders with equal-outcome probabilities."""
-    orders = enumerate_orders(grid, config)
+def catalog(
+    grid: RevenueGrid, config: EconomyConfig, *, cap: int | None = None
+) -> OrderCatalog:
+    """Exact catalog of feasible orders with equal-outcome probabilities.
+
+    The one table of feasible orders and their multiplicities.  With a
+    ``cap``, more than ``cap`` orders raise CapExceededError while they are
+    listed, before any multiplicity is computed.
+    """
+    orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     counts = [multiplicity(order, grid, config.regime) for order in orders]
-    total = sum(counts)
-    entries = [
+    cumulative = tuple(accumulate(counts))
+    total = cumulative[-1]
+    listing = tuple(
         CatalogEntry(order, omega, Fraction(omega, total))
         for order, omega in zip(orders, counts)
-    ]
-    entries.sort(key=lambda e: (-e.multiplicity, e.order.occupancy))
-    return OrderCatalog(tuple(entries), total)
+    )
+    entries = tuple(sorted(listing, key=lambda e: (-e.multiplicity, e.order.occupancy)))
+    return OrderCatalog(entries, total, listing, cumulative, grid.degeneracies, config.regime)
 
 
 def sample_outcomes(
@@ -231,58 +283,13 @@ def sample_outcomes(
     *,
     cap: int = DEFAULT_OUTCOME_CAP,
 ) -> Iterator[MicroOutcome]:
-    """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
+    """Seeded stream of uniform feasible micro-outcomes: ``OrderCatalog.sample``.
 
-    Each draw is exact in two steps (the recursive method of Nijenhuis & Wilf,
-    *Combinatorial Algorithms*, 1978).  An order is picked with probability
-    multiplicity / total, by an exact big-integer index into the cumulative
-    multiplicities; then one of that order's outcomes is picked uniformly:
-    a random arrangement of the level labels over the firms with a random
-    slot per firm (distinguishable firms), or a random composition of each
-    level's firms over its slots (indistinguishable firms).  A draw costs
-    O(N log N) and no outcome other than the drawn ones is ever built.
-
-    The order list is the only table.  It is built before this returns, so
-    an infeasible economy raises InfeasibleError here, and more than ``cap``
-    orders raise CapExceededError while they are being listed.
+    The catalog is built before this returns, so an infeasible economy raises
+    InfeasibleError here, and more than ``cap`` orders raise CapExceededError
+    while they are being listed.
     """
-    orders = enumerate_orders(grid, config, cap=cap)
-    if not orders:
-        raise InfeasibleError("infeasible economy: no feasible outcome to sample")
-    cumulative = list(accumulate(multiplicity(order, grid, config.regime) for order in orders))
-    total = cumulative[-1]
-    degeneracies = grid.degeneracies
-    rng = random.Random(seed)
-    if config.regime is Regime.MONOPOLISTIC:
-
-        def place(occ: tuple[int, ...]) -> tuple:
-            labels = [k for k, a in enumerate(occ) for _ in range(a)]
-            rng.shuffle(labels)
-            return tuple((k, rng.randrange(degeneracies[k])) for k in labels)
-
-    else:
-
-        def place(occ: tuple[int, ...]) -> tuple:
-            # a uniform multiset of a units over g slots: a sorted sample of a
-            # star positions among a + g - 1, minus the stars before each one
-            placed = []
-            for k, a in enumerate(occ):
-                if a == 0:
-                    continue
-                if degeneracies[k] == 1:
-                    placed.append(((k, 0), a))
-                    continue
-                stars = sorted(rng.sample(range(a + degeneracies[k] - 1), a))
-                slots = [s - i for i, s in enumerate(stars)]
-                placed += [((k, slot), len(list(run))) for slot, run in groupby(slots)]
-            return tuple(placed)
-
-    def draws() -> Iterator[MicroOutcome]:
-        while True:
-            order = orders[bisect_right(cumulative, rng.randrange(total))]
-            yield MicroOutcome(config.regime, place(order.occupancy))
-
-    return draws()
+    return catalog(grid, config, cap=cap).sample(seed)
 
 
 def empirical_frequencies(

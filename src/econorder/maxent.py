@@ -25,7 +25,7 @@ the constrained mean revenue is strictly decreasing in beta, so nested
 bisection brackets both roots.
 
 Near perfect competition the Bose-Einstein denominator can approach zero at
-the lowest level; detect_condensation flags that crisis regime.
+the condensing end of the grid; detect_condensation flags that crisis regime.
 """
 
 from __future__ import annotations
@@ -381,15 +381,18 @@ def detect_condensation(
     fraction_threshold: float = 0.5,
     gap_threshold: float = 1e-6,
 ) -> CondensationReport:
-    """Flag Bose-Einstein condensation: ground-level pile-up or vanishing gap.
+    """Flag Bose-Einstein condensation: pile-up or vanishing gap at the
+    condensing end, the level where x = alpha + beta * e is smallest (the top
+    level when beta < 0, else level 0, also for degenerate solutions).
 
     Monopolistic economies have no singularity and are never condensed.
     """
-    ground_fraction = solution.occupancy[0] / config.n_firms
+    k = -1 if solution.beta is not None and solution.beta < 0 else 0
+    ground_fraction = solution.occupancy[k] / config.n_firms
     if solution.alpha is None or solution.beta is None:
         gap = math.nan
     else:
-        gap = solution.alpha + solution.beta * grid.levels[0]
+        gap = solution.alpha + solution.beta * grid.levels[k]
     if config.regime is Regime.MONOPOLISTIC:
         condensed = False
     else:

@@ -138,26 +138,26 @@ def macro_payload(
 def write_frequencies_csv(
     path: Path,
     frequencies: dict[EconomicOrder, Fraction],
-    catalog: OrderCatalog | None,
+    catalog: OrderCatalog,
     draws: int,
 ) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        header = ["occupancy", "count", "frequency_float"]
-        if catalog is not None:
-            header += ["exact_probability_float", "abs_error"]
-        writer.writerow(header)
-        orders = set(frequencies)
-        if catalog is not None:
-            orders.update(e.order for e in catalog.entries)
-        for order in sorted(orders, key=lambda o: o.occupancy):
-            freq = frequencies.get(order, Fraction(0))
-            row = [occupancy_text(order), freq.numerator * draws // freq.denominator if freq else 0,
-                   repr(float(freq))]
-            if catalog is not None:
-                exact = catalog.probability_of(order)
-                row += [repr(float(exact)), repr(abs(float(freq) - float(exact)))]
-            writer.writerow(row)
+        writer.writerow(
+            ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
+        )
+        for entry in catalog.listing:
+            freq = frequencies.get(entry.order, Fraction(0))
+            exact = float(entry.probability)
+            writer.writerow(
+                [
+                    occupancy_text(entry.order),
+                    freq.numerator * draws // freq.denominator,
+                    repr(float(freq)),
+                    repr(exact),
+                    repr(abs(float(freq) - exact)),
+                ]
+            )
 
 
 def write_binned_fit_csv(path: Path, rows: list[dict]) -> None:

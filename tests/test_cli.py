@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from econorder import enumeration
 from econorder.cli import main
 
 EXAMPLE_TWO_FIRMS = """
@@ -64,6 +65,27 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
+def count_calls(monkeypatch, name):
+    """Record each call of ``econorder.enumeration.<name>``; returns the log."""
+    calls = []
+    original = getattr(enumeration, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["enumerate", "sample"])
+def test_orders_listed_once(tmp_path, monkeypatch, command):
+    calls = count_calls(monkeypatch, "enumerate_orders")
+    config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 class TestEnumerate:
     def test_two_firm_example_counts(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
@@ -115,13 +137,17 @@ class TestEnumerate:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "infeasible"
 
-    def test_cap_exceeded_exits_4(self, tmp_path, capsys):
-        text = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 100\n"
+    def test_cap_exceeded_exits_4(self, tmp_path, capsys, monkeypatch):
+        # N = 12 firms over two levels: 13 orders, one more than the cap,
+        # which stops the listing before any order is counted
+        counted = count_calls(monkeypatch, "multiplicity")
+        text = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 12\n"
         config = write_config(tmp_path, text)
         assert main(["enumerate", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "cap_exceeded"
-        assert "4096" in err["message"]
+        assert "order list" in err["message"]
+        assert counted == []
 
 
 class TestSolve:
@@ -202,6 +228,20 @@ class TestSample:
         rows1, rows2 = read_rows(out1 / "frequencies.csv"), read_rows(out2 / "frequencies.csv")
         assert sum(int(r["count"]) for r in rows1) == 500
         assert rows1 != rows2
+
+    def test_seed_zero_overrides_config_seed(self, tmp_path):
+        draws = "\n[caps]\nsample_draws = 500\n"
+        seven = write_config(tmp_path, EXAMPLE_TWO_FIRMS + draws, "seven.ini")
+        zero = write_config(
+            tmp_path, EXAMPLE_TWO_FIRMS.replace("seeds = 7", "seeds = 0") + draws, "zero.ini"
+        )
+        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        main(["sample", "--config", str(seven), "--out", str(out1), "--seed", "0"])
+        main(["sample", "--config", str(zero), "--out", str(out2)])
+        main(["sample", "--config", str(seven), "--out", str(out3)])
+        overridden = (out1 / "frequencies.csv").read_bytes()
+        assert overridden == (out2 / "frequencies.csv").read_bytes()
+        assert overridden != (out3 / "frequencies.csv").read_bytes()
 
     def test_outcome_log_opt_in(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 20\n")

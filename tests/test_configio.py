@@ -16,7 +16,7 @@ N = 25
 Pi = 400
 regime = per
 lambda = 2.5
-seeds = 11 12 13
+seeds = 11
 output_dir = results
 
 [thresholds]
@@ -44,7 +44,7 @@ def test_full_config_round_trip(tmp_path):
     assert run.economy.total_revenue == 400
     assert run.economy.regime is Regime.PERFECT
     assert run.lam == 2.5
-    assert run.seeds == (11, 12, 13)
+    assert run.seed == 11
     assert run.output_dir == "results"
     assert run.thresholds.ground_fraction == 0.4
     assert run.thresholds.gap == 1e-7
@@ -58,7 +58,7 @@ def test_minimal_config_defaults(tmp_path):
     )
     assert run.grid.degeneracies == (1, 1)
     assert run.economy.total_revenue is None
-    assert run.seeds == (0,)
+    assert run.seed == 0
     assert run.lam == 1.0
     assert run.caps == Caps()
 
@@ -95,6 +95,7 @@ def test_missing_regime_without_override(tmp_path):
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[mystery]\nx = 1\n", "mystery"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nmax_outcomes = 0\n", "caps.max_outcomes"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nburn_in = 50\n", "caps.burn_in"),
+        ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = 1 2\n", "economy.seeds"),
     ],
 )
 def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):

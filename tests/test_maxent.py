@@ -273,6 +273,17 @@ class TestCondensation:
         assert report.gap > 1e-6
         assert report.ground_fraction == pytest.approx(1 / 3, rel=1e-9)
 
+    def test_top_level_pile_up_condenses(self):
+        # mean revenue 22/N below the top level: beta < 0, so the condensing
+        # end is the top level, which holds all but about 1.4 firms
+        grid = RevenueGrid((174, 190), (21, 17))
+        config = EconomyConfig(803586, 152681318, Regime.PERFECT)
+        sol = solve_multipliers(grid, config)
+        assert sol.beta < 0
+        report = detect_condensation(sol, grid, config)
+        assert report.condensed
+        assert report.ground_fraction > 0.99
+
     def test_thresholds_are_configurable(self):
         config = EconomyConfig(12, 24, Regime.PERFECT)
         sol = solve_multipliers(GRID_3, config)
