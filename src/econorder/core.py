@@ -119,16 +119,16 @@ class EconomyConfig:
             object.__setattr__(self, "regime", Regime.parse(str(self.regime)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EconomicOrder:
     """Occupancy vector: occupancy[k] firms at revenue level k."""
 
     occupancy: tuple[int, ...]
 
     def __post_init__(self):
-        occ = tuple(int(a) for a in self.occupancy)
+        occ = tuple(map(int, self.occupancy))
         object.__setattr__(self, "occupancy", occ)
-        if any(a < 0 for a in occ):
+        if occ and min(occ) < 0:
             raise ConfigError("order: occupancies must be non-negative")
 
     def __len__(self) -> int:

@@ -9,11 +9,13 @@ an order from its exact multiplicity, then an outcome inside that order.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid
@@ -48,7 +50,7 @@ class MicroOutcome:
         return EconomicOrder(tuple(occ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     order: EconomicOrder
     multiplicity: int
@@ -130,40 +132,75 @@ def enumerate_orders(
 ) -> list[EconomicOrder]:
     """All occupancy vectors meeting the constraints, in lexicographic order.
 
+    The recursive listing of Nijenhuis & Wilf (*Combinatorial Algorithms*,
+    1978), in closed form.  With ``left`` firms and ``need`` revenue still to
+    place at level k, the later levels can absorb only revenue between
+    rest*e_{k+1} and rest*e_max for ``rest`` firms, so a_k runs over exactly
+
+        ceil((left*e_{k+1} - need) / (e_{k+1} - e_k)) <= a_k
+            <= floor((left*e_max - need) / (e_max - e_k)),
+
+    clipped to [0, left]; at level n-2 the two constraints leave the single
+    value a_{n-2} = (left*e_{n-1} - need) / (e_{n-1} - e_{n-2}), kept when the
+    division is exact and 0 <= a_{n-2} <= left.  Every value tried has a
+    real completion, so on consecutive integer levels every branch ends in
+    an order and the listing costs O(1) per order for a fixed number of
+    levels; gaps between levels can still leave branches with no integer
+    completion.  Without a revenue total every value 0..left is taken.
+
     With a ``cap``, listing stops with CapExceededError at the first order
     past it.
     """
-    n = grid.n
     levels = grid.levels
+    last = grid.n - 1
+    top = levels[-1]
     total = config.total_revenue
+    limit = math.inf if cap is None else cap
     out: list[EconomicOrder] = []
 
-    def recurse(k: int, left: int, revenue: int, acc: list[int]) -> None:
-        if k == n - 1:
-            if total is None or revenue + left * levels[-1] == total:
-                out.append(EconomicOrder(tuple(acc) + (left,)))
-                if cap is not None and len(out) > cap:
-                    raise CapExceededError(None, cap, "order list")
-            return
-        min_tail = levels[k + 1]
-        max_tail = levels[-1]
-        for a in range(left + 1):
-            rev = revenue + a * levels[k]
-            rest = left - a
-            if total is not None:
-                need = total - rev
-                if need > rest * max_tail:
-                    break  # deficit only grows with more firms at this level
-                if need < rest * min_tail:
-                    continue  # later levels are pricier; larger a may still fit
-            recurse(k + 1, rest, rev, acc + [a])
+    def emit(occ: tuple[int, ...]) -> None:
+        out.append(EconomicOrder(occ))
+        if len(out) > limit:
+            raise CapExceededError(None, cap, "order list")
 
-    recurse(0, config.n_firms, 0, [])
+    def free(k: int, left: int, prefix: tuple[int, ...]) -> None:
+        if k == last:
+            emit(prefix + (left,))
+            return
+        for a in range(left + 1):
+            free(k + 1, left - a, prefix + (a,))
+
+    def bounded(k: int, left: int, need: int, prefix: tuple[int, ...]) -> None:
+        e, nxt = levels[k], levels[k + 1]
+        if k == last - 1:
+            a, rem = divmod(left * top - need, top - e)
+            if not rem and 0 <= a <= left:
+                emit(prefix + (a, left - a))
+            return
+        lo = max(0, -((need - left * nxt) // (nxt - e)))
+        hi = min(left, (left * top - need) // (top - e))
+        for a in range(lo, hi + 1):
+            bounded(k + 1, left - a, need - a * e, prefix + (a,))
+
+    n_firms = config.n_firms
+    if total is None:
+        free(0, n_firms, ())
+    elif last == 0:
+        if n_firms * top == total:
+            emit((n_firms,))
+    else:
+        bounded(0, n_firms, total, ())
     return out
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
-    """Total number of feasible micro-outcomes (sum of multiplicities)."""
+    """Total number of feasible micro-outcomes (sum of multiplicities).
+
+    It walks the same ``enumerate_orders`` listing as ``catalog``, so it
+    cross-checks the counts, not the listing.  The listing is checked by a
+    brute-force property test and by ``check_counting_oracle``, which walks
+    the outcomes themselves.
+    """
     return sum(
         multiplicity(order, grid, config.regime)
         for order in enumerate_orders(grid, config)
@@ -272,7 +309,8 @@ def catalog(
         CatalogEntry(order, omega, Fraction(omega, total))
         for order, omega in zip(orders, counts)
     )
-    entries = tuple(sorted(listing, key=lambda e: (-e.multiplicity, e.order.occupancy)))
+    # stable, so equal multiplicities keep the lexicographic listing order
+    entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
     return OrderCatalog(entries, total, listing, cumulative, grid.degeneracies, config.regime)
 
 

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from econorder import (
@@ -54,6 +55,18 @@ def test_regime_parsing():
     assert int(Regime.PERFECT) == 1
     with pytest.raises(ConfigError):
         Regime.parse("oligopoly")
+
+
+def test_economic_order_validation():
+    with pytest.raises(ConfigError, match="order: occupancies must be non-negative"):
+        EconomicOrder((2, -1, 0))
+    order = EconomicOrder(tuple(np.array([3, 0, 2], dtype=np.int64)))
+    assert order.occupancy == (3, 0, 2)
+    assert all(type(a) is int for a in order.occupancy)
+    assert EconomicOrder(()).occupancy == ()
+    assert EconomicOrder([1, 2]) == EconomicOrder((1, 2))
+    assert hash(EconomicOrder([1, 2])) == hash(EconomicOrder((np.int64(1), 2)))
+    assert EconomicOrder((1, 2)) != EconomicOrder((2, 1))
 
 
 def test_validate_order_feasible_split():

@@ -1,5 +1,6 @@
 """Enumeration, exact catalogs, argmax selection, and uniform sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import islice
@@ -61,6 +62,35 @@ class TestEnumerateOrders:
         config = EconomyConfig(4, None, Regime.MONOPOLISTIC)
         occs = [o.occupancy for o in enumerate_orders(GRID_2, config)]
         assert occs == sorted(occs)
+
+    @given(
+        levels=st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(sorted),
+        n_firms=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, levels, n_firms, data):
+        total = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.sampled_from(levels), min_size=n_firms, max_size=n_firms).map(sum),
+                st.integers(0, n_firms * levels[-1] + 2),
+            )
+        )
+        grid = RevenueGrid(tuple(levels), ())
+        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        expected = []
+        for head in itertools.product(range(n_firms + 1), repeat=len(levels) - 1):
+            occ = head + (n_firms - sum(head),)
+            if occ[-1] >= 0 and (total is None or sum(a * e for a, e in zip(occ, levels)) == total):
+                expected.append(occ)
+        expected.sort()
+        assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
+        capped = enumerate_orders(grid, config, cap=len(expected))
+        assert [o.occupancy for o in capped] == expected
+        if expected:
+            with pytest.raises(CapExceededError):
+                enumerate_orders(grid, config, cap=len(expected) - 1)
 
 
 class TestEnumerateOutcomes:
