@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid
 from .counting import multiplicity
@@ -27,17 +29,21 @@ DEFAULT_OUTCOME_CAP = 10_000_000
 Position = tuple[int, int]  # (level index, slot index within the level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MicroOutcome:
     """One equilibrium outcome.
 
     For distinguishable firms, ``assignment`` holds one (level, slot)
     position per labeled firm.  For indistinguishable firms it holds sorted
-    ((level, slot), count) pairs describing the occupied positions.
+    ((level, slot), count) pairs describing the occupied positions.  A
+    sampled outcome carries the order it was drawn from in ``drawn_order``;
+    that field takes no part in equality or hashing, so a sampled outcome
+    equals the same enumerated one.
     """
 
     regime: Regime
     assignment: tuple
+    drawn_order: EconomicOrder | None = field(default=None, compare=False, repr=False)
 
     def order(self, n_levels: int) -> EconomicOrder:
         occ = [0] * n_levels
@@ -55,6 +61,13 @@ class CatalogEntry:
     order: EconomicOrder
     multiplicity: int
     probability: Fraction
+
+
+# Draws are placed in batches that double from _FIRST_BATCH draws up to about
+# _BATCH_CELLS array cells: one draw stays cheap, and a long stream pays
+# numpy's fixed cost per call rarely.
+_FIRST_BATCH = 64
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,42 +102,100 @@ class OrderCatalog:
         Wilf, *Combinatorial Algorithms*, 1978).  An order is picked with
         probability multiplicity / total, by an exact big-integer index into
         the cumulative multiplicities; then one of that order's outcomes is
-        picked uniformly: a random arrangement of the level labels over the
-        firms with a random slot per firm (distinguishable firms), or a random
-        composition of each level's firms over its slots (indistinguishable
-        firms).  A draw costs O(N log N) and no outcome other than the drawn
-        ones is ever built.
+        picked uniformly, and the draw carries the order it was picked from.
+        Orders are picked one by one from the stream's ``random.Random``;
+        the outcomes of a batch of picked orders are then placed together by
+        exact integer draws of a numpy Generator seeded from that same
+        ``random.Random``, so one seed drives the whole stream and the first
+        k draws do not depend on how many are taken.
+
+        - Distinguishable firms: each order's level labels are shuffled over
+          the firms, and each firm gets a uniform slot of its level.
+        - Indistinguishable firms: a uniform multiset of a firms over the g
+          slots of a level is a uniform choice of the g - 1 bars among
+          a + g - 1 places, drawn by Floyd's algorithm.
+
+        A draw costs one big-integer pick and one Python tuple; the random
+        work is O(N) (distinguishable) or sum_k (g_k - 1) (indistinguishable)
+        integer draws inside numpy, and a level with one slot takes none.
+        No outcome other than the drawn ones is ever built.  Every entry of
+        an assignment is a Python int.
         """
+        from numpy.random import default_rng  # numpy.random loads only when sampling
+
         listing, cumulative, total = self.listing, self.cumulative, self.total_outcomes
         regime, degeneracies = self.regime, self.degeneracies
         rng = random.Random(seed)
-        if regime is Regime.MONOPOLISTIC:
-
-            def place(occ: tuple[int, ...]) -> tuple:
-                labels = [k for k, a in enumerate(occ) for _ in range(a)]
-                rng.shuffle(labels)
-                return tuple((k, rng.randrange(degeneracies[k])) for k in labels)
-
-        else:
-
-            def place(occ: tuple[int, ...]) -> tuple:
-                # a uniform multiset of a units over g slots: a sorted sample of
-                # a star positions among a + g - 1, minus the stars before each one
-                placed = []
-                for k, a in enumerate(occ):
-                    if a == 0:
-                        continue
-                    if degeneracies[k] == 1:
-                        placed.append(((k, 0), a))
-                        continue
-                    stars = sorted(rng.sample(range(a + degeneracies[k] - 1), a))
-                    slots = [s - i for i, s in enumerate(stars)]
-                    placed += [((k, slot), len(list(run))) for slot, run in groupby(slots)]
-                return tuple(placed)
-
+        gen = default_rng(rng.getrandbits(128))
+        place = _place_firms if regime is Regime.MONOPOLISTIC else _place_units
+        width = listing[0].order.n_firms + sum(degeneracies)
+        size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
-            order = listing[bisect_right(cumulative, rng.randrange(total))].order
-            yield MicroOutcome(regime, place(order.occupancy))
+            orders = [
+                listing[bisect_right(cumulative, rng.randrange(total))].order
+                for _ in range(size)
+            ]
+            occ = np.array([order.occupancy for order in orders])
+            for order, assignment in zip(orders, place(gen, occ, degeneracies)):
+                yield MicroOutcome(regime, assignment, order)
+            size = min(2 * size, largest)
+
+
+def _positions(degeneracies: tuple[int, ...]) -> list[Position]:
+    return [(k, s) for k, g in enumerate(degeneracies) for s in range(g)]
+
+
+def _place_firms(
+    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
+) -> list[tuple]:
+    """One uniform outcome per row of ``occ``, distinguishable firms.
+
+    The level labels of each row are shuffled over the firms, and each firm
+    draws a slot below its level's degeneracy (a single slot draws nothing).
+    """
+    size, n_levels = occ.shape
+    labels = np.repeat(np.tile(np.arange(n_levels), size), occ.ravel()).reshape(size, -1)
+    labels = gen.permuted(labels, axis=1)
+    g = np.array(degeneracies)
+    first = np.cumsum(g) - g  # index of each level's slot 0 in the position list
+    flat = first[labels] + gen.integers(0, g[labels])
+    positions = _positions(degeneracies).__getitem__
+    return [tuple(map(positions, row)) for row in flat.tolist()]
+
+
+def _place_units(
+    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
+) -> list[tuple]:
+    """One uniform outcome per row of ``occ``, indistinguishable firms.
+
+    The a firms and g - 1 bars of a level fill a + g - 1 places; Floyd's
+    algorithm picks the bar places with one integer draw each, the i-th draw
+    uniform on 0..a+i and replaced by a+i if that place is taken, and slot j
+    holds the places between bars j - 1 and j.
+    """
+    size = len(occ)
+    batch = np.arange(size)
+    table = np.empty((size, sum(degeneracies)), dtype=np.int64)
+    col = 0
+    for k, g in enumerate(degeneracies):
+        a = occ[:, k]
+        if g == 1:
+            table[:, col] = a
+        else:
+            taken = np.zeros((size, int(a.max()) + g - 1), dtype=bool)
+            for i in range(g - 1):
+                place = gen.integers(0, a + i + 1)
+                taken[batch, np.where(taken[batch, place], a + i, place)] = True
+            bars = np.nonzero(taken)[1].reshape(size, g - 1)  # each row's bar places, in order
+            table[:, col] = bars[:, 0]
+            table[:, col + 1 : col + g - 1] = np.diff(bars, axis=1) - 1
+            table[:, col + g - 1] = a + g - 2 - bars[:, -1]
+        col += g
+    rows, cols = np.nonzero(table)  # row by row, each row's columns in position order
+    positions = map(_positions(degeneracies).__getitem__, cols.tolist())
+    pairs = list(zip(positions, table[rows, cols].tolist()))
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    return [tuple(pairs[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def enumerate_orders(
@@ -207,10 +278,6 @@ def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
     )
 
 
-def _positions(grid: RevenueGrid) -> list[Position]:
-    return [(k, s) for k in range(grid.n) for s in range(grid.degeneracies[k])]
-
-
 def enumerate_outcomes(
     grid: RevenueGrid,
     config: EconomyConfig,
@@ -227,7 +294,7 @@ def enumerate_outcomes(
     if count > cap:
         raise CapExceededError(count, cap)
 
-    positions = _positions(grid)
+    positions = _positions(grid.degeneracies)
     levels = grid.levels
     total = config.total_revenue
     n_firms = config.n_firms
@@ -333,11 +400,17 @@ def sample_outcomes(
 def empirical_frequencies(
     outcomes: Iterable[MicroOutcome], grid: RevenueGrid
 ) -> dict[EconomicOrder, Fraction]:
-    """Relative frequency of each order in a finite stream of outcomes."""
+    """Relative frequency of each order in a finite stream of outcomes.
+
+    A sampled outcome is tallied under the order it carries; any other
+    outcome under the order read off its assignment.
+    """
     tallies: dict[EconomicOrder, int] = {}
     total = 0
     for outcome in outcomes:
-        order = outcome.order(grid.n)
+        order = outcome.drawn_order
+        if order is None:
+            order = outcome.order(grid.n)
         tallies[order] = tallies.get(order, 0) + 1
         total += 1
     if total == 0:

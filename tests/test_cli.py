@@ -251,6 +251,40 @@ class TestSample:
         assert lines[0] == "step,assignment"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize(
+        "regime, levels, degeneracies, total",
+        [("mon", "1 2 3", "2 1 3", 8), ("per", "1 2 4", "3 1 3", 10)],
+    )
+    def test_outcome_log_rows_match_frequencies(
+        self, tmp_path, regime, levels, degeneracies, total
+    ):
+        # every logged assignment is JSON (a numpy integer would make json.dumps
+        # raise), and the orders it spells are the counts in frequencies.csv
+        text = (
+            f"[grid]\nlevels = {levels}\ndegeneracies = {degeneracies}\n\n"
+            f"[economy]\nN = 4\nPi = {total}\nregime = {regime}\nseeds = 11\n\n"
+            "[caps]\nsample_draws = 300\n"
+        )
+        out = tmp_path / "out"
+        config = write_config(tmp_path, text)
+        assert main(["sample", "--config", str(config), "--out", str(out), "--log-outcomes"]) == 0
+        lines = (out / "outcomes.csv").read_text().splitlines()
+        assert lines[0] == "step,assignment" and len(lines) == 301
+        tally: dict[str, int] = {}
+        for step, line in enumerate(lines[1:]):
+            index, assignment = line.split(",", 1)
+            assert int(index) == step
+            placed = json.loads(assignment)
+            if regime == "mon":
+                placed = [(position, 1) for position in placed]
+            occ = [0, 0, 0]
+            for (level, _slot), count in placed:
+                occ[level] += count
+            key = " ".join(map(str, occ))
+            tally[key] = tally.get(key, 0) + 1
+        counts = {r["occupancy"]: int(r["count"]) for r in read_rows(out / "frequencies.csv")}
+        assert {key: c for key, c in counts.items() if c} == tally
+
     def test_grid_without_shared_pair_sums_samples_both_orders(self, tmp_path):
         # levels (1, 3, 4): no two distinct level pairs share a revenue sum.
         # Both orders appear at their exact probabilities 5/7 and 2/7, also

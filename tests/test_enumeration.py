@@ -1,5 +1,6 @@
 """Enumeration, exact catalogs, argmax selection, and uniform sampling."""
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from econorder import (
     EconomicOrder,
     EconomyConfig,
     InfeasibleError,
+    MicroOutcome,
     Regime,
     RevenueGrid,
     catalog,
@@ -25,6 +27,7 @@ from econorder import (
     feasible_outcome_count,
     multiplicity,
     sample_outcomes,
+    validate_order,
 )
 from econorder.checks import random_counting_instance
 
@@ -268,8 +271,14 @@ class TestSampling:
         [
             (RevenueGrid((1, 2, 3), (1, 2, 2)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
             (RevenueGrid((1, 2, 3), (2, 3, 2)), EconomyConfig(6, 12, Regime.PERFECT)),
+            # levels of 3 and 4 slots beside a one-slot level
+            (RevenueGrid((1, 2, 3), (3, 1, 4)), EconomyConfig(5, 10, Regime.PERFECT)),
+            # orders (0, 3, 1) and (2, 0, 2) each leave a level empty
+            (RevenueGrid((1, 2, 4), (3, 1, 3)), EconomyConfig(4, 10, Regime.PERFECT)),
+            # firms on the one-slot level take slot 0; (0, 4, 0) puts all there
+            (RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
         ],
-        ids=["mon", "per"],
+        ids=["mon", "per", "per-wide-beside-one-slot", "per-empty-levels", "mon-one-slot-level"],
     )
     def test_micro_outcome_chi_square(self, grid, config):
         # every feasible micro-outcome, not only every order, is equally likely
@@ -316,24 +325,37 @@ class TestSampling:
         regime=st.sampled_from(list(Regime)),
         picks=st.lists(st.integers(0, 3), min_size=7, max_size=7),
         seed=st.integers(0, 2**40),
+        k=st.integers(1, 150),
+        m=st.integers(1, 100),
     )
     @settings(max_examples=60, deadline=None)
-    def test_draws_feasible_and_seeded(self, levels, degens, n_firms, regime, picks, seed):
+    def test_draws_feasible_and_seeded(self, levels, degens, n_firms, regime, picks, seed, k, m):
+        # levels 1..12 leave gaps, degeneracies 1..4 give one-slot levels, and
+        # a few firms over up to four levels leave levels empty; k and k + m
+        # fall on both sides of the sampler's first batch of draws
         grid = RevenueGrid(tuple(levels), tuple(degens[: len(levels)]))
         # a realisable total: the revenue of some placement of the firms
         total = sum(levels[p % len(levels)] for p in picks[:n_firms])
         config = EconomyConfig(n_firms, total, regime)
-        first = list(islice(sample_outcomes(grid, config, seed), 30))
-        assert first == list(islice(sample_outcomes(grid, config, seed), 30))
-        for outcome in first:
+        stream = sample_outcomes(grid, config, seed)
+        assert inspect.isgenerator(stream)
+        longer = list(islice(stream, k + m))
+        first = list(islice(sample_outcomes(grid, config, seed), k))
+        assert [(o.assignment, o.drawn_order) for o in first] == [
+            (o.assignment, o.drawn_order) for o in longer[:k]
+        ]
+        for outcome in longer:
+            assert outcome.drawn_order == outcome.order(grid.n)
+            assert validate_order(outcome.drawn_order, grid, config).feasible
             if regime is Regime.MONOPOLISTIC:
                 placed = [(pos, 1) for pos in outcome.assignment]
             else:
                 placed = list(outcome.assignment)
                 assert placed == sorted(placed) and all(c > 0 for _, c in placed)
-            assert all(0 <= s < grid.degeneracies[k] for (k, s), _ in placed)
+            assert all(type(x) is int for (level, slot), c in placed for x in (level, slot, c))
+            assert all(0 <= slot < grid.degeneracies[level] for (level, slot), _ in placed)
             assert sum(c for _, c in placed) == n_firms
-            assert sum(c * grid.levels[k] for (k, _), c in placed) == total
+            assert sum(c * grid.levels[level] for (level, _), c in placed) == total
 
 
 class TestEmpiricalFrequencies:
@@ -361,6 +383,33 @@ class TestEmpiricalFrequencies:
     def test_empty_stream_raises(self):
         with pytest.raises(InfeasibleError):
             empirical_frequencies([], GRID_2)
+
+    def test_outcomes_without_a_carried_order(self):
+        # enumerated and hand-built outcomes carry no order; it is read off the assignment
+        config = EconomyConfig(2, None, Regime.PERFECT)
+        enumerated = [m for group in enumerate_outcomes(GRID_2, config).values() for m in group]
+        assert all(m.drawn_order is None for m in enumerated)
+        by_hand = MicroOutcome(Regime.PERFECT, (((0, 0), 1), ((1, 0), 1)))
+        freqs = empirical_frequencies(enumerated + [by_hand], GRID_2)
+        assert freqs == {
+            EconomicOrder((0, 2)): Fraction(1, 4),
+            EconomicOrder((1, 1)): Fraction(1, 2),
+            EconomicOrder((2, 0)): Fraction(1, 4),
+        }
+
+    def test_carried_order_is_tallied_and_left_out_of_equality(self):
+        config = EconomyConfig(4, 6, Regime.MONOPOLISTIC)
+        drawn = list(islice(sample_outcomes(GRID_2, config, seed=3), 50))
+        enumerated = {m for group in enumerate_outcomes(GRID_2, config).values() for m in group}
+        for outcome in drawn:
+            bare = MicroOutcome(outcome.regime, outcome.assignment)
+            assert outcome == bare and hash(outcome) == hash(bare)
+            assert outcome in enumerated
+        # the tally reads the carried order, not the assignment
+        relabelled = [
+            MicroOutcome(o.regime, o.assignment, EconomicOrder((4, 0))) for o in drawn
+        ]
+        assert empirical_frequencies(relabelled, GRID_2) == {EconomicOrder((4, 0)): Fraction(1)}
 
 
 def test_feasible_outcome_count_matches_enumeration():
