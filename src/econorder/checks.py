@@ -160,8 +160,8 @@ def check_solver(seed: int, per_regime: int = 20) -> CheckResult:
             gap = max(abs(sol.alpha - oracle.alpha), abs(sol.beta - oracle.beta))
             worst["oracle_gap"] = max(worst["oracle_gap"], gap)
             if regime is Regime.MONOPOLISTIC:
-                logs = np.log(np.array(sol.occupancy) / np.array(grid.degeneracies, float))
-                e = np.array(grid.levels, float)
+                e, g = grid.vectors
+                logs = np.log(np.array(sol.occupancy) / g)
                 slope, intercept = np.polyfit(e, logs, 1)
                 dev = float(np.max(np.abs(logs - (slope * e + intercept))))
                 worst["loglinearity"] = max(worst["loglinearity"], dev)

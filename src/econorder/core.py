@@ -10,7 +10,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -76,6 +79,19 @@ class RevenueGrid:
             raise ConfigError("grid.degeneracies: every degeneracy must be >= 1")
         if not (self.quantum > 0):
             raise ConfigError("grid.quantum: must be positive")
+
+    @cached_property
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, degeneracies) as read-only float64 arrays, built on
+        first use.  A cache, not a field: no part in ==, hash, repr, asdict
+        or pickle."""
+        arrays = (np.array(self.levels, float), np.array(self.degeneracies, float))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "vectors"}
 
     @property
     def n(self) -> int:

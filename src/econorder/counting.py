@@ -68,13 +68,6 @@ def log_multiplicity(
     return total
 
 
-def _xlogx(value: float) -> float:
-    # 0 * ln 0 is taken as 0 (continuous extension)
-    if value == 0.0:
-        return 0.0
-    return value * math.log(value)
-
-
 def stirling_log_multiplicity(
     order: EconomicOrder | Sequence[float], grid: RevenueGrid, regime: Regime
 ) -> float:
@@ -89,10 +82,7 @@ def stirling_log_multiplicity(
     substitution ln m! ~ m ln m - m is only accurate for large entries; the
     relative error against log_multiplicity shrinks like ln(a)/a.
     """
-    if isinstance(order, EconomicOrder):
-        occ: tuple[float, ...] = tuple(float(a) for a in order.occupancy)
-    else:
-        occ = tuple(float(a) for a in order)
+    occ = tuple(map(float, order))
     _check_lengths(occ, grid)
     if any(a < 0 for a in occ):
         raise ConfigError("order: occupancies must be non-negative")
@@ -102,10 +92,16 @@ def stirling_log_multiplicity(
         for a, g in zip(occ, grid.degeneracies):
             if a:
                 total += a * math.log(g)
-            total -= _xlogx(a)
+                total -= a * math.log(a)
             total += a
         return total
+    # x ln x written out per term, with 0 ln 0 = 0
     total = 0.0
     for a, g in zip(occ, grid.degeneracies):
-        total += _xlogx(a + g - 1.0) - _xlogx(a) - _xlogx(g - 1.0)
+        b, c = a + g - 1.0, g - 1.0
+        total += (
+            (b * math.log(b) if b else 0.0)
+            - (a * math.log(a) if a else 0.0)
+            - (c * math.log(c) if c else 0.0)
+        )
     return total

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Regime, RevenueGrid
 from .counting import stirling_log_multiplicity
 from .errors import ConfigError
-from .maxent import _closed_form, _grid_arrays, occupancy
+from .maxent import _closed_form, occupancy
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float
     for alpha + beta e_k > 0.  Monopolistic competition is the indicator -> 0
     limit of (1 - I exp(-x))^(g/I), giving -sum_k g_k exp(-(alpha + beta e_k)).
     """
-    return -_closed_form(alpha, beta, *_grid_arrays(grid), regime)[1]
+    return -_closed_form(alpha, beta, *grid.vectors, regime)[1]
 
 
 def log_W_gradient(
@@ -101,8 +101,7 @@ def log_W_gradient(
     the two constraints.
     """
     occ = occupancy(alpha, beta, grid, regime)
-    e = np.asarray(grid.levels, dtype=float)
-    return float(occ.sum()), float((occ * e).sum())
+    return float(occ.sum()), float((occ * grid.vectors[0]).sum())
 
 
 @dataclass(frozen=True)
@@ -134,17 +133,26 @@ def entropy_identity_residual(
     fd_step: float = 1e-6,
 ) -> IdentityReport:
     """Compare the Stirling entropy of the closed-form occupancy against the
-    generating-function expression, for both sign conventions."""
-    occ = occupancy(alpha, beta, grid, regime)
-    entropy = stirling_log_multiplicity(tuple(float(a) for a in occ), grid, regime)
-    lw = log_W(alpha, beta, grid, regime)
-    grad_a, grad_b = log_W_gradient(alpha, beta, grid, regime)
+    generating-function expression, for both sign conventions.
+
+    One closed-form evaluation at (alpha, beta) supplies the occupancy,
+    ln W and the analytic gradient, equal to what occupancy, log_W and
+    log_W_gradient return there; the four central finite-difference points
+    go through log_W.
+    """
+    e, g = grid.vectors
+    occ, log_z = _closed_form(alpha, beta, e, g, regime)
+    entropy = stirling_log_multiplicity(occ.tolist(), grid, regime)
+    lw = -log_z
+    grad_a, grad_b = float(occ.sum()), float((occ * e).sum())
     ha = fd_step * max(1.0, abs(alpha))
     hb = fd_step * max(1.0, abs(beta))
     if regime is Regime.PERFECT:
         # both central differences must stay inside the domain x_k > 0;
-        # the smallest exponent is ln(1 + g_k / a_k) at the largest a_k / g_k
-        x_min = math.log1p(float(np.min(np.asarray(grid.degeneracies) / occ)))
+        # the smallest exponent is ln(1 + g_k / a_k) at the largest a_k / g_k;
+        # a level whose a_k underflowed to 0 has g_k / a_k = inf, never the min
+        with np.errstate(divide="ignore"):
+            x_min = math.log1p(float(np.min(g / occ)))
         ha = min(ha, fd_step * x_min)
         hb = min(hb, fd_step * x_min / max(1, grid.levels[-1]))
     grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)

@@ -77,9 +77,12 @@ def _closed_form(
 ) -> tuple[np.ndarray, float]:
     """Occupancy and ln Z at x = alpha + beta * e.
 
-    The one place that evaluates x and guards the Bose-Einstein wall:
-    raises SingularityError when some x_k <= 0 under perfect competition.
-    Bose-Einstein ln Z uses 1 / (1 - exp(-x)) = 1 + a / g.
+    e and g are float vectors: a grid's cached RevenueGrid.vectors, or (in
+    solve_multipliers) its shifted levels u with its degeneracies.  The one
+    place that evaluates x and guards the Bose-Einstein wall: raises
+    SingularityError when some x_k <= 0 under perfect competition, with
+    overflow silenced for every caller.  Bose-Einstein ln Z uses
+    1 / (1 - exp(-x)) = 1 + a / g.
     """
     x = alpha + beta * e
     with np.errstate(over="ignore"):
@@ -97,18 +100,11 @@ def _closed_form(
     return occ, float(occ.sum())
 
 
-def _grid_arrays(grid: RevenueGrid) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(grid.levels, dtype=float),
-        np.asarray(grid.degeneracies, dtype=float),
-    )
-
-
 def occupancy(
     alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> np.ndarray:
     """Closed-form occupancy a_k = g_k / (exp(alpha + beta e_k) - I)."""
-    return _closed_form(alpha, beta, *_grid_arrays(grid), regime)[0]
+    return _closed_form(alpha, beta, *grid.vectors, regime)[0]
 
 
 def _bose(g: float, x: float) -> float:
@@ -304,7 +300,7 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
     degenerate = _boundary_solution(grid, config)
     if degenerate is not None:
         return degenerate
-    e, g = _grid_arrays(grid)
+    e, g = grid.vectors
     e0, e_far = grid.levels[0], grid.levels[-1]
     weighted_sum = sum(gk * ek for gk, ek in zip(grid.degeneracies, grid.levels))
     if config.total_revenue * grid.total_slots > config.n_firms * weighted_sum:
@@ -364,7 +360,7 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
     return MultiplierSolution(
         alpha=a - beta * e0,
         beta=beta,
-        occupancy=tuple(float(x) for x in occ),
+        occupancy=tuple(occ.tolist()),
         residual_n=res_n,
         residual_pi=res_pi,
         iterations=steps,

@@ -1,6 +1,8 @@
 """Domain types: invariants, exact validation, and share arithmetic."""
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from econorder import (
     Regime,
     RevenueGrid,
     ShareVector,
+    catalog,
     shares_to_revenues,
     validate_order,
 )
@@ -38,6 +41,58 @@ def test_grid_rejects_bad_degeneracies():
 def test_grid_defaults_degeneracy_to_one_per_level():
     grid = RevenueGrid((1, 5, 9), ())
     assert grid.degeneracies == (1, 1, 1)
+
+
+class TestGridVectors:
+    def test_float64_and_equal_to_the_tuples(self):
+        e, g = RevenueGrid((1, 4, 9), (2, 1, 3)).vectors
+        assert e.dtype == g.dtype == np.float64
+        assert e.tolist() == [1.0, 4.0, 9.0] and g.tolist() == [2.0, 1.0, 3.0]
+
+    def test_read_only(self):
+        grid = RevenueGrid((1, 4, 9), (2, 1, 3))
+        for array in grid.vectors:
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+        assert grid.vectors[0].tolist() == [1.0, 4.0, 9.0]
+
+    def test_built_once(self):
+        grid = RevenueGrid((1, 4, 9), (2, 1, 3))
+        assert grid.vectors is grid.vectors
+
+    def test_no_part_in_equality_hash_repr_or_asdict(self):
+        built, fresh = RevenueGrid((1, 4, 9), (2, 1, 3)), RevenueGrid((1, 4, 9), (2, 1, 3))
+        built.vectors
+        assert "vectors" in built.__dict__ and "vectors" not in fresh.__dict__
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+        assert dataclasses.asdict(built) == dataclasses.asdict(fresh)
+
+    def test_pickle_round_trip(self):
+        built, fresh = RevenueGrid((1, 4, 9), (2, 1, 3)), RevenueGrid((1, 4, 9), (2, 1, 3))
+        built.vectors
+        assert pickle.dumps(built) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == built and "vectors" not in copy.__dict__
+        e, g = copy.vectors
+        assert e.tolist() == [1.0, 4.0, 9.0] and g.tolist() == [2.0, 1.0, 3.0]
+        assert not e.flags.writeable and not g.flags.writeable
+
+    def test_scaled_grid_gets_its_own_vectors(self):
+        grid = RevenueGrid((1, 4, 9), (2, 1, 3))
+        grid.vectors
+        scaled = grid.scaled(3)
+        assert "vectors" not in scaled.__dict__
+        assert scaled.vectors[0].tolist() == [3.0, 12.0, 27.0]
+        assert scaled.vectors[1].tolist() == grid.vectors[1].tolist()
+        assert scaled.vectors[1] is not grid.vectors[1]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_catalog_never_builds_them(self, regime):
+        grid = RevenueGrid((1, 2, 3, 5), (2, 1, 3, 1))
+        cat = catalog(grid, EconomyConfig(8, 20, regime))
+        cat.most_probable()
+        assert "vectors" not in grid.__dict__
 
 
 def test_economy_config_validation():

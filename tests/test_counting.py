@@ -235,6 +235,50 @@ class TestStirling:
         value = stirling_log_multiplicity((6.5, 3.5), grid, Regime.MONOPOLISTIC)
         assert math.isfinite(value)
 
+    @given(
+        regime=st.sampled_from(list(Regime)),
+        cells=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.integers(0, 10**6).map(float), st.floats(0.0, 1e12)),
+                st.one_of(st.just(1), st.integers(1, 10**4)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        as_order=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_xlogx_reference(self, regime, cells, as_order):
+        # the written-out x ln x loops must give exactly what one x ln x
+        # helper per term gives, sign of zero included (repr-equal)
+        occ = tuple(a for a, _ in cells)
+        if as_order:
+            occ = EconomicOrder(tuple(int(a) for a in occ))
+        grid = RevenueGrid(tuple(range(1, len(cells) + 1)), tuple(g for _, g in cells))
+        got = stirling_log_multiplicity(occ, grid, regime)
+        assert repr(got) == repr(xlogx_stirling_reference(occ, grid, regime))
+
+
+def _xlogx(value):
+    return 0.0 if value == 0.0 else value * math.log(value)
+
+
+def xlogx_stirling_reference(order, grid, regime):
+    """The Stirling forms with one x ln x call per term (0 ln 0 = 0)."""
+    occ = tuple(float(a) for a in order)
+    if regime is Regime.MONOPOLISTIC:
+        total = math.lgamma(sum(occ) + 1.0)
+        for a, g in zip(occ, grid.degeneracies):
+            if a:
+                total += a * math.log(g)
+            total -= _xlogx(a)
+            total += a
+        return total
+    total = 0.0
+    for a, g in zip(occ, grid.degeneracies):
+        total += _xlogx(a + g - 1.0) - _xlogx(a) - _xlogx(g - 1.0)
+    return total
+
 
 def test_counting_oracle_against_enumeration_small():
     # formula counts equal exhaustive micro-outcome group sizes

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import econorder.macro
 from econorder import (
     ConfigError,
     EconomyConfig,
+    IdentityReport,
     MacroParams,
     Regime,
     RevenueGrid,
@@ -214,6 +218,81 @@ class TestEntropyIdentity:
             )
             assert scaled.residual == pytest.approx(base.residual, rel=1e-9)
             assert scaled.best_sign == base.best_sign
+
+
+def identity_reference(alpha, beta, grid, regime):
+    """The identity rebuilt from the public pieces, one call per quantity."""
+    fd_step = 1e-6
+    occ = occupancy(alpha, beta, grid, regime)
+    entropy = stirling_log_multiplicity(tuple(float(a) for a in occ), grid, regime)
+    lw = log_W(alpha, beta, grid, regime)
+    grad_a, grad_b = log_W_gradient(alpha, beta, grid, regime)
+    ha = fd_step * max(1.0, abs(alpha))
+    hb = fd_step * max(1.0, abs(beta))
+    if regime is Regime.PERFECT:
+        with np.errstate(divide="ignore"):
+            x_min = math.log1p(float(np.min(np.asarray(grid.degeneracies) / occ)))
+        ha = min(ha, fd_step * x_min)
+        hb = min(hb, fd_step * x_min / max(1, grid.levels[-1]))
+    grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
+    grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
+    expression = lw - alpha * grad_a - beta * grad_b
+    positive, negative = entropy - expression, entropy + expression
+    sign = 1 if abs(positive) <= abs(negative) else -1
+    return IdentityReport(
+        positive if sign == 1 else negative, sign, entropy, expression, positive,
+        negative, grad_a, grad_b, grad_a_fd, grad_b_fd,
+    )
+
+
+class TestIdentityEvaluation:
+    @given(
+        regime=st.sampled_from(list(Regime)),
+        base=st.integers(0, 100),
+        gaps=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        degens=st.lists(st.integers(1, 30), min_size=7, max_size=7),
+        n_firms=st.integers(2, 10**6),
+        fraction=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_public_pieces(self, regime, base, gaps, degens, n_firms, fraction):
+        levels = tuple(base + sum(gaps[:k]) for k in range(len(gaps) + 1))
+        grid = RevenueGrid(levels, tuple(degens[: len(levels)]))
+        lo, hi = n_firms * levels[0], n_firms * levels[-1]
+        total = lo + 1 + int(fraction * (hi - lo - 2))
+        assume(lo < total < hi)
+        sol = solve_multipliers(grid, EconomyConfig(n_firms, total, regime))
+        assume(sol.beta != 0.0)
+        report = entropy_identity_residual(sol.alpha, sol.beta, grid, regime)
+        assert report == identity_reference(sol.alpha, sol.beta, grid, regime)
+
+    # mean revenue 300, and one unit above the ground state, where the top
+    # occupancies underflow to zero
+    @pytest.mark.parametrize("total", [40_000 * 300, 40_001])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_equals_the_public_pieces_on_2000_levels(self, regime, total):
+        rng = np.random.default_rng(7)
+        grid = RevenueGrid(tuple(range(1, 2001)), tuple(rng.integers(1, 6, size=2000).tolist()))
+        sol = solve_multipliers(grid, EconomyConfig(40_000, total, regime))
+        assert sol.converged
+        report = entropy_identity_residual(sol.alpha, sol.beta, grid, regime)
+        assert report == identity_reference(sol.alpha, sol.beta, grid, regime)
+
+    def test_finite_difference_points_go_through_log_w(self, monkeypatch):
+        # the benchmark's layer suite times macro.log_W inside the identity
+        calls = []
+        traced = econorder.macro.log_W
+
+        def counting(*args):
+            calls.append(args[:2])
+            return traced(*args)
+
+        monkeypatch.setattr(econorder.macro, "log_W", counting)
+        grid = RevenueGrid((1, 2, 3), (2, 3, 1))
+        sol = solve_multipliers(grid, EconomyConfig(50, 95, Regime.PERFECT))
+        report = entropy_identity_residual(sol.alpha, sol.beta, grid, Regime.PERFECT)
+        assert len(calls) == 4
+        assert report == identity_reference(sol.alpha, sol.beta, grid, Regime.PERFECT)
 
 
 class TestTechnology:

@@ -1,6 +1,7 @@
 """Multiplier solving, closed-form occupancies, and condensation detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from econorder import (
     SingularityError,
     catalog,
     detect_condensation,
+    entropy_identity_residual,
     enumerate_orders,
+    macro_from_multipliers,
     occupancy,
     solve_multipliers,
     solve_multipliers_bisection,
@@ -183,6 +186,29 @@ class TestNewtonRobustness:
         # the returned occupancy is the closed form at the returned multipliers
         closed = occupancy(sol.alpha, sol.beta, grid, regime)
         assert np.max(np.abs(closed - np.array(sol.occupancy))) <= 1e-8 * n_firms
+
+    @pytest.mark.parametrize(
+        "grid, config",
+        [(RevenueGrid(levels, degens), EconomyConfig(n, total, regime))
+         for levels, degens, n, total, regime in HARD_INSTANCES]
+        + [
+            # one unit above the ground state: x reaches ~3000 at the top, so
+            # expm1 overflows and the top occupancies underflow to zero
+            (
+                RevenueGrid(tuple(range(1, 2001)), tuple(1 + k % 5 for k in range(2000))),
+                EconomyConfig(40_000, 40_001, regime),
+            )
+            for regime in Regime
+        ],
+    )
+    def test_no_floating_point_warnings(self, grid, config):
+        # overflow inside the closed form is expected and silenced there, for
+        # the solve and every point of the identity; nothing else may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_multipliers(grid, config)
+            entropy_identity_residual(sol.alpha, sol.beta, grid, config.regime)
+            macro_from_multipliers(sol.alpha, sol.beta)
 
     @pytest.mark.parametrize(
         "levels, degens, n_firms, total",
