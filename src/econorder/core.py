@@ -142,10 +142,7 @@ class EconomicOrder:
     occupancy: tuple[int, ...]
 
     def __post_init__(self):
-        occ = tuple(map(int, self.occupancy))
-        object.__setattr__(self, "occupancy", occ)
-        if occ and min(occ) < 0:
-            raise ConfigError("order: occupancies must be non-negative")
+        object.__setattr__(self, "occupancy", as_occupancy(self.occupancy))
 
     def __len__(self) -> int:
         return len(self.occupancy)
@@ -158,11 +155,34 @@ class EconomicOrder:
         return sum(self.occupancy)
 
 
+def _order(occupancy: tuple[int, ...]) -> EconomicOrder:
+    """``EconomicOrder(occupancy)`` minus its checks, for Python ints >= 0."""
+    order = object.__new__(EconomicOrder)
+    object.__setattr__(order, "occupancy", occupancy)
+    return order
+
+
 def as_occupancy(order: "EconomicOrder | Sequence[int]") -> tuple[int, ...]:
-    """Coerce an EconomicOrder or a bare sequence into an occupancy tuple."""
+    """Occupancy of an order, or of a sequence of ints >= 0 (else ConfigError)."""
     if isinstance(order, EconomicOrder):
         return order.occupancy
-    return tuple(int(a) for a in order)
+    entries = tuple(order)
+    try:
+        occ = tuple(map(int, entries))
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, strings, ...
+        occ = None
+    # an entry must equal its int(), as EconomyConfig checks N and Pi
+    if occ != entries or (occ and min(occ) < 0):
+        raise ConfigError("order: occupancies must be non-negative integers")
+    return occ
+
+
+def _check_lengths(occ: Sequence, grid: RevenueGrid) -> None:
+    if len(occ) != grid.n:
+        raise ConfigError(
+            "order: occupancy length %d does not match grid with %d levels"
+            % (len(occ), grid.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -203,11 +223,7 @@ def validate_order(
     when the economy is unconstrained in revenue.
     """
     occ = as_occupancy(order)
-    if len(occ) != grid.n:
-        raise ConfigError(
-            "order: occupancy length %d does not match grid with %d levels"
-            % (len(occ), grid.n)
-        )
+    _check_lengths(occ, grid)
     firm_residual = sum(occ) - config.n_firms
     if config.total_revenue is None:
         revenue_residual = None

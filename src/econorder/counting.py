@@ -17,34 +17,29 @@ import math
 from math import comb, lgamma
 from typing import Sequence
 
-from .core import EconomicOrder, Regime, RevenueGrid, as_occupancy
+from .core import EconomicOrder, Regime, RevenueGrid, _check_lengths, as_occupancy
 from .errors import ConfigError
-
-
-def _check_lengths(occ: Sequence, grid: RevenueGrid) -> None:
-    if len(occ) != grid.n:
-        raise ConfigError(
-            "order: occupancy length %d does not match grid with %d levels"
-            % (len(occ), grid.n)
-        )
 
 
 def multiplicity(
     order: EconomicOrder | Sequence[int], grid: RevenueGrid, regime: Regime
 ) -> int:
     """Number of distinct micro-outcomes realising the occupancy (exact)."""
-    occ = as_occupancy(order)
-    _check_lengths(occ, grid)
+    # called once per catalog order: no re-check of an order, no g = 1 factors
+    occ = order.occupancy if isinstance(order, EconomicOrder) else as_occupancy(order)
+    if len(occ) != len(grid.degeneracies):
+        _check_lengths(occ, grid)
     result = 1
     if regime is Regime.MONOPOLISTIC:
         # N! / prod a_k! as a product of binomials C(firms left, a_k)
         left = sum(occ)
         for a, g in zip(occ, grid.degeneracies):
-            result *= comb(left, a) * g**a
+            result *= comb(left, a) if g == 1 else comb(left, a) * g**a
             left -= a
         return result
     for a, g in zip(occ, grid.degeneracies):
-        result *= comb(a + g - 1, a)
+        if g != 1:
+            result *= comb(a + g - 1, a)
     return result
 
 

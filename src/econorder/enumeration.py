@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid
+from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order
 from .counting import multiplicity
 from .errors import CapExceededError, InfeasibleError
 
@@ -50,10 +50,10 @@ class MicroOutcome:
         if self.regime is Regime.MONOPOLISTIC:
             for level, _slot in self.assignment:
                 occ[level] += 1
-        else:
-            for (level, _slot), count in self.assignment:
-                occ[level] += count
-        return EconomicOrder(tuple(occ))
+            return _order(tuple(occ))  # tallies of 1s need no checks
+        for (level, _slot), count in self.assignment:
+            occ[level] += count
+        return EconomicOrder(tuple(occ))  # counts come from the caller: checked
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,6 +219,10 @@ def enumerate_orders(
     levels; gaps between levels can still leave branches with no integer
     completion.  Without a revenue total every value 0..left is taken.
 
+    Every occupancy is a tuple of Python ints >= 0 (each range runs from
+    max(0, ...) to at most ``left``; the closed form is kept only when
+    0 <= a <= left), so the records are built without EconomicOrder's checks.
+
     With a ``cap``, listing stops with CapExceededError at the first order
     past it.
     """
@@ -230,7 +234,7 @@ def enumerate_orders(
     out: list[EconomicOrder] = []
 
     def emit(occ: tuple[int, ...]) -> None:
-        out.append(EconomicOrder(occ))
+        out.append(_order(occ))
         if len(out) > limit:
             raise CapExceededError(None, cap, "order list")
 
@@ -365,6 +369,11 @@ def catalog(
     The one table of feasible orders and their multiplicities.  With a
     ``cap``, more than ``cap`` orders raise CapExceededError while they are
     listed, before any multiplicity is computed.
+
+    It calls ``multiplicity`` once per listed order, not a faster running
+    product along the listing, until ``bench/suite.py::counting_rows``, which
+    divides by the call counts of ``multiplicity`` and ``enumerate_orders``,
+    guards its divisions.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
@@ -372,13 +381,22 @@ def catalog(
     counts = [multiplicity(order, grid, config.regime) for order in orders]
     cumulative = tuple(accumulate(counts))
     total = cumulative[-1]
-    listing = tuple(
-        CatalogEntry(order, omega, Fraction(omega, total))
-        for order, omega in zip(orders, counts)
+    # one pass, each slot stored by its descriptor: no frozen-__init__ setattr calls
+    set_order, set_count, set_probability = (
+        getattr(CatalogEntry, name).__set__ for name in CatalogEntry.__slots__
     )
+    listing = []
+    for order, omega in zip(orders, counts):
+        entry = object.__new__(CatalogEntry)
+        set_order(entry, order)
+        set_count(entry, omega)
+        set_probability(entry, Fraction(omega, total))
+        listing.append(entry)
     # stable, so equal multiplicities keep the lexicographic listing order
     entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
-    return OrderCatalog(entries, total, listing, cumulative, grid.degeneracies, config.regime)
+    return OrderCatalog(
+        entries, total, tuple(listing), cumulative, grid.degeneracies, config.regime
+    )
 
 
 def sample_outcomes(

@@ -19,6 +19,8 @@ from econorder import (
     RevenueGrid,
     ShareVector,
     catalog,
+    log_multiplicity,
+    multiplicity,
     shares_to_revenues,
     validate_order,
 )
@@ -122,6 +124,44 @@ def test_economic_order_validation():
     assert EconomicOrder([1, 2]) == EconomicOrder((1, 2))
     assert hash(EconomicOrder([1, 2])) == hash(EconomicOrder((np.int64(1), 2)))
     assert EconomicOrder((1, 2)) != EconomicOrder((2, 1))
+    order = EconomicOrder((2.0, np.uint8(1), True))
+    assert order.occupancy == (2, 1, 1)
+    assert all(type(a) is int for a in order.occupancy)
+
+
+# On two levels paying 1 and 2, N = 3 and Pi = 5 are met by (1, 2), the
+# order that truncating (1.5, 2) or (1.9, 2) would give.
+ORDER_GRID = RevenueGrid((1, 2), (1, 2))
+ORDER_CONFIG = EconomyConfig(3, 5, Regime.MONOPOLISTIC)
+
+
+@pytest.mark.parametrize(
+    "occupancy",
+    [(1.5, 2), (1.9, 2), (-1, 3), (float("nan"), 1), (float("inf"), 1), ("1", 2), ("x", 2)],
+    ids=["1.5", "1.9", "negative", "nan", "inf", "str-digit", "str-letter"],
+)
+@pytest.mark.parametrize(
+    "reader",
+    [
+        EconomicOrder,
+        lambda occ: validate_order(occ, ORDER_GRID, ORDER_CONFIG),
+        lambda occ: multiplicity(occ, ORDER_GRID, Regime.MONOPOLISTIC),
+        lambda occ: multiplicity(occ, ORDER_GRID, Regime.PERFECT),
+        lambda occ: log_multiplicity(occ, ORDER_GRID, Regime.MONOPOLISTIC),
+        lambda occ: log_multiplicity(occ, ORDER_GRID, Regime.PERFECT),
+    ],
+    ids=[
+        "EconomicOrder",
+        "validate_order",
+        "multiplicity-mon",
+        "multiplicity-per",
+        "log_multiplicity-mon",
+        "log_multiplicity-per",
+    ],
+)
+def test_occupancies_must_be_non_negative_integers(reader, occupancy):
+    with pytest.raises(ConfigError, match="order: occupancies must be non-negative integers"):
+        reader(occupancy)
 
 
 def test_validate_order_feasible_split():

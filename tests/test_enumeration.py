@@ -14,6 +14,7 @@ from scipy import stats
 
 from econorder import (
     CapExceededError,
+    ConfigError,
     EconomicOrder,
     EconomyConfig,
     InfeasibleError,
@@ -33,6 +34,18 @@ from econorder.checks import random_counting_instance
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
 GRID_3 = RevenueGrid((1, 2, 3), (1, 1, 1))
+
+# Grids with gaps and level 0, and totals that are unconstrained, realisable
+# or arbitrary (often infeasible).
+LEVELS = st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+def revenue_totals(levels, n_firms):
+    return st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(levels), min_size=n_firms, max_size=n_firms).map(sum),
+        st.integers(0, n_firms * levels[-1] + 2),
+    )
 
 
 class TestEnumerateOrders:
@@ -66,20 +79,10 @@ class TestEnumerateOrders:
         occs = [o.occupancy for o in enumerate_orders(GRID_2, config)]
         assert occs == sorted(occs)
 
-    @given(
-        levels=st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(sorted),
-        n_firms=st.integers(1, 8),
-        data=st.data(),
-    )
+    @given(levels=LEVELS, n_firms=st.integers(1, 8), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, levels, n_firms, data):
-        total = data.draw(
-            st.one_of(
-                st.none(),
-                st.lists(st.sampled_from(levels), min_size=n_firms, max_size=n_firms).map(sum),
-                st.integers(0, n_firms * levels[-1] + 2),
-            )
-        )
+        total = data.draw(revenue_totals(levels, n_firms))
         grid = RevenueGrid(tuple(levels), ())
         config = EconomyConfig(n_firms, total, Regime.PERFECT)
         expected = []
@@ -134,6 +137,12 @@ class TestEnumerateOutcomes:
             for order, members in groups.items():
                 assert len(members) == multiplicity(order, grid, config.regime)
 
+    @pytest.mark.parametrize("count", [1.5, -1])
+    def test_order_of_a_hand_built_outcome_checks_its_counts(self, count):
+        outcome = MicroOutcome(Regime.PERFECT, (((0, 0), count),))
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            outcome.order(1)
+
     def test_cap_refusal_names_the_bound(self):
         config = EconomyConfig(12, None, Regime.MONOPOLISTIC)
         with pytest.raises(CapExceededError) as err:
@@ -171,6 +180,36 @@ class TestCatalog:
         omegas = [e.multiplicity for e in cat.entries]
         assert omegas == sorted(omegas, reverse=True)
         assert cat.entries[0].order.occupancy == (2, 2)
+
+    @given(
+        levels=LEVELS,
+        n_firms=st.integers(1, 8),
+        regime=st.sampled_from(list(Regime)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_listed_records_equal_validated_ones(self, levels, n_firms, regime, data):
+        # the listing builds its orders without EconomicOrder's checks, and
+        # the catalog counts them without as_occupancy's
+        total = data.draw(revenue_totals(levels, n_firms))
+        degens = data.draw(st.lists(st.integers(1, 3), min_size=len(levels), max_size=len(levels)))
+        grid = RevenueGrid(tuple(levels), tuple(degens))
+        config = EconomyConfig(n_firms, total, regime)
+        orders = enumerate_orders(grid, config)
+        for order in orders:
+            assert type(order) is EconomicOrder
+            assert EconomicOrder(order.occupancy) == order
+            assert hash(EconomicOrder(order.occupancy)) == hash(order)
+            assert all(type(a) is int and a >= 0 for a in order.occupancy)
+        if not orders:
+            return
+        cat = catalog(grid, config)
+        assert [entry.order for entry in cat.listing] == orders
+        for entry in cat.listing:
+            assert entry.multiplicity == multiplicity(list(entry.order.occupancy), grid, regime)
+            assert entry.probability == Fraction(entry.multiplicity, cat.total_outcomes)
+        assert all(type(c) is int for c in cat.cumulative)
+        assert type(cat.total_outcomes) is int
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
