@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order
 from .counting import multiplicity
-from .errors import CapExceededError, InfeasibleError
+from .errors import CapExceededError, ConfigError, InfeasibleError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
 
@@ -46,14 +46,22 @@ class MicroOutcome:
     drawn_order: EconomicOrder | None = field(default=None, compare=False, repr=False)
 
     def order(self, n_levels: int) -> EconomicOrder:
+        """The order read off the assignment, on a grid of ``n_levels`` levels.
+
+        ConfigError when a level lies outside 0..n_levels-1 or, for
+        indistinguishable firms, a count is below 1.
+        """
+        mon = self.regime is Regime.MONOPOLISTIC
+        placed = ((position, 1) for position in self.assignment) if mon else self.assignment
         occ = [0] * n_levels
-        if self.regime is Regime.MONOPOLISTIC:
-            for level, _slot in self.assignment:
-                occ[level] += 1
-            return _order(tuple(occ))  # tallies of 1s need no checks
-        for (level, _slot), count in self.assignment:
+        for (level, _slot), count in placed:
+            if not 0 <= level < n_levels:
+                raise ConfigError("outcome: level %r is not in 0..%d" % (level, n_levels - 1))
+            if count < 1:
+                raise ConfigError("outcome: count %r at level %r is below 1" % (count, level))
             occ[level] += count
-        return EconomicOrder(tuple(occ))  # counts come from the caller: checked
+        # tallies of 1s need no further checks; counts from the caller do
+        return _order(tuple(occ)) if mon else EconomicOrder(tuple(occ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +123,12 @@ class OrderCatalog:
           slots of a level is a uniform choice of the g - 1 bars among
           a + g - 1 places, drawn by Floyd's algorithm.
 
-        A draw costs one big-integer pick and one Python tuple; the random
-        work is O(N) (distinguishable) or sum_k (g_k - 1) (indistinguishable)
+        A pick draws ``getrandbits(total.bit_length())`` again while the
+        result is >= total: the calls ``randrange(total)`` makes, so it
+        consumes the stream as ``randrange`` does and gives the same index.
+        Beyond the pick and its ``bisect_right``, a draw costs one Python
+        tuple and one outcome whose slots are set directly; the random work
+        is O(N) (distinguishable) or sum_k (g_k - 1) (indistinguishable)
         integer draws inside numpy, and a level with one slot takes none.
         No outcome other than the drawn ones is ever built.  Every entry of
         an assignment is a Python int.
@@ -127,17 +139,29 @@ class OrderCatalog:
         regime, degeneracies = self.regime, self.degeneracies
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
+        getrandbits, bits = rng.getrandbits, total.bit_length()
         place = _place_firms if regime is Regime.MONOPOLISTIC else _place_units
+        set_regime, set_assignment, set_order = (
+            getattr(MicroOutcome, name).__set__ for name in MicroOutcome.__slots__
+        )
         width = listing[0].order.n_firms + sum(degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
-            orders = [
-                listing[bisect_right(cumulative, rng.randrange(total))].order
-                for _ in range(size)
-            ]
+            orders = []
+            for _ in range(size):
+                r = getrandbits(bits)  # randrange(total)'s own rejection loop
+                while r >= total:
+                    r = getrandbits(bits)
+                orders.append(listing[bisect_right(cumulative, r)].order)
             occ = np.array([order.occupancy for order in orders])
+            batch = []
             for order, assignment in zip(orders, place(gen, occ, degeneracies)):
-                yield MicroOutcome(regime, assignment, order)
+                outcome = object.__new__(MicroOutcome)
+                set_regime(outcome, regime)
+                set_assignment(outcome, assignment)
+                set_order(outcome, order)
+                batch.append(outcome)
+            yield from batch
             size = min(2 * size, largest)
 
 
@@ -421,19 +445,24 @@ def empirical_frequencies(
     """Relative frequency of each order in a finite stream of outcomes.
 
     A sampled outcome is tallied under the order it carries; any other
-    outcome under the order read off its assignment.
+    outcome under the order read off its assignment.  The tally is keyed by
+    the order's occupancy tuple, hashed in C, and keeps the first order
+    object seen for each occupancy, so equal orders held by different
+    objects share one key.  Keys come out sorted by occupancy.
     """
-    tallies: dict[EconomicOrder, int] = {}
-    total = 0
+    counts: dict[tuple[int, ...], int] = {}
+    orders: dict[tuple[int, ...], EconomicOrder] = {}
     for outcome in outcomes:
         order = outcome.drawn_order
         if order is None:
             order = outcome.order(grid.n)
-        tallies[order] = tallies.get(order, 0) + 1
-        total += 1
+        key = order.occupancy
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            orders[key] = order
+    total = sum(counts.values())
     if total == 0:
         raise InfeasibleError("empty outcome stream")
-    return {
-        order: Fraction(count, total)
-        for order, count in sorted(tallies.items(), key=lambda kv: kv[0].occupancy)
-    }
+    return {orders[key]: Fraction(count, total) for key, count in sorted(counts.items())}

@@ -1,8 +1,13 @@
 """Enumeration, exact catalogs, argmax selection, and uniform sampling."""
 
+import dataclasses
 import inspect
 import itertools
 import math
+import pickle
+import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -34,6 +39,18 @@ from econorder.checks import random_counting_instance
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
 GRID_3 = RevenueGrid((1, 2, 3), (1, 1, 1))
+
+SAMPLER_GRIDS = [
+    (RevenueGrid((1, 2, 3), (1, 2, 2)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
+    (RevenueGrid((1, 2, 3), (2, 3, 2)), EconomyConfig(6, 12, Regime.PERFECT)),
+    # levels of 3 and 4 slots beside a one-slot level
+    (RevenueGrid((1, 2, 3), (3, 1, 4)), EconomyConfig(5, 10, Regime.PERFECT)),
+    # orders (0, 3, 1) and (2, 0, 2) each leave a level empty
+    (RevenueGrid((1, 2, 4), (3, 1, 3)), EconomyConfig(4, 10, Regime.PERFECT)),
+    # firms on the one-slot level take slot 0; (0, 4, 0) puts all there
+    (RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
+]
+SAMPLER_IDS = ["mon", "per", "per-wide-beside-one-slot", "per-empty-levels", "mon-one-slot-level"]
 
 # Grids with gaps and level 0, and totals that are unconstrained, realisable
 # or arbitrary (often infeasible).
@@ -137,11 +154,31 @@ class TestEnumerateOutcomes:
             for order, members in groups.items():
                 assert len(members) == multiplicity(order, grid, config.regime)
 
-    @pytest.mark.parametrize("count", [1.5, -1])
-    def test_order_of_a_hand_built_outcome_checks_its_counts(self, count):
-        outcome = MicroOutcome(Regime.PERFECT, (((0, 0), count),))
-        with pytest.raises(ConfigError, match="non-negative integers"):
+    @pytest.mark.parametrize(
+        "count, message",
+        [(1.5, "non-negative integers"), (-1, "count -1 at level 0 is below 1"), (0, "count 0")],
+        ids=["1.5", "-1", "0"],
+    )
+    def test_order_of_a_hand_built_outcome_checks_its_counts(self, count, message):
+        # the second pair keeps the level's total >= 1, so only a check per pair catches it
+        outcome = MicroOutcome(Regime.PERFECT, (((0, 0), count), ((0, 1), 2)))
+        with pytest.raises(ConfigError, match=message):
             outcome.order(1)
+
+    @pytest.mark.parametrize(
+        "regime, assignment, level",
+        [
+            (Regime.MONOPOLISTIC, ((-1, 0), (0, 5)), -1),
+            (Regime.PERFECT, (((-1, 0), 2), ((0, 0), 1)), -1),
+            (Regime.MONOPOLISTIC, ((0, 0), (2, 0)), 2),
+            (Regime.PERFECT, (((0, 0), 1), ((2, 0), 1)), 2),
+        ],
+        ids=["mon-below", "per-below", "mon-above", "per-above"],
+    )
+    def test_order_of_a_hand_built_outcome_checks_its_levels(self, regime, assignment, level):
+        # level -1 used to wrap to the top level, and level 2 raised IndexError
+        with pytest.raises(ConfigError, match=r"level %d is not in 0\.\.1" % level):
+            MicroOutcome(regime, assignment).order(2)
 
     def test_cap_refusal_names_the_bound(self):
         config = EconomyConfig(12, None, Regime.MONOPOLISTIC)
@@ -305,20 +342,7 @@ class TestSampling:
         with pytest.raises(InfeasibleError):
             sample_outcomes(GRID_2, EconomyConfig(2, 5, Regime.MONOPOLISTIC), seed=0)
 
-    @pytest.mark.parametrize(
-        "grid, config",
-        [
-            (RevenueGrid((1, 2, 3), (1, 2, 2)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
-            (RevenueGrid((1, 2, 3), (2, 3, 2)), EconomyConfig(6, 12, Regime.PERFECT)),
-            # levels of 3 and 4 slots beside a one-slot level
-            (RevenueGrid((1, 2, 3), (3, 1, 4)), EconomyConfig(5, 10, Regime.PERFECT)),
-            # orders (0, 3, 1) and (2, 0, 2) each leave a level empty
-            (RevenueGrid((1, 2, 4), (3, 1, 3)), EconomyConfig(4, 10, Regime.PERFECT)),
-            # firms on the one-slot level take slot 0; (0, 4, 0) puts all there
-            (RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
-        ],
-        ids=["mon", "per", "per-wide-beside-one-slot", "per-empty-levels", "mon-one-slot-level"],
-    )
+    @pytest.mark.parametrize("grid, config", SAMPLER_GRIDS, ids=SAMPLER_IDS)
     def test_micro_outcome_chi_square(self, grid, config):
         # every feasible micro-outcome, not only every order, is equally likely
         outcomes = [o for group in enumerate_outcomes(grid, config).values() for o in group]
@@ -329,6 +353,55 @@ class TestSampling:
         assert len(tally) == len(outcomes) and min(tally.values()) > 0
         pvalue = stats.chisquare(list(tally.values())).pvalue
         assert pvalue > 0.001
+
+    @pytest.mark.parametrize("grid, config", SAMPLER_GRIDS, ids=SAMPLER_IDS)
+    def test_slot_built_outcomes_equal_constructed_ones(self, grid, config):
+        # the sampler sets an outcome's slots directly, skipping __init__
+        for outcome in islice(sample_outcomes(grid, config, seed=23), 64 + 128 + 256):
+            built = MicroOutcome(outcome.regime, outcome.assignment, outcome.drawn_order)
+            assert outcome == built and hash(outcome) == hash(built)
+            assert repr(outcome) == repr(built)
+            assert outcome.drawn_order is built.drawn_order
+            assert pickle.dumps(outcome) == pickle.dumps(built)
+            copy = pickle.loads(pickle.dumps(outcome))
+            assert copy == built and copy.drawn_order == built.drawn_order
+            replaced = dataclasses.replace(outcome)
+            assert replaced == built and replaced.drawn_order is built.drawn_order
+
+    @pytest.mark.parametrize(
+        "grid, config, total",
+        [
+            (RevenueGrid((2,), (1,)), EconomyConfig(1, 2, Regime.MONOPOLISTIC), 1),
+            (RevenueGrid((2,), (1,)), EconomyConfig(3, 6, Regime.PERFECT), 1),
+            (GRID_2, EconomyConfig(3, None, Regime.MONOPOLISTIC), 8),
+            (GRID_2, EconomyConfig(7, None, Regime.PERFECT), 8),
+            (
+                RevenueGrid((1, 2, 3, 4, 5), (12, 2, 3, 2, 3)),
+                EconomyConfig(40, 70, Regime.MONOPOLISTIC),
+                None,
+            ),
+            (
+                RevenueGrid((1, 2, 3, 4, 5), (30, 20, 30, 20, 30)),
+                EconomyConfig(40, 90, Regime.PERFECT),
+                None,
+            ),
+        ],
+        ids=["mon-1", "per-1", "mon-8", "per-8", "mon-over-64-bits", "per-over-64-bits"],
+    )
+    def test_picks_consume_the_stream_as_randrange_does(self, grid, config, total):
+        # a total of 1 or a power of two rejects half of its raw draws
+        cat = catalog(grid, config)
+        if total is None:
+            assert cat.total_outcomes.bit_length() > 64
+        else:
+            assert cat.total_outcomes == total
+        rng = random.Random(31)
+        rng.getrandbits(128)  # the numpy Generator's seed
+        expected = [
+            cat.listing[bisect_right(cat.cumulative, rng.randrange(cat.total_outcomes))].order
+            for _ in range(64 + 128)  # the first two batches
+        ]
+        assert [o.drawn_order for o in islice(cat.sample(31), 64 + 128)] == expected
 
     def test_grid_without_shared_pair_sums_reaches_both_orders(self):
         # on levels (1, 3, 4) no two distinct level pairs share a revenue sum,
@@ -435,6 +508,24 @@ class TestEmpiricalFrequencies:
             EconomicOrder((1, 1)): Fraction(1, 2),
             EconomicOrder((2, 0)): Fraction(1, 4),
         }
+
+    def test_equal_orders_from_separate_catalogs_share_one_key(self):
+        grid = RevenueGrid((1, 2, 3), (2, 3, 2))
+        config = EconomyConfig(6, 12, Regime.PERFECT)
+        first = list(islice(catalog(grid, config).sample(1), 300))
+        second = list(islice(catalog(grid, config).sample(2), 300))
+        assert first[0].drawn_order is not second[0].drawn_order
+        by_hand = [MicroOutcome(o.regime, o.assignment) for o in first[:100]]
+        stream = first + second + by_hand
+        freqs = empirical_frequencies(stream, grid)
+        keys = [order.occupancy for order in freqs]
+        assert all(type(order) is EconomicOrder for order in freqs)
+        assert keys == sorted(set(keys))  # one key per order, sorted by occupancy
+        tally = Counter(o.order(grid.n).occupancy for o in stream)
+        assert {order.occupancy: p for order, p in freqs.items()} == {
+            occ: Fraction(count, len(stream)) for occ, count in tally.items()
+        }
+        assert sum(freqs.values()) == 1
 
     def test_carried_order_is_tallied_and_left_out_of_equality(self):
         config = EconomyConfig(4, 6, Regime.MONOPOLISTIC)

@@ -21,6 +21,11 @@ GOLDEN = {
     ("sample", "two_firms.ini", "--seed", "1"): {
         "frequencies.csv": "9096d4824cbbb02f51aad45d6621992612228ce05a625a9ddf753f2b68c853a7",
     },
+    # every assignment of the stream, not only its tallies
+    ("sample", "two_firms.ini", "--seed", "1", "--log-outcomes"): {
+        "frequencies.csv": "9096d4824cbbb02f51aad45d6621992612228ce05a625a9ddf753f2b68c853a7",
+        "outcomes.csv": "550a9b2fab210e46417056889941a1389b01874bafac43a6714e9866049daa47",
+    },
     ("solve", "condensation.ini"): {
         "occupancy.csv": "d0d06c21ec7da05ec09cf4dca01d0b95ee9d41a0c0a37dc7270eff6f0d692588",
         "solution.json": "26a2c3c1e0d585a71ec7aadd55b2c22dd760736d535957104186aabf70cbfed8",
@@ -31,7 +36,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("run", GOLDEN, ids=lambda run: "-".join(run[:2]))
+def run_id(run):
+    """``command-config``, plus ``-log-outcomes`` when the run logs its outcomes."""
+    return "-".join(run[:2]) + ("-log-outcomes" if "--log-outcomes" in run else "")
+
+
+@pytest.mark.parametrize("run", GOLDEN, ids=run_id)
 def test_demo_artifacts_match_golden_digests(run, tmp_path):
     command, config, *extra = run
     out = tmp_path / "out"
