@@ -12,9 +12,7 @@ from .core import (
     EconomyConfig,
     Regime,
     RevenueGrid,
-    ShareVector,
     ValidationReport,
-    shares_to_revenues,
     validate_order,
 )
 from .counting import (
@@ -59,7 +57,6 @@ from .macro import (
     log_W,
     log_W_gradient,
     macro_from_multipliers,
-    macro_production,
     multipliers_from_macro,
     occupancy_from_macro,
     technology,
@@ -94,7 +91,6 @@ __all__ = [
     "Regime",
     "RevenueGrid",
     "SampleSet",
-    "ShareVector",
     "SingularityError",
     "ValidationReport",
     "catalog",
@@ -113,13 +109,11 @@ __all__ = [
     "log_W_gradient",
     "log_multiplicity",
     "macro_from_multipliers",
-    "macro_production",
     "multiplicity",
     "multipliers_from_macro",
     "occupancy",
     "occupancy_from_macro",
     "sample_outcomes",
-    "shares_to_revenues",
     "solve_multipliers",
     "solve_multipliers_bisection",
     "stirling_log_multiplicity",

@@ -9,6 +9,7 @@ seeded and deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -197,7 +198,9 @@ def check_argmax_convergence(max_n: int = 40) -> CheckResult:
 
 
 def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
-    """Uniform sampling reproduces the exact catalog probabilities."""
+    """Uniform sampling reproduces the exact catalog probabilities, and on
+    grids whose every level has several slots, every micro-outcome that
+    ``enumerate_outcomes`` lists is drawn equally often."""
     from scipy import stats  # scipy loads only when the checks run
     cases = [
         (RevenueGrid((1, 2), (1, 1)), EconomyConfig(4, None, Regime.MONOPOLISTIC)),
@@ -218,6 +221,17 @@ def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
             pvalue = 1.0
         detail[f"case_{idx}_pvalue"] = round(pvalue, 6)
         if pvalue < 0.01:
+            passed = False
+    micro_cases = [
+        (RevenueGrid((1, 2, 3), (2, 2, 3)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
+        (RevenueGrid((1, 2, 3), (2, 3, 4)), EconomyConfig(4, 8, Regime.PERFECT)),
+    ]
+    for idx, (grid, config) in enumerate(micro_cases, start=len(cases)):
+        outcomes = [o for group in enumerate_outcomes(grid, config).values() for o in group]
+        drawn = Counter(islice(catalog(grid, config).sample(seed + idx), draws))
+        pvalue = float(stats.chisquare([drawn[o] for o in outcomes]).pvalue)
+        detail[f"micro_{config.regime.short_name}_pvalue"] = round(pvalue, 6)
+        if pvalue < 0.01 or not drawn.keys() <= set(outcomes):
             passed = False
     return CheckResult("sampler_chisquare", passed, detail)
 

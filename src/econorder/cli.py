@@ -113,7 +113,9 @@ def cmd_sample(args) -> int:
     out = _out_dir(args, run)
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
-    outcomes = list(islice(cat.sample(run.seed), draws))
+    outcomes = islice(cat.sample(run.seed), draws)
+    if args.log_outcomes:  # kept only to be logged; the tally reads the stream
+        outcomes = list(outcomes)
     freqs = empirical_frequencies(outcomes, run.grid)
     reports.write_frequencies_csv(out / "frequencies.csv", freqs, cat, draws)
     if args.log_outcomes:

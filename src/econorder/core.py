@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -186,24 +185,6 @@ def _check_lengths(occ: Sequence, grid: RevenueGrid) -> None:
 
 
 @dataclass(frozen=True)
-class ShareVector:
-    """Per-firm revenue shares; exact rationals summing to one."""
-
-    shares: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        shares = tuple(Fraction(t) for t in self.shares)
-        object.__setattr__(self, "shares", shares)
-        if any(t < 0 for t in shares):
-            raise ConfigError("shares: every share must be non-negative")
-        if sum(shares) != 1:
-            raise ConfigError("shares: shares must sum to exactly 1")
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Exact constraint residuals for an occupancy vector."""
 
@@ -234,8 +215,3 @@ def validate_order(
         )
         feasible = firm_residual == 0 and revenue_residual == 0
     return ValidationReport(firm_residual, revenue_residual, feasible)
-
-
-def shares_to_revenues(shares: ShareVector, total_revenue: int) -> tuple[Fraction, ...]:
-    """Per-firm equilibrium revenues implied by a share vector: t_j * Pi."""
-    return tuple(t * total_revenue for t in shares.shares)

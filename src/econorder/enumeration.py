@@ -14,9 +14,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -111,51 +111,57 @@ class OrderCatalog:
         probability multiplicity / total, by an exact big-integer index into
         the cumulative multiplicities; then one of that order's outcomes is
         picked uniformly, and the draw carries the order it was picked from.
-        Orders are picked one by one from the stream's ``random.Random``;
-        the outcomes of a batch of picked orders are then placed together by
-        exact integer draws of a numpy Generator seeded from that same
-        ``random.Random``, so one seed drives the whole stream and the first
-        k draws do not depend on how many are taken.
+        Orders are picked from the stream's ``random.Random``; the outcomes of
+        a batch of picked orders are then placed together by exact integer
+        draws of a numpy Generator seeded from that same ``random.Random``,
+        so one seed drives the whole stream and the first k draws do not
+        depend on how many are taken.
 
         - Distinguishable firms: each order's level labels are shuffled over
           the firms, and each firm gets a uniform slot of its level.
         - Indistinguishable firms: a uniform multiset of a firms over the g
           slots of a level is a uniform choice of the g - 1 bars among
-          a + g - 1 places, drawn by Floyd's algorithm.
+          a + g - 1 places, drawn by Floyd's algorithm (``_place_units``).
 
-        A pick draws ``getrandbits(total.bit_length())`` again while the
-        result is >= total: the calls ``randrange(total)`` makes, so it
-        consumes the stream as ``randrange`` does and gives the same index.
-        Beyond the pick and its ``bisect_right``, a draw costs one Python
-        tuple and one outcome whose slots are set directly; the random work
-        is O(N) (distinguishable) or sum_k (g_k - 1) (indistinguishable)
-        integer draws inside numpy, and a level with one slot takes none.
-        No outcome other than the drawn ones is ever built.  Every entry of
-        an assignment is a Python int.
+        A pick is ``getrandbits(total.bit_length())``, drawn again while the
+        result is >= total: the calls ``randrange(total)`` makes.  A batch
+        draws its picks in C-level passes, ``size`` raw values and then only
+        the shortfall below ``total``, so it consumes the stream as ``size``
+        calls of ``randrange`` do; ``bisect_right`` into ``cumulative`` picks
+        the order.  The orders, the placement's index plan and its table of
+        (level, slot) positions are built once per stream, and a batch's
+        assignments are gathered from that table.  Beyond that a draw costs
+        one outcome whose slots are set directly; the random work is O(N)
+        (distinguishable) or sum_k (g_k - 1) (indistinguishable) integer
+        draws inside numpy, and a level with one slot takes none.  No outcome
+        other than the drawn ones is ever built.  Every entry of an
+        assignment is a Python int.
         """
         from numpy.random import default_rng  # numpy.random loads only when sampling
 
-        listing, cumulative, total = self.listing, self.cumulative, self.total_outcomes
-        regime, degeneracies = self.regime, self.degeneracies
+        cumulative, total = self.cumulative, self.total_outcomes
+        regime = self.regime
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
-        getrandbits, bits = rng.getrandbits, total.bit_length()
-        place = _place_firms if regime is Regime.MONOPOLISTIC else _place_units
+        getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
+        order_at = [entry.order for entry in self.listing].__getitem__
+        place = (_place_firms if regime is Regime.MONOPOLISTIC else _place_units)(
+            self.degeneracies
+        )
         set_regime, set_assignment, set_order = (
             getattr(MicroOutcome, name).__set__ for name in MicroOutcome.__slots__
         )
-        width = listing[0].order.n_firms + sum(degeneracies)
+        width = self.listing[0].order.n_firms + sum(self.degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
-            orders = []
-            for _ in range(size):
-                r = getrandbits(bits)  # randrange(total)'s own rejection loop
-                while r >= total:
-                    r = getrandbits(bits)
-                orders.append(listing[bisect_right(cumulative, r)].order)
+            # randrange(total)'s own rejection loop, run over the whole batch
+            picks = list(filter(below, map(getrandbits, repeat(bits, size))))
+            while len(picks) < size:
+                picks += filter(below, map(getrandbits, repeat(bits, size - len(picks))))
+            orders = list(map(order_at, map(bisect_right, repeat(cumulative), picks)))
             occ = np.array([order.occupancy for order in orders])
             batch = []
-            for order, assignment in zip(orders, place(gen, occ, degeneracies)):
+            for order, assignment in zip(orders, place(gen, occ)):
                 outcome = object.__new__(MicroOutcome)
                 set_regime(outcome, regime)
                 set_assignment(outcome, assignment)
@@ -165,61 +171,83 @@ class OrderCatalog:
             size = min(2 * size, largest)
 
 
-def _positions(degeneracies: tuple[int, ...]) -> list[Position]:
-    return [(k, s) for k, g in enumerate(degeneracies) for s in range(g)]
+def _positions(degeneracies: tuple[int, ...]) -> np.ndarray:
+    """Every (level, slot) position in order, as a 1-D object array of tuples."""
+    return np.fromiter(
+        ((k, s) for k, g in enumerate(degeneracies) for s in range(g)), dtype=object
+    )
 
 
-def _place_firms(
-    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
-) -> list[tuple]:
-    """One uniform outcome per row of ``occ``, distinguishable firms.
+def _place_firms(degeneracies: tuple[int, ...]) -> Callable[..., list[tuple]]:
+    """Placer of one uniform outcome per row of ``occ``, distinguishable firms.
 
     The level labels of each row are shuffled over the firms, and each firm
     draws a slot below its level's degeneracy (a single slot draws nothing).
+    Each firm's index into the position table is gathered in one pass.
     """
-    size, n_levels = occ.shape
-    labels = np.repeat(np.tile(np.arange(n_levels), size), occ.ravel()).reshape(size, -1)
-    labels = gen.permuted(labels, axis=1)
     g = np.array(degeneracies)
-    first = np.cumsum(g) - g  # index of each level's slot 0 in the position list
-    flat = first[labels] + gen.integers(0, g[labels])
-    positions = _positions(degeneracies).__getitem__
-    return [tuple(map(positions, row)) for row in flat.tolist()]
+    levels = np.arange(len(g))
+    first = np.cumsum(g) - g  # index of each level's slot 0 in the position table
+    positions = _positions(degeneracies)
+
+    def place(gen: np.random.Generator, occ: np.ndarray) -> list[tuple]:
+        size = len(occ)
+        labels = np.repeat(np.tile(levels, size), occ.ravel()).reshape(size, -1)
+        labels = gen.permuted(labels, axis=1)
+        flat = first[labels] + gen.integers(0, g[labels])
+        return list(map(tuple, positions[flat].tolist()))
+
+    return place
 
 
-def _place_units(
-    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
-) -> list[tuple]:
-    """One uniform outcome per row of ``occ``, indistinguishable firms.
+def _place_units(degeneracies: tuple[int, ...]) -> Callable[..., list[tuple]]:
+    """Placer of one uniform outcome per row of ``occ``, indistinguishable firms.
 
-    The a firms and g - 1 bars of a level fill a + g - 1 places; Floyd's
-    algorithm picks the bar places with one integer draw each, the i-th draw
-    uniform on 0..a+i and replaced by a+i if that place is taken, and slot j
-    holds the places between bars j - 1 and j.
+    A row is one line of stars and bars: each level holds its a firms and
+    g - 1 bars in a + g - 1 places, followed by one fixed bar that closes
+    the level, so slot j of the row holds the stars between bars j - 1 and
+    j.  Floyd's algorithm (Bentley & Floyd, *CACM* 30(9), 1987)
+    picks a level's bar places with one integer draw each, the i-th draw
+    uniform on 0..a+i and replaced by a+i if that place is taken.
+
+    All bounds of a batch go to one ``gen.integers`` call, stacked level,
+    then bar round, then row: the order of one call per level and round,
+    which gives the same integers and leaves the Generator in the same
+    state.  Floyd's rule then runs in max(g) - 1 rounds, each over every
+    level and row at once, on one flat table of places; the bars read back
+    from that table in order give every slot count by one difference.  The
+    index plan (each bar's level and round, and the round-major order) is
+    built here, once per stream.
     """
-    size = len(occ)
-    batch = np.arange(size)
-    table = np.empty((size, sum(degeneracies)), dtype=np.int64)
-    col = 0
-    for k, g in enumerate(degeneracies):
-        a = occ[:, k]
-        if g == 1:
-            table[:, col] = a
-        else:
-            taken = np.zeros((size, int(a.max()) + g - 1), dtype=bool)
-            for i in range(g - 1):
-                place = gen.integers(0, a + i + 1)
-                taken[batch, np.where(taken[batch, place], a + i, place)] = True
-            bars = np.nonzero(taken)[1].reshape(size, g - 1)  # each row's bar places, in order
-            table[:, col] = bars[:, 0]
-            table[:, col + 1 : col + g - 1] = np.diff(bars, axis=1) - 1
-            table[:, col + g - 1] = a + g - 2 - bars[:, -1]
-        col += g
-    rows, cols = np.nonzero(table)  # row by row, each row's columns in position order
-    positions = map(_positions(degeneracies).__getitem__, cols.tolist())
-    pairs = list(zip(positions, table[rows, cols].tolist()))
-    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
-    return [tuple(pairs[start:end]) for start, end in zip([0, *ends], ends)]
+    g = np.array(degeneracies)
+    n_levels, slots = len(g), int(g.sum())
+    positions = _positions(degeneracies)
+    bar_level = np.repeat(np.arange(n_levels), g - 1)  # one row per bar: level, then round
+    bar_round = np.concatenate([np.arange(k - 1) for k in degeneracies])[:, None]
+    by_round = np.argsort(bar_round[:, 0], kind="stable")
+    round_ends = np.cumsum(np.bincount(bar_round[:, 0], minlength=1)).tolist()
+
+    def place(gen: np.random.Generator, occ: np.ndarray) -> list[tuple]:
+        size = len(occ)
+        spans = (occ + g).ravel()  # a + g - 1 places and the closing bar, per row and level
+        ends = np.cumsum(spans)
+        taken = np.zeros(ends[-1], dtype=bool)
+        taken[ends - 1] = True
+        last = occ.T[bar_level] + bar_round  # a + i: the last place of round i
+        bases = (ends - spans).reshape(size, n_levels).T[bar_level]
+        drawn = (bases + gen.integers(0, last + 1))[by_round]
+        last = (bases + last)[by_round]
+        taken[drawn[: round_ends[0]]] = True  # the first round finds every place free
+        for lo, hi in zip(round_ends, round_ends[1:]):
+            here = drawn[lo:hi]
+            taken[np.where(taken[here], last[lo:hi], here)] = True
+        table = (np.diff(np.flatnonzero(taken), prepend=-1) - 1).reshape(size, slots)
+        rows, cols = np.nonzero(table)  # row by row, each row's slots in position order
+        pairs = list(zip(positions[cols].tolist(), table[rows, cols].tolist()))
+        stops = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+        return [tuple(pairs[start:stop]) for start, stop in zip([0, *stops], stops)]
+
+    return place
 
 
 def enumerate_orders(
@@ -322,7 +350,7 @@ def enumerate_outcomes(
     if count > cap:
         raise CapExceededError(count, cap)
 
-    positions = _positions(grid.degeneracies)
+    positions = _positions(grid.degeneracies).tolist()
     levels = grid.levels
     total = config.total_revenue
     n_firms = config.n_firms

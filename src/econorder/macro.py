@@ -45,15 +45,6 @@ class MacroParams:
             raise ConfigError("macro.theta: must be nonzero for invertibility")
 
 
-def macro_production(
-    labor: float, capital: float, technology: float, x: float, y: float, z: float
-) -> float:
-    """Aggregate revenue L^x * K^y * T^z."""
-    if labor <= 0 or capital <= 0 or technology <= 0:
-        raise ConfigError("macro production inputs must be positive")
-    return labor**x * capital**y * technology**z
-
-
 def multipliers_from_macro(params: MacroParams) -> tuple[float, float]:
     """(alpha, beta) implied by (mu, theta, lambda)."""
     lt = params.lam * params.theta

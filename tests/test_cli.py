@@ -2,10 +2,12 @@
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
 from econorder import enumeration
+from econorder.checks import check_sampler
 from econorder.cli import main
 
 EXAMPLE_TWO_FIRMS = """
@@ -243,6 +245,22 @@ class TestSample:
         assert overridden == (out2 / "frequencies.csv").read_bytes()
         assert overridden != (out3 / "frequencies.csv").read_bytes()
 
+    def test_tally_reads_the_stream_without_keeping_it(self, tmp_path):
+        # 60,000 kept outcomes take about 7 MB; the sampler's largest batch
+        # here (16,384 outcomes) about 3.5 MB
+        config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 60000\n")
+        warm = write_config(tmp_path, EXAMPLE_TWO_FIRMS, "warm.ini")  # loads numpy.random
+        main(["sample", "--config", str(warm), "--out", str(tmp_path / "warm")])
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
+        rows = read_rows(tmp_path / "out" / "frequencies.csv")
+        assert sum(int(r["count"]) for r in rows) == 60_000
+
     def test_outcome_log_opt_in(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 20\n")
         out = tmp_path / "out"
@@ -384,6 +402,27 @@ class TestCheck:
         failing = [c for c in report["checks"] if not c["passed"]]
         assert failing
         assert failing[0]["detail"]["mismatched_order"] == [1, 1]
+
+    @pytest.mark.parametrize("regime", ["mon", "per"])
+    def test_sampler_check_catches_a_placement_that_ignores_slots(self, monkeypatch, regime):
+        # every firm in slot 0 of its level: the orders keep their exact
+        # frequencies, so only the micro-outcome cases can see it (unpatched,
+        # check_sampler(44) passes in test_default_config_all_pass)
+        def slot_zero(degeneracies):
+            def place(gen, occ):
+                rows = occ.tolist()
+                if regime == "mon":
+                    return [tuple((k, 0) for k, a in enumerate(row) for _ in range(a)) for row in rows]
+                return [tuple(((k, 0), a) for k, a in enumerate(row) if a) for row in rows]
+
+            return place
+
+        placer = "_place_firms" if regime == "mon" else "_place_units"
+        monkeypatch.setattr(enumeration, placer, slot_zero)
+        result = check_sampler(44)
+        assert not result.passed
+        assert result.detail[f"micro_{regime}_pvalue"] < 0.01
+        assert min(result.detail["case_0_pvalue"], result.detail["case_1_pvalue"]) >= 0.01
 
 
 class TestConfigValidation:

@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +16,9 @@ from econorder import (
     EconomyConfig,
     Regime,
     RevenueGrid,
-    ShareVector,
     catalog,
     log_multiplicity,
     multiplicity,
-    shares_to_revenues,
     validate_order,
 )
 
@@ -207,30 +204,6 @@ def test_money_scale_invariance_of_validation():
             base = validate_order(EconomicOrder(occ), grid, config)
             scaled = validate_order(EconomicOrder(occ), scaled_grid, scaled_config)
             assert base.feasible == scaled.feasible
-
-
-def test_shares_must_sum_to_one():
-    with pytest.raises(ConfigError):
-        ShareVector((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ConfigError):
-        ShareVector((Fraction(3, 2), Fraction(-1, 2)))
-
-
-def test_shares_to_revenues_even_split():
-    shares = ShareVector((Fraction(1, 2), Fraction(1, 2)))
-    assert shares_to_revenues(shares, 10) == (5, 5)
-
-
-def test_shares_to_revenues_single_survivor():
-    shares = ShareVector((Fraction(1), Fraction(0)))
-    assert shares_to_revenues(shares, 7) == (7, 0)
-
-
-def test_shares_to_revenues_rational_split():
-    shares = ShareVector((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    revenues = shares_to_revenues(shares, 8)
-    assert revenues == (2, 2, 4)
-    assert sum(revenues) == 8
 
 
 def test_package_import_does_not_load_scipy():

@@ -1,6 +1,7 @@
 """Enumeration, exact catalogs, argmax selection, and uniform sampling."""
 
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import math
@@ -35,6 +36,7 @@ from econorder import (
     sample_outcomes,
     validate_order,
 )
+from econorder import enumeration
 from econorder.checks import random_counting_instance
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
@@ -51,6 +53,15 @@ SAMPLER_GRIDS = [
     (RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, 8, Regime.MONOPOLISTIC)),
 ]
 SAMPLER_IDS = ["mon", "per", "per-wide-beside-one-slot", "per-empty-levels", "mon-one-slot-level"]
+# sha256 of repr(list(islice(catalog(grid, config).sample(41), 449))) per
+# SAMPLER_GRIDS grid: 449 draws cross the 64, 128 and 256-draw batches
+SAMPLER_DIGESTS = [
+    "df03147bc449b5ca80c76a0c272fb9bed623190289f755e3c7bb8992d7a90c1d",
+    "5b83f5e8cbb6a548df8db283c34846fb3fe9d4ed016dee8d510e43eb990529d0",
+    "07c38adc374fc1ae01d3e1dd93dc9ccf7f9473f58e6032340547730869936051",
+    "9a6185ef98dfd05e7a89a1c86eb29065c4c247659a58a51108827d59a796c6f4",
+    "631811dafa5bffe6b18ebace999614db0b814fee38da7523292771decd908445",
+]
 
 # Grids with gaps and level 0, and totals that are unconstrained, realisable
 # or arbitrary (often infeasible).
@@ -549,3 +560,106 @@ def test_feasible_outcome_count_matches_enumeration():
         total = feasible_outcome_count(grid, config)
         groups = enumerate_outcomes(grid, config, cap=200_000)
         assert total == sum(len(m) for m in groups.values())
+
+
+# The placement of sampled outcomes, one numpy call or more per bar, kept
+# here verbatim as the reference for the stream the batched placers must
+# reproduce: the same assignments and the same Generator state after.
+def _positions(degeneracies: tuple[int, ...]) -> list:
+    return [(k, s) for k, g in enumerate(degeneracies) for s in range(g)]
+
+
+def _place_firms(
+    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
+) -> list[tuple]:
+    """One uniform outcome per row of ``occ``, distinguishable firms.
+
+    The level labels of each row are shuffled over the firms, and each firm
+    draws a slot below its level's degeneracy (a single slot draws nothing).
+    """
+    size, n_levels = occ.shape
+    labels = np.repeat(np.tile(np.arange(n_levels), size), occ.ravel()).reshape(size, -1)
+    labels = gen.permuted(labels, axis=1)
+    g = np.array(degeneracies)
+    first = np.cumsum(g) - g  # index of each level's slot 0 in the position list
+    flat = first[labels] + gen.integers(0, g[labels])
+    positions = _positions(degeneracies).__getitem__
+    return [tuple(map(positions, row)) for row in flat.tolist()]
+
+
+def _place_units(
+    gen: np.random.Generator, occ: np.ndarray, degeneracies: tuple[int, ...]
+) -> list[tuple]:
+    """One uniform outcome per row of ``occ``, indistinguishable firms.
+
+    The a firms and g - 1 bars of a level fill a + g - 1 places; Floyd's
+    algorithm picks the bar places with one integer draw each, the i-th draw
+    uniform on 0..a+i and replaced by a+i if that place is taken, and slot j
+    holds the places between bars j - 1 and j.
+    """
+    size = len(occ)
+    batch = np.arange(size)
+    table = np.empty((size, sum(degeneracies)), dtype=np.int64)
+    col = 0
+    for k, g in enumerate(degeneracies):
+        a = occ[:, k]
+        if g == 1:
+            table[:, col] = a
+        else:
+            taken = np.zeros((size, int(a.max()) + g - 1), dtype=bool)
+            for i in range(g - 1):
+                place = gen.integers(0, a + i + 1)
+                taken[batch, np.where(taken[batch, place], a + i, place)] = True
+            bars = np.nonzero(taken)[1].reshape(size, g - 1)  # each row's bar places, in order
+            table[:, col] = bars[:, 0]
+            table[:, col + 1 : col + g - 1] = np.diff(bars, axis=1) - 1
+            table[:, col + g - 1] = a + g - 2 - bars[:, -1]
+        col += g
+    rows, cols = np.nonzero(table)  # row by row, each row's columns in position order
+    positions = map(_positions(degeneracies).__getitem__, cols.tolist())
+    pairs = list(zip(positions, table[rows, cols].tolist()))
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    return [tuple(pairs[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+class TestPlacementStream:
+    @given(
+        degeneracies=st.lists(st.integers(1, 7), min_size=1, max_size=5).map(tuple),
+        n_firms=st.integers(1, 12),
+        size=st.integers(1, 300),
+        spread=st.integers(1, 5),
+        occ_seed=st.integers(0, 2**32),
+        seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_placers_reproduce_the_per_bar_stream(
+        self, degeneracies, n_firms, size, spread, occ_seed, seed
+    ):
+        # each row puts its firms on at most ``spread`` levels, so levels are
+        # often empty; one-slot levels come with degeneracy 1
+        n_levels = len(degeneracies)
+        pick = random.Random(occ_seed)
+        rows = []
+        for _ in range(size):
+            used = pick.sample(range(n_levels), min(spread, n_levels))
+            row = [0] * n_levels
+            for _ in range(n_firms):
+                row[pick.choice(used)] += 1
+            rows.append(tuple(row))
+        occ = np.array(rows)
+        for reference, placer in (
+            (_place_firms, enumeration._place_firms),
+            (_place_units, enumeration._place_units),
+        ):
+            expected_gen, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = reference(expected_gen, occ, degeneracies)
+            assert placer(degeneracies)(gen, occ) == expected
+            assert gen.bit_generator.state == expected_gen.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "grid, config, digest", [(*case, d) for case, d in zip(SAMPLER_GRIDS, SAMPLER_DIGESTS)],
+        ids=SAMPLER_IDS,
+    )
+    def test_first_draws_keep_their_digest(self, grid, config, digest):
+        drawn = list(islice(catalog(grid, config).sample(41), 449))
+        assert hashlib.sha256(repr(drawn).encode()).hexdigest() == digest

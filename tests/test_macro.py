@@ -23,7 +23,6 @@ from econorder import (
     log_W_gradient,
     log_multiplicity,
     macro_from_multipliers,
-    macro_production,
     multipliers_from_macro,
     occupancy,
     occupancy_from_macro,
@@ -33,25 +32,6 @@ from econorder import (
 )
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
-
-
-class TestProduction:
-    def test_identity_inputs(self):
-        assert macro_production(1, 1, 1, 0.3, 0.5, 0.2) == 1.0
-
-    def test_cobb_douglas_evaluation(self):
-        assert macro_production(4, 9, 2, 0.5, 0.5, 1.0) == pytest.approx(12.0)
-
-    def test_zero_technology_exponent(self):
-        assert macro_production(4, 9, 2, 0.5, 0.5, 0.0) == macro_production(
-            4, 9, 17, 0.5, 0.5, 0.0
-        )
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ConfigError):
-            macro_production(0, 1, 1, 1, 1, 1)
-        with pytest.raises(ConfigError):
-            macro_production(1, 1, -2, 1, 1, 1)
 
 
 class TestMapping:
