@@ -108,21 +108,26 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solution.converged else EXIT_NONCONVERGENCE
 
 
+def _logged(outcomes, handle):
+    """Pass the outcomes through, writing each as a ``step,assignment`` row."""
+    for step, outcome in enumerate(outcomes):
+        handle.write("%d,%s\n" % (step, json.dumps(outcome.assignment)))
+        yield outcome
+
+
 def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     out = _out_dir(args, run)
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
     outcomes = islice(cat.sample(run.seed), draws)
-    if args.log_outcomes:  # kept only to be logged; the tally reads the stream
-        outcomes = list(outcomes)
-    freqs = empirical_frequencies(outcomes, run.grid)
-    reports.write_frequencies_csv(out / "frequencies.csv", freqs, cat, draws)
-    if args.log_outcomes:
+    if args.log_outcomes:  # each row is written as the tally reads it
         with (out / "outcomes.csv").open("w", newline="") as handle:
             handle.write("step,assignment\n")
-            for step, outcome in enumerate(outcomes):
-                handle.write("%d,%s\n" % (step, json.dumps(outcome.assignment)))
+            freqs = empirical_frequencies(_logged(outcomes, handle), run.grid)
+    else:
+        freqs = empirical_frequencies(outcomes, run.grid)
+    reports.write_frequencies_csv(out / "frequencies.csv", freqs, cat, draws)
     print("sampled %d outcomes over %d orders -> %s" % (draws, len(freqs), out))
     return EXIT_OK
 

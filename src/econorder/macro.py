@@ -72,6 +72,7 @@ def occupancy_from_macro(
     return occupancy(*multipliers_from_macro(params), grid, regime)
 
 
+@np.errstate(over="ignore")
 def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float:
     """Level-wise generating function, ln W = -ln Z.
 
@@ -116,6 +117,7 @@ class IdentityReport:
     grad_beta_fd: float
 
 
+@np.errstate(over="ignore")
 def entropy_identity_residual(
     alpha: float,
     beta: float,
@@ -135,7 +137,7 @@ def entropy_identity_residual(
     occ, log_z = _closed_form(alpha, beta, e, g, regime)
     entropy = stirling_log_multiplicity(occ.tolist(), grid, regime)
     lw = -log_z
-    grad_a, grad_b = float(occ.sum()), float((occ * e).sum())
+    grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * e))
     ha = fd_step * max(1.0, abs(alpha))
     hb = fd_step * max(1.0, abs(beta))
     if regime is Regime.PERFECT:

@@ -17,7 +17,9 @@ whose gradient is the constraint residual and whose Hessian is positive
 definite on any grid with two or more levels.  solve_multipliers runs damped
 Newton on Phi with a backtracking Armijo line search, which converges
 globally on a strictly convex objective (Boyd & Vandenberghe, Convex
-Optimization, 2004, sec. 9.5).
+Optimization, 2004, sec. 9.5), here started from the closed form of a
+two-level grid.  Far from the Bose-Einstein wall exp and expm1 overflow to a
+zero or infinite occupancy; public entry points silence that once per call.
 
 solve_multipliers_bisection is an independent oracle, used only by checks
 and tests: the firm count is strictly decreasing in alpha at fixed beta, and
@@ -80,26 +82,26 @@ def _closed_form(
     e and g are float vectors: a grid's cached RevenueGrid.vectors, or (in
     solve_multipliers) its shifted levels u with its degeneracies.  The one
     place that evaluates x and guards the Bose-Einstein wall: raises
-    SingularityError when some x_k <= 0 under perfect competition, with
-    overflow silenced for every caller.  Bose-Einstein ln Z uses
-    1 / (1 - exp(-x)) = 1 + a / g.
+    SingularityError when some x_k <= 0 under perfect competition.  Its
+    public callers, not it, silence the overflow of x beyond about 710, once
+    per call.  Bose-Einstein ln Z uses 1 / (1 - exp(-x)) = 1 + a / g.
     """
     x = alpha + beta * e
-    with np.errstate(over="ignore"):
-        if regime is Regime.PERFECT:
-            if x.min() <= 0.0:
-                k = int(np.argmin(x))
-                raise SingularityError(
-                    "Bose-Einstein occupancy undefined at level %d: "
-                    "alpha + beta*e = %g <= 0" % (k, x[k]),
-                    level_index=k,
-                )
-            occ = g / np.expm1(x)
-            return occ, float(g @ np.log1p(occ / g))
-        occ = g * np.exp(-x)
-    return occ, float(occ.sum())
+    if regime is Regime.PERFECT:
+        if np.minimum.reduce(x) <= 0.0:
+            k = int(np.argmin(x))
+            raise SingularityError(
+                "Bose-Einstein occupancy undefined at level %d: "
+                "alpha + beta*e = %g <= 0" % (k, x[k]),
+                level_index=k,
+            )
+        occ = g / np.expm1(x)
+        return occ, float(g @ np.log1p(occ / g))
+    occ = g * np.exp(-x)
+    return occ, float(np.add.reduce(occ))
 
 
+@np.errstate(over="ignore")
 def occupancy(
     alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> np.ndarray:
@@ -282,6 +284,7 @@ _MIN_STEP = 2.0**-50
 _ARMIJO = 1e-4
 
 
+@np.errstate(over="ignore")
 def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSolution:
     """Solve the two-constraint system for (alpha, beta).
 
@@ -290,12 +293,15 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
     the grid where x is smallest: the lowest level when the mean revenue
     lies below the degeneracy-weighted grid mean (beta > 0), else the
     highest.  Then the Bose-Einstein domain is a > 0, a + b > 0, a is the
-    condensation gap, and close levels stay well conditioned.  Each step
-    backtracks until it stays inside the domain and meets the Armijo
-    condition on Phi, up to a few ulps of rounding.  Once the residuals are
-    within 1e-10 of N and Pi, one more Newton step is taken to settle the
-    last digits.  pinned marks a perfect-competition solve that stopped
-    unconverged because no step inside the domain lowered Phi.
+    condensation gap, and close levels stay well conditioned.  Newton starts
+    from the exact solution on the grid {u = 0, u = 1} with the same sum g
+    and sum g u and with pi_u firms at u = 1, clamped inside the domain.
+    Each step backtracks until it stays inside the domain and meets the
+    Armijo condition on Phi, up to a few ulps of rounding.  Once the
+    residuals are within 1e-10 of N and Pi, one more Newton step is taken to
+    settle the last digits.  pinned marks a perfect-competition solve that
+    stopped unconverged because no step inside the domain lowered Phi.
+    Overflow is silenced once for the whole solve.
     """
     degenerate = _boundary_solution(grid, config)
     if degenerate is not None:
@@ -307,21 +313,28 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
         e0, e_far = e_far, e0
     span = e_far - e0
     u = (e - e0) / span
+    basis = np.stack((np.ones_like(u), u))  # basis @ v = (sum v, sum v u)
     n_firms, pi = float(config.n_firms), float(config.total_revenue)
     pi_u = (config.total_revenue - config.n_firms * e0) / span  # target of sum a_k u_k
     regime = config.regime
     perfect = regime is Regime.PERFECT
 
-    # at b = 0 the firm-count constraint has a closed-form root in a
-    a = math.log1p(g.sum() / n_firms) if perfect else math.log(g.sum() / n_firms)
-    b = 0.0
+    g_total, g_far = (basis @ g).tolist()
+    g_near, n_near = g_total - g_far, n_firms - pi_u
+    if perfect:
+        a = math.log1p(g_near / n_near)
+        b = max(math.log1p(g_far / pi_u) - a, -0.5 * a)
+    else:
+        b = max(math.log(g_far * n_near / (g_near * pi_u)), 0.0)
+        # the firm-count constraint has a closed-form root in a at fixed b
+        a = math.log(float(np.add.reduce(g * np.exp(-b * u))) / n_firms)
     occ, log_z = _closed_form(a, b, u, g, regime)
     phi = a * n_firms + b * pi_u + log_z
     steps = 0
     polishing = converged = pinned = False
     while True:
-        s_u = float(occ @ u)
-        res_n = float(occ.sum()) - n_firms
+        s_n, s_u = (basis @ occ).tolist()
+        res_n = s_n - n_firms
         res_pi = e0 * res_n + span * (s_u - pi_u)
         converged = abs(res_n) <= _TOL * n_firms and abs(res_pi) <= _TOL * pi
         if (converged and polishing) or steps == _MAX_STEPS:
@@ -330,8 +343,8 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
         # Hessian sum_k w_k (1, u_k)(1, u_k)^T, factored about the weighted
         # mean of u so that the 2x2 solve never subtracts nearly equal terms
         w = occ + occ * (occ / g) if perfect else occ
-        w_sum = float(w.sum())
-        u_mean = float(w @ u) / w_sum
+        w_sum, w_u = (basis @ w).tolist()
+        u_mean = w_u / w_sum
         spread = float(w @ (u - u_mean) ** 2)
         grad_a, grad_b = -res_n, pi_u - s_u  # gradient of Phi
         step_b = -(grad_b - u_mean * grad_a) / spread

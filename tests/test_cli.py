@@ -245,21 +245,34 @@ class TestSample:
         assert overridden == (out2 / "frequencies.csv").read_bytes()
         assert overridden != (out3 / "frequencies.csv").read_bytes()
 
-    def test_tally_reads_the_stream_without_keeping_it(self, tmp_path):
-        # 60,000 kept outcomes take about 7 MB; the sampler's largest batch
-        # here (16,384 outcomes) about 3.5 MB
+    @staticmethod
+    def sample_peak(tmp_path, *extra):
+        """Peak traced memory of a 60,000-draw two-firm ``sample`` run."""
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 60000\n")
         warm = write_config(tmp_path, EXAMPLE_TWO_FIRMS, "warm.ini")  # loads numpy.random
         main(["sample", "--config", str(warm), "--out", str(tmp_path / "warm")])
         tracemalloc.start()
         try:
-            assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            out = str(tmp_path / "out")
+            assert main(["sample", "--config", str(config), "--out", out, *extra]) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6_000_000
+
+    def test_tally_reads_the_stream_without_keeping_it(self, tmp_path):
+        # 60,000 kept outcomes take about 7 MB; the sampler's largest batch
+        # here (16,384 outcomes) about 3.5 MB
+        assert self.sample_peak(tmp_path) < 6_000_000
         rows = read_rows(tmp_path / "out" / "frequencies.csv")
         assert sum(int(r["count"]) for r in rows) == 60_000
+
+    def test_outcome_log_is_written_as_the_stream_is_read(self, tmp_path):
+        # keeping the 60,000 outcomes until the log is written peaks at about 9 MB
+        assert self.sample_peak(tmp_path, "--log-outcomes") < 6_000_000
+        rows = read_rows(tmp_path / "out" / "frequencies.csv")
+        assert sum(int(r["count"]) for r in rows) == 60_000
+        with (tmp_path / "out" / "outcomes.csv").open() as handle:
+            assert sum(1 for _ in handle) == 60_001
 
     def test_outcome_log_opt_in(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 20\n")

@@ -28,10 +28,10 @@ GOLDEN = {
     },
     ("solve", "condensation.ini"): {
         "occupancy.csv": "d0d06c21ec7da05ec09cf4dca01d0b95ee9d41a0c0a37dc7270eff6f0d692588",
-        "solution.json": "26a2c3c1e0d585a71ec7aadd55b2c22dd760736d535957104186aabf70cbfed8",
+        "solution.json": "65d2adecc66e925b0a7d35591b6549431d8f0a09428d01dc3070b94844bc8617",
     },
     ("macro", "two_level_solve.ini"): {
-        "macro.json": "726086b93c0f5746c7a20c1713164a5a022ecc33ec2e48b6c21c101b36274e89",
+        "macro.json": "b60b0f31b68ba199ae58d74e82da3b7e3afe1adcaf239dab4359b00ff7212aee",
     },
 }
 

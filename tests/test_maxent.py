@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from econorder import (
     ConfigError,
     EconomyConfig,
     InfeasibleError,
+    MacroParams,
     Regime,
     RevenueGrid,
     SingularityError,
@@ -19,14 +21,19 @@ from econorder import (
     detect_condensation,
     entropy_identity_residual,
     enumerate_orders,
+    log_W,
+    log_W_gradient,
     macro_from_multipliers,
     occupancy,
+    occupancy_from_macro,
     solve_multipliers,
     solve_multipliers_bisection,
     stirling_log_multiplicity,
 )
 from econorder.checks import random_solver_instance
+from econorder.configio import load_run_config
 
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 GRID_2 = RevenueGrid((1, 2), (1, 1))
 GRID_3 = RevenueGrid((1, 2, 3), (1, 1, 1))
 
@@ -124,6 +131,25 @@ class TestSolve:
             assert abs(sol.alpha - oracle.alpha) <= 1e-8
             assert abs(sol.beta - oracle.beta) <= 1e-8
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_iteration_budget(self, regime):
+        # the two-level closed-form start; a start at b = 0 takes 5.66 (mon)
+        # and 6.51 (per) steps on average here, and up to 10
+        rng = np.random.default_rng(0)
+        iterations = []
+        for _ in range(200):
+            grid, config = random_solver_instance(rng, regime)
+            sol = solve_multipliers(grid, config)
+            assert sol.converged and not sol.pinned
+            iterations.append(sol.iterations)
+        assert np.mean(iterations) <= 5.0 and max(iterations) <= 8
+
+    def test_condensation_demo_iteration_budget(self):
+        # a start at b = 0 takes 10 steps here
+        run = load_run_config(CONFIGS / "condensation.ini")
+        sol = solve_multipliers(run.grid, run.economy)
+        assert sol.converged and sol.iterations <= 6
+
     def test_boltzmann_log_linearity(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -202,13 +228,30 @@ class TestNewtonRobustness:
         ],
     )
     def test_no_floating_point_warnings(self, grid, config):
-        # overflow inside the closed form is expected and silenced there, for
-        # the solve and every point of the identity; nothing else may warn
+        # exp and expm1 overflow far from the wall (x beyond about 710); every
+        # public entry point silences that for its own call and leaves the
+        # floating-point state as it found it; nothing else may warn
+        regime = config.regime
+        far = 800.0 if regime is Regime.PERFECT else -800.0  # x = far * e_k
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_multipliers(grid, config)
-            entropy_identity_residual(sol.alpha, sol.beta, grid, config.regime)
-            macro_from_multipliers(sol.alpha, sol.beta)
+            calls = [
+                lambda: solve_multipliers(grid, config),
+                lambda: entropy_identity_residual(sol.alpha, sol.beta, grid, regime),
+                lambda: macro_from_multipliers(sol.alpha, sol.beta),
+                lambda: occupancy(0.0, far, grid, regime),
+                lambda: log_W(0.0, far, grid, regime),
+                lambda: log_W_gradient(0.0, far, grid, regime),
+                lambda: occupancy_from_macro(MacroParams(0.0, 1.0 / far), grid, regime),
+            ]
+            for call in calls:
+                state = np.geterr()
+                call()
+                assert np.geterr() == state
+        # the far point did overflow: every occupancy is 0 (per) or inf (mon)
+        far_occ = occupancy(0.0, far, grid, regime)
+        assert np.all(far_occ == 0.0) if regime is Regime.PERFECT else np.all(np.isinf(far_occ))
 
     @pytest.mark.parametrize(
         "levels, degens, n_firms, total",
