@@ -257,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_lambda=False):
+    def add_common(p, with_lambda=False, with_seed=False):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--seed", type=int, help="override the seed")
+        if with_seed:  # only sample and check draw random numbers
+            p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--regime", choices=["mon", "per"], help="override the regime")
         if with_lambda:
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sample", help="sample outcomes uniformly")
-    add_common(p)
+    add_common(p, with_seed=True)
     p.add_argument("--log-outcomes", action="store_true", help="also log the raw stream")
     p.set_defaults(func=cmd_sample)
 
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_macro)
 
     p = sub.add_parser("check", help="run the internal verification suites")
-    add_common(p)
+    add_common(p, with_seed=True)
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
     return parser

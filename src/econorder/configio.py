@@ -12,7 +12,7 @@ from .enumeration import DEFAULT_OUTCOME_CAP
 from .errors import ConfigError
 
 _KNOWN_KEYS = {
-    "grid": {"levels", "degeneracies", "quantum"},
+    "grid": {"levels", "degeneracies"},
     "economy": {"n", "pi", "regime", "lambda", "seeds", "output_dir"},
     "thresholds": {"ground_fraction", "gap"},
     "caps": {"max_outcomes", "sample_draws"},
@@ -98,8 +98,7 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
         degens = _parse_int_list("grid", "degeneracies", gsec["degeneracies"])
     else:
         degens = tuple(1 for _ in levels)  # one industry per level by default
-    quantum = _parse_float("grid", "quantum", gsec["quantum"]) if "quantum" in gsec else 1.0
-    grid = RevenueGrid(levels, degens, quantum)
+    grid = RevenueGrid(levels, degens)
 
     if "n" not in esec:
         raise ConfigError("economy.N: key is required")

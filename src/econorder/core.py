@@ -1,8 +1,8 @@
 """Domain types: revenue grids, economy configuration, orders, and shares.
 
-Revenue levels and the total revenue are stored as non-negative integers in a
-configurable money quantum, so feasibility of an occupancy vector is exact set
-membership rather than a floating-point tolerance.
+Revenue levels and the total revenue are stored as non-negative integers, so
+feasibility of an occupancy vector is exact set membership rather than a
+floating-point tolerance.
 """
 
 from __future__ import annotations
@@ -48,13 +48,10 @@ class RevenueGrid:
 
     levels: strictly increasing non-negative integers (money quanta).
     degeneracies: number of industries paying each level, all >= 1.
-    quantum: money value of one integer unit, for display only; all
-        computations are scale-covariant in the integer units.
     """
 
     levels: tuple[int, ...]
     degeneracies: tuple[int, ...]
-    quantum: float = 1.0
 
     def __post_init__(self):
         levels = tuple(int(e) for e in self.levels)
@@ -76,8 +73,6 @@ class RevenueGrid:
             )
         if any(g < 1 for g in degens):
             raise ConfigError("grid.degeneracies: every degeneracy must be >= 1")
-        if not (self.quantum > 0):
-            raise ConfigError("grid.quantum: must be positive")
 
     @cached_property
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +99,7 @@ class RevenueGrid:
         """Same grid with all levels multiplied by a positive integer."""
         if factor < 1:
             raise ConfigError("scale factor must be a positive integer")
-        return RevenueGrid(
-            tuple(e * factor for e in self.levels), self.degeneracies, self.quantum
-        )
+        return RevenueGrid(tuple(e * factor for e in self.levels), self.degeneracies)
 
 
 @dataclass(frozen=True)

@@ -63,23 +63,22 @@ class GoodnessReport:
     passed: bool
 
 
-def load_samples(path: str | Path, fmt: str = "auto") -> SampleSet:
+def load_samples(path: str | Path) -> SampleSet:
     """Read samples from CSV: one value per row, or value,count rows.
 
-    fmt is "values", "value_count", or "auto" (decided by the first data
-    row).  Counts expand into repeated values.  Malformed rows raise with
-    their line number.
+    The first data row decides which: two cells mean value,count rows.
+    Counts expand into repeated values.  Malformed rows raise with their
+    line number.
     """
-    if fmt not in ("auto", "values", "value_count"):
-        raise ConfigError("samples format must be auto, values, or value_count")
     path = Path(path)
     values: list[float] = []
+    fmt = None
     with path.open(newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             cells = [c.strip() for c in row if c.strip() != ""]
             if not cells:
                 continue
-            if fmt == "auto":
+            if fmt is None:
                 fmt = "value_count" if len(cells) == 2 else "values"
             try:
                 value = float(cells[0])

@@ -28,6 +28,8 @@ from .counting import stirling_log_multiplicity
 from .errors import ConfigError
 from .maxent import _closed_form, occupancy
 
+_FD_STEP = 1e-6  # relative step of the identity's central differences
+
 
 @dataclass(frozen=True)
 class MacroParams:
@@ -36,7 +38,6 @@ class MacroParams:
     mu: float
     theta: float
     lam: float = 1.0
-    technology: float | None = None
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -119,11 +120,7 @@ class IdentityReport:
 
 @np.errstate(over="ignore")
 def entropy_identity_residual(
-    alpha: float,
-    beta: float,
-    grid: RevenueGrid,
-    regime: Regime,
-    fd_step: float = 1e-6,
+    alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> IdentityReport:
     """Compare the Stirling entropy of the closed-form occupancy against the
     generating-function expression, for both sign conventions.
@@ -138,16 +135,16 @@ def entropy_identity_residual(
     entropy = stirling_log_multiplicity(occ.tolist(), grid, regime)
     lw = -log_z
     grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * e))
-    ha = fd_step * max(1.0, abs(alpha))
-    hb = fd_step * max(1.0, abs(beta))
+    ha = _FD_STEP * max(1.0, abs(alpha))
+    hb = _FD_STEP * max(1.0, abs(beta))
     if regime is Regime.PERFECT:
         # both central differences must stay inside the domain x_k > 0;
         # the smallest exponent is ln(1 + g_k / a_k) at the largest a_k / g_k;
         # a level whose a_k underflowed to 0 has g_k / a_k = inf, never the min
         with np.errstate(divide="ignore"):
             x_min = math.log1p(float(np.min(g / occ)))
-        ha = min(ha, fd_step * x_min)
-        hb = min(hb, fd_step * x_min / max(1, grid.levels[-1]))
+        ha = min(ha, _FD_STEP * x_min)
+        hb = min(hb, _FD_STEP * x_min / max(1, grid.levels[-1]))
     grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
     grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
     expression = lw - alpha * grad_a - beta * grad_b

@@ -14,17 +14,24 @@ minimise the convex dual
     ln Z = -sum_k g_k ln(1 - exp(-x_k))     (I = 1, defined for every x_k > 0),
 
 whose gradient is the constraint residual and whose Hessian is positive
-definite on any grid with two or more levels.  solve_multipliers runs damped
-Newton on Phi with a backtracking Armijo line search, which converges
-globally on a strictly convex objective (Boyd & Vandenberghe, Convex
-Optimization, 2004, sec. 9.5), here started from the closed form of a
-two-level grid.  Far from the Bose-Einstein wall exp and expm1 overflow to a
-zero or infinite occupancy; public entry points silence that once per call.
+definite on any grid with two or more levels.  Both solvers work on one
+anchored problem (_anchored): x = a + b u with u = (e - e_0) / (e_far - e_0)
+in [0, 1], anchored at the end e_0 of the grid where x is smallest, so that
+b >= 0 at the solution and a is the gap at the condensing end.
+
+solve_multipliers runs damped Newton on Phi with a backtracking Armijo line
+search, which converges globally on a strictly convex objective (Boyd &
+Vandenberghe, Convex Optimization, 2004, sec. 9.5), here started from the
+closed form of a two-level grid.  Far from the Bose-Einstein wall exp and
+expm1 overflow to a zero or infinite occupancy; public entry points silence
+that once per call.
 
 solve_multipliers_bisection is an independent oracle, used only by checks
-and tests: the firm count is strictly decreasing in alpha at fixed beta, and
-the constrained mean revenue is strictly decreasing in beta, so nested
-bisection brackets both roots.
+and tests, with its own Python-scalar occupancy: the firm count is
+decreasing in a at fixed b and the constrained mean of u is decreasing in b,
+and in the anchored coordinates both roots have exact brackets, so nested
+bisection needs no bracket search beyond doubling b.  Its residuals are
+taken from the raw levels, so a fault in the shared anchoring shows there.
 
 Near perfect competition the Bose-Einstein denominator can approach zero at
 the condensing end of the grid; detect_condensation flags that crisis regime.
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +48,10 @@ from .core import EconomyConfig, Regime, RevenueGrid
 from .errors import ConfigError, InfeasibleError, SingularityError
 
 _EPS = float(np.finfo(float).eps)
+_TOL = 1e-10  # residuals relative to N and Pi
+_MAX_STEPS = 100
+_MIN_STEP = 2.0**-50
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,134 +119,18 @@ def occupancy(
     return _closed_form(alpha, beta, *grid.vectors, regime)[0]
 
 
-def _bose(g: float, x: float) -> float:
-    # g / (e^x - 1); past x = 700 expm1 overflows, and e^x - 1 == e^x in floats
-    return g / math.expm1(x) if x < 700.0 else g * math.exp(-x)
+def _anchored(grid: RevenueGrid, config: EconomyConfig):
+    """The problem both solvers solve, anchored at the condensing end.
 
-
-def _occ_scaled(indicator: int, g: Sequence[float], e: Sequence[float], alpha: float, beta: float) -> list[float]:
-    # python-scalar evaluation; used by the bisection paths where n is small
-    if indicator:
-        return [_bose(gi, alpha + beta * ei) for gi, ei in zip(g, e)]
-    return [gi * math.exp(-alpha - beta * ei) for gi, ei in zip(g, e)]
-
-
-def _alpha_for_beta(
-    indicator: int,
-    g: Sequence[float],
-    e: Sequence[float],
-    n_firms: float,
-    beta: float,
-    inner_iters: int = 110,
-) -> float:
-    """Solve sum_k a_k(alpha, beta) = N for alpha at fixed beta."""
-    if indicator == 0:
-        # closed form via a stable log-sum-exp
-        shift = max(-beta * ei for ei in e)
-        acc = sum(gi * math.exp(-beta * ei - shift) for gi, ei in zip(g, e))
-        return shift + math.log(acc) - math.log(n_firms)
-    wall = max(-beta * ei for ei in e)
-
-    def excess(offset: float) -> float:
-        alpha = wall + offset
-        return sum(_bose(gi, alpha + beta * ei) for gi, ei in zip(g, e)) - n_firms
-
-    lo = 1.0
-    while excess(lo) < 0.0:
-        lo /= 16.0
-        if lo < 1e-300:
-            break
-    hi = max(2.0 * lo, 1.0)
-    while excess(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e300:
-            break
-    for _ in range(inner_iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return wall + 0.5 * (lo + hi)
-
-
-def solve_multipliers_bisection(
-    grid: RevenueGrid,
-    config: EconomyConfig,
-    tol: float = 1e-14,
-    max_iters: int = 200,
-) -> MultiplierSolution:
-    """Nested-bisection solve: outer on beta (mean revenue is decreasing in
-    beta at fixed firm count), inner on alpha (firm count is decreasing in
-    alpha at fixed beta).  Slow but bracketing-safe; serves as the oracle
-    for the Newton path.  It works in the levels' offsets from the lowest
-    level, so that revenue above the ground state, not the whole of Pi,
-    decides each bisection step.
+    Raises on an unsolvable economy and returns the forced occupancy of a
+    boundary-degenerate one.  Otherwise returns (e_0, span, u, g, N, pi_u):
+    the anchor e_0 is the end of the grid where x = alpha + beta e is
+    smallest, the lowest level when the mean revenue lies below the
+    degeneracy-weighted grid mean, else the highest; span = e_far - e_0
+    (negative when anchored at the top), u = (e - e_0) / span in [0, 1],
+    and pi_u = (Pi - N e_0) / span is the target of sum_k a_k u_k.  In
+    x = a + b u the solution has b >= 0.
     """
-    prepared = _prepare(grid, config)
-    if isinstance(prepared, MultiplierSolution):
-        return prepared
-    indicator, g, e, n_firms, pi_scaled, scale = prepared
-
-    def mean_excess(beta: float) -> float:
-        alpha = _alpha_for_beta(indicator, g, e, n_firms, beta)
-        occ = _occ_scaled(indicator, g, e, alpha, beta)
-        return sum(a * ei for a, ei in zip(occ, e)) - pi_scaled
-
-    h0 = mean_excess(0.0)
-    iters = 1
-    if h0 > 0.0:
-        lo, hi = 0.0, 1.0
-        while mean_excess(hi) > 0.0 and hi < 1e18:
-            hi *= 2.0
-            iters += 1
-    elif h0 < 0.0:
-        lo, hi = -1.0, 0.0
-        while mean_excess(lo) < 0.0 and lo > -1e18:
-            lo *= 2.0
-            iters += 1
-    else:
-        lo = hi = 0.0
-    for _ in range(max_iters):
-        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iters += 1
-        if mean_excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta_s = 0.5 * (lo + hi)
-    alpha = _alpha_for_beta(indicator, g, e, n_firms, beta_s)
-    occ = _occ_scaled(indicator, g, e, alpha, beta_s)
-    res_n = sum(occ) - n_firms
-    e0 = grid.levels[0]
-    res_pi = (sum(a * ei for a, ei in zip(occ, e)) - pi_scaled) * scale + e0 * res_n
-    converged = abs(res_n) <= 1e-10 * n_firms and abs(res_pi) <= 1e-10 * max(
-        1.0, config.total_revenue
-    )
-    beta = beta_s / scale
-    return MultiplierSolution(
-        alpha=alpha - beta * e0,
-        beta=beta,
-        occupancy=tuple(occ),
-        residual_n=res_n,
-        residual_pi=res_pi,
-        iterations=iters,
-        converged=converged,
-        method="bisection",
-    )
-
-
-def _boundary_solution(
-    grid: RevenueGrid, config: EconomyConfig
-) -> MultiplierSolution | None:
-    """Shared feasibility handling: raises on an unsolvable economy, returns
-    the forced occupancy of a boundary-degenerate one, else None."""
     if config.total_revenue is None:
         raise ConfigError("economy.Pi: total revenue is required to solve for multipliers")
     lo_total = config.n_firms * grid.levels[0]
@@ -260,41 +154,106 @@ def _boundary_solution(
             boundary=True,
             method="degenerate",
         )
-    return None
+    e, g = grid.vectors
+    e0, e_far = grid.levels[0], grid.levels[-1]
+    weighted_sum = sum(gk * ek for gk, ek in zip(grid.degeneracies, grid.levels))
+    if config.total_revenue * grid.total_slots > config.n_firms * weighted_sum:
+        e0, e_far = e_far, e0
+    span = e_far - e0
+    pi_u = (config.total_revenue - config.n_firms * e0) / span
+    return e0, span, (e - e0) / span, g, float(config.n_firms), pi_u
 
 
-def _prepare(grid: RevenueGrid, config: EconomyConfig):
-    """Degenerate solution, or the scaled problem data for bisection
-    (indicator, g, e, N, Pi_scaled, scale): e_k = (e_k - e_0) / scale in
-    [0, 1] and Pi_scaled = (Pi - N e_0) / scale, with scale = e_max - e_0."""
-    degenerate = _boundary_solution(grid, config)
-    if degenerate is not None:
-        return degenerate
-    e0 = grid.levels[0]
-    scale = float(grid.levels[-1] - e0)
-    e = [(ei - e0) / scale for ei in grid.levels]
-    g = [float(gi) for gi in grid.degeneracies]
-    pi_scaled = (config.total_revenue - config.n_firms * e0) / scale
-    return int(config.regime), g, e, float(config.n_firms), pi_scaled, scale
+def _bisect(decreasing, lo: float, hi: float) -> float:
+    """Root of a decreasing function bracketed by [lo, hi], to within
+    2**-52 of max(1, |root|)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0**-52 * max(1.0, abs(mid)):
+            return mid
+        if decreasing(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
-_TOL = 1e-10  # residuals relative to N and Pi
-_MAX_STEPS = 100
-_MIN_STEP = 2.0**-50
-_ARMIJO = 1e-4
+def solve_multipliers_bisection(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSolution:
+    """Nested-bisection oracle for solve_multipliers, on the same anchored
+    problem (see _anchored) but with its own Python-scalar occupancy.
+
+    Outer root: the mean sum_k a_k u_k at the firm-count root a(b) is
+    decreasing in b, at least pi_u at b = 0 and below it for large b, so b
+    is bisected on [0, hi] with hi doubled from 1 until the mean falls below
+    pi_u.  Inner root: for mon, a(b) = ln(sum_k g_k e^(-b u_k) / N) in
+    closed form; for per, at b >= 0 every term g_k / (e^(a + b u_k) - 1)
+    lies between the anchor's own term and g_k / (e^a - 1), so
+    [ln(1 + g_anchor / N), ln(1 + sum g / N)] brackets a exactly.  The
+    residuals, and so converged, are taken from the raw levels with
+    math.fsum against N and Pi, so a fault in the shared anchoring cannot
+    hide from the oracle.  iterations counts the outer evaluations.
+    """
+    anchored = _anchored(grid, config)
+    if isinstance(anchored, MultiplierSolution):
+        return anchored
+    e0, span, u, g, n_firms, pi_u = anchored
+    u, g = u.tolist(), g.tolist()
+    perfect = config.regime is Regime.PERFECT
+    # the anchor's degeneracy sits at u = 0: the lowest level, or the top one
+    a_lo, a_hi = math.log1p(g[0 if span > 0 else -1] / n_firms), math.log1p(sum(g) / n_firms)
+
+    def occupancy_at(a: float, b: float) -> list[float]:
+        if perfect:
+            # past x = 700 expm1 overflows, and e^x - 1 == e^x in floats
+            return [
+                gk / math.expm1(x) if (x := a + b * uk) < 700.0 else gk * math.exp(-x)
+                for gk, uk in zip(g, u)
+            ]
+        return [gk * math.exp(-a - b * uk) for gk, uk in zip(g, u)]
+
+    def firm_root(b: float) -> float:
+        if perfect:
+            return _bisect(lambda a: sum(occupancy_at(a, b)) - n_firms, a_lo, a_hi)
+        return math.log(sum(gk * math.exp(-b * uk) for gk, uk in zip(g, u)) / n_firms)
+
+    evaluations = 0
+
+    def mean_excess(b: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return sum(ak * uk for ak, uk in zip(occupancy_at(firm_root(b), b), u)) - pi_u
+
+    hi = 1.0
+    while mean_excess(hi) > 0.0:
+        hi *= 2.0
+    b = _bisect(mean_excess, 0.0, hi)
+    a = firm_root(b)
+    occ = occupancy_at(a, b)
+    res_n = math.fsum([*occ, -n_firms])
+    res_pi = math.fsum([*(ak * ek for ak, ek in zip(occ, grid.levels)), -config.total_revenue])
+    converged = abs(res_n) <= _TOL * n_firms and abs(res_pi) <= _TOL * max(
+        1.0, config.total_revenue
+    )
+    beta = b / span
+    return MultiplierSolution(
+        alpha=a - beta * e0,
+        beta=beta,
+        occupancy=tuple(occ),
+        residual_n=res_n,
+        residual_pi=res_pi,
+        iterations=evaluations,
+        converged=converged,
+        method="bisection",
+    )
 
 
 @np.errstate(over="ignore")
 def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSolution:
     """Solve the two-constraint system for (alpha, beta).
 
-    Damped Newton on the dual Phi in shifted coordinates x = a + b u with
-    u = (e - e_0) / (e_far - e_0) in [0, 1].  The anchor e_0 is the end of
-    the grid where x is smallest: the lowest level when the mean revenue
-    lies below the degeneracy-weighted grid mean (beta > 0), else the
-    highest.  Then the Bose-Einstein domain is a > 0, a + b > 0, a is the
-    condensation gap, and close levels stay well conditioned.  Newton starts
-    from the exact solution on the grid {u = 0, u = 1} with the same sum g
+    Damped Newton on the dual Phi in the anchored coordinates x = a + b u
+    of _anchored.  There the Bose-Einstein domain is a > 0, a + b > 0, a
+    is the condensation gap, and close levels stay well conditioned.  Newton
+    starts from the exact solution on the grid {u = 0, u = 1} with the same sum g
     and sum g u and with pi_u firms at u = 1, clamped inside the domain.
     Each step backtracks until it stays inside the domain and meets the
     Armijo condition on Phi, up to a few ulps of rounding.  Once the
@@ -303,19 +262,12 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
     stopped unconverged because no step inside the domain lowered Phi.
     Overflow is silenced once for the whole solve.
     """
-    degenerate = _boundary_solution(grid, config)
-    if degenerate is not None:
-        return degenerate
-    e, g = grid.vectors
-    e0, e_far = grid.levels[0], grid.levels[-1]
-    weighted_sum = sum(gk * ek for gk, ek in zip(grid.degeneracies, grid.levels))
-    if config.total_revenue * grid.total_slots > config.n_firms * weighted_sum:
-        e0, e_far = e_far, e0
-    span = e_far - e0
-    u = (e - e0) / span
+    anchored = _anchored(grid, config)
+    if isinstance(anchored, MultiplierSolution):
+        return anchored
+    e0, span, u, g, n_firms, pi_u = anchored
     basis = np.stack((np.ones_like(u), u))  # basis @ v = (sum v, sum v u)
-    n_firms, pi = float(config.n_firms), float(config.total_revenue)
-    pi_u = (config.total_revenue - config.n_firms * e0) / span  # target of sum a_k u_k
+    pi = float(config.total_revenue)
     regime = config.regime
     perfect = regime is Regime.PERFECT
 

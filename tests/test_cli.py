@@ -457,5 +457,13 @@ class TestConfigValidation:
             main(["enumerate", "--config", str(config), "--lambda", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["enumerate", "solve", "macro"])
+    def test_seed_rejected_where_unused(self, tmp_path, command):
+        # only sample and check draw random numbers
+        config = write_config(tmp_path, TWO_LEVEL_SOLVE)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["enumerate", "--config", str(tmp_path / "nope.ini")]) == 1

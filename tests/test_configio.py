@@ -9,7 +9,6 @@ FULL = """
 [grid]
 levels = 10, 20, 30
 degeneracies = 2 1 3
-quantum = 0.5
 
 [economy]
 N = 25
@@ -39,7 +38,6 @@ def test_full_config_round_trip(tmp_path):
     run = load_run_config(write(tmp_path, FULL))
     assert run.grid.levels == (10, 20, 30)
     assert run.grid.degeneracies == (2, 1, 3)
-    assert run.grid.quantum == 0.5
     assert run.economy.n_firms == 25
     assert run.economy.total_revenue == 400
     assert run.economy.regime is Regime.PERFECT
@@ -96,6 +94,7 @@ def test_missing_regime_without_override(tmp_path):
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nmax_outcomes = 0\n", "caps.max_outcomes"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nburn_in = 50\n", "caps.burn_in"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = 1 2\n", "economy.seeds"),
+        ("[grid]\nlevels = 1 2\nquantum = 0.5\n\n[economy]\nN = 2\nregime = mon\n", "grid.quantum"),
     ],
 )
 def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):

@@ -209,7 +209,9 @@ def test_money_scale_invariance_of_validation():
 def test_package_import_does_not_load_scipy():
     # scipy is imported by the fits and the checks that use it, and
     # numpy.random by the sampler, the fits and the checks, not at start-up
-    # (numpy before 2.0 loads numpy.random itself, which is not ours to guard)
+    # (numpy before 2.0 loads numpy.random itself, which is not ours to guard);
+    # the bisection oracle, run in-process by the solve-sweep gate, loads
+    # no scipy either
     import econorder
 
     src = str(Path(econorder.__file__).resolve().parents[1])
@@ -217,7 +219,10 @@ def test_package_import_does_not_load_scipy():
     code = (
         "import sys, numpy; numpy_loads_it = 'numpy.random' in sys.modules; "
         "import econorder, econorder.cli; "
-        "print('scipy' in sys.modules, 'numpy.random' in sys.modules and not numpy_loads_it)"
+        "loaded = ('scipy' in sys.modules, 'numpy.random' in sys.modules and not numpy_loads_it); "
+        "from econorder import EconomyConfig, Regime, RevenueGrid, solve_multipliers_bisection; "
+        "solve_multipliers_bisection(RevenueGrid((1, 2, 3), (1, 2, 1)), EconomyConfig(10, 18, Regime.PERFECT)); "
+        "print(*loaded, 'scipy' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"

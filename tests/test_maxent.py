@@ -261,6 +261,10 @@ class TestNewtonRobustness:
             # 28 units above the ground state of close, high levels: the oracle
             # lost the excess revenue in the rounding of Pi
             ((184, 185), (1, 7), 18089, 18089 * 184 + 28),
+            # per condensing at the top level: the oracle used to bisect in
+            # coordinates anchored at the lowest level and missed 1e-10
+            ((71, 73, 75, 120), (3, 30, 12, 1), 425749, 51089858),
+            ((5, 6), (30, 1), 10**6, 6 * 10**6 - 1),
         ],
     )
     def test_oracle_agrees_on_hard_perfect_instances(self, levels, degens, n_firms, total):
@@ -298,9 +302,9 @@ class TestNewtonRobustness:
         config = EconomyConfig(n_firms, total, regime)
         sol = assert_newton_solves(grid, config)
         oracle = solve_multipliers_bisection(grid, config)
-        if oracle.converged:
-            gap = np.max(np.abs(np.array(sol.occupancy) - np.array(oracle.occupancy)))
-            assert gap <= 1e-8 * n_firms
+        assert oracle.converged
+        gap = np.max(np.abs(np.array(sol.occupancy) - np.array(oracle.occupancy)))
+        assert gap <= 1e-8 * n_firms
 
 
 class TestArgmaxConvergence:
