@@ -1,4 +1,4 @@
-"""The demo configs' CLI artifacts, held to fixed sha256 digests.
+"""CLI artifacts of the demo configs and test configs, held to fixed sha256 digests.
 
 A change that alters any byte of these files, or an exit code, fails here
 and must name the difference and update the digest with it.
@@ -11,7 +11,9 @@ import pytest
 
 from econorder.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+TESTS = Path(__file__).resolve().parent
+# demo configs first, then configs kept only for these pins
+CONFIG_DIRS = (TESTS.parent / "demos" / "configs", TESTS / "data")
 
 GOLDEN = {
     ("enumerate", "two_firms.ini"): {
@@ -33,19 +35,47 @@ GOLDEN = {
     ("macro", "two_level_solve.ini"): {
         "macro.json": "b60b0f31b68ba199ae58d74e82da3b7e3afe1adcaf239dab4359b00ff7212aee",
     },
+    # catalog probabilities through check_sampler, beside the counting oracle
+    ("check", "condensation.ini"): {
+        "check.json": "0f1bdf5a97c126f71d99a4c3ed74c0ef1828cdac5ee5ce5500c6eb6a53268d07",
+    },
+    # a constrained 5-level listing: a 98-bit total, no fraction reduces
+    ("enumerate", "five_levels.ini"): {
+        "orders.csv": "e323fea161ae1a27bc457ebf9aaf4a602cab0b7156896a7b5a63b5deb07957c9",
+        "spontaneous.json": "8bcec58fc29c741e0e8622bf5bde90d7edc75e27d123201595972973ba7f4f1b",
+    },
+    # the same listing counted per: 861 of 956 fractions reduce
+    ("enumerate", "five_levels.ini", "--regime", "per"): {
+        "orders.csv": "f983cd28e9cdf879687cf35f598d69a065e124f40338b5eff8ca8effa243e990",
+        "spontaneous.json": "4913d34ff4aadfa126d5102964f84af313a98b4a53d6fed2ffd92afbd048263f",
+    },
+    # exact probability floats of a total above 2**53, and of reduced fractions
+    ("sample", "five_levels.ini", "--seed", "1"): {
+        "frequencies.csv": "21b0cbc8ae073017ed0e69345de259f5bf65c524ce1c85369f28a926a1e0b5ad",
+    },
+    ("sample", "five_levels.ini", "--seed", "1", "--regime", "per"): {
+        "frequencies.csv": "cabc9881bd40361516133362eae7a7cf8a53d722167a106c7a75153f26d3a716",
+    },
 }
 
 
 def run_id(run):
-    """``command-config``, plus ``-log-outcomes`` when the run logs its outcomes."""
-    return "-".join(run[:2]) + ("-log-outcomes" if "--log-outcomes" in run else "")
+    """``command-config``, plus ``-log-outcomes`` or ``-per`` when the run asks for it."""
+    return "-".join(run[:2]) + "".join(
+        suffix for flag, suffix in (("--log-outcomes", "-log-outcomes"), ("per", "-per"))
+        if flag in run
+    )
+
+
+def config_path(name):
+    return next(d / name for d in CONFIG_DIRS if (d / name).exists())
 
 
 @pytest.mark.parametrize("run", GOLDEN, ids=run_id)
 def test_demo_artifacts_match_golden_digests(run, tmp_path):
     command, config, *extra = run
     out = tmp_path / "out"
-    code = main([command, "--config", str(CONFIGS / config), "--out", str(out), *extra])
+    code = main([command, "--config", str(config_path(config)), "--out", str(out), *extra])
     assert code == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN[run]
