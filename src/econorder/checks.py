@@ -214,7 +214,10 @@ def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
         observed = np.array(
             [float(freqs.get(e.order, Fraction(0))) * draws for e in cat.entries]
         )
-        expected = np.array([float(e.probability) * draws for e in cat.entries])
+        # e.multiplicity / total is float(e.probability), without the gcd
+        expected = np.array(
+            [e.multiplicity / cat.total_outcomes * draws for e in cat.entries]
+        )
         if len(cat.entries) > 1:
             pvalue = float(stats.chisquare(observed, expected).pvalue)
         else:

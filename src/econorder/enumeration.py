@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -64,11 +65,71 @@ class MicroOutcome:
         return _order(tuple(occ)) if mon else EconomicOrder(tuple(occ))
 
 
-@dataclass(frozen=True, slots=True)
 class CatalogEntry:
-    order: EconomicOrder
-    multiplicity: int
-    probability: Fraction
+    """One feasible order, its multiplicity ω and its exact probability.
+
+    ``CatalogEntry(order, multiplicity, probability)`` keeps the probability
+    it is given.  An entry built by ``catalog`` holds ω and the catalog total
+    T instead, and reduces ``Fraction(ω, T)`` the first time ``probability``
+    is read, then keeps it.  A reader that needs only a float can take
+    ``multiplicity / total_outcomes``: that division and ``float(probability)``
+    both round the same rational correctly, so they agree, and no gcd is paid.
+
+    Otherwise it behaves as a frozen dataclass of (order, multiplicity,
+    probability): equality, hashing, repr and pickles go by those three.
+    """
+
+    __slots__ = ("order", "multiplicity", "_total", "_probability")
+
+    def __init__(self, order: EconomicOrder, multiplicity: int, probability: Fraction):
+        self.__setstate__((order, multiplicity, probability))
+
+    @property
+    def probability(self) -> Fraction:
+        try:
+            return self._probability
+        except AttributeError:  # a catalog entry, read for the first time
+            probability = Fraction(self.multiplicity, self._total)
+            _set_probability(self, probability)
+            return probability
+
+    def _fields(self) -> tuple[EconomicOrder, int, Fraction]:
+        return self.order, self.multiplicity, self.probability
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "%s(order=%r, multiplicity=%r, probability=%r)" % (
+            self.__class__.__qualname__, *self._fields()
+        )
+
+    def __getstate__(self) -> list:
+        # the state a frozen slotted dataclass pickles, so its pickles still load
+        return list(self._fields())
+
+    def __setstate__(self, state) -> None:
+        order, multiplicity, probability = state
+        _set_order(self, order)
+        _set_multiplicity(self, multiplicity)
+        _set_probability(self, probability)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+# each slot is stored by its descriptor, past the frozen __setattr__
+_set_order, _set_multiplicity, _set_total, _set_probability = (
+    getattr(CatalogEntry, name).__set__ for name in CatalogEntry.__slots__
+)
 
 
 # Draws are placed in batches that double from _FIRST_BATCH draws up to about
@@ -265,59 +326,94 @@ def enumerate_orders(
 
     clipped to [0, left]; at level n-2 the two constraints leave the single
     value a_{n-2} = (left*e_{n-1} - need) / (e_{n-1} - e_{n-2}), kept when the
-    division is exact and 0 <= a_{n-2} <= left.  Every value tried has a
-    real completion, so on consecutive integer levels every branch ends in
-    an order and the listing costs O(1) per order for a fixed number of
-    levels; gaps between levels can still leave branches with no integer
-    completion.  Without a revenue total every value 0..left is taken.
+    division is exact.  Every value tried has a real completion, so on
+    consecutive integer levels every branch ends in an order and the listing
+    costs O(1) per order for a fixed number of levels; gaps between levels
+    can still leave branches with no integer completion.  Without a revenue
+    total every value 0..left is taken.
+
+    The last three levels take no Python call per order.  At level n-3 the
+    numerator of a_{n-2} falls by s = e_{n-1} - e_{n-3} per unit of a_{n-3},
+    so the values of a_{n-3} whose division by d = e_{n-1} - e_{n-2} is exact
+    form one arithmetic progression of step d / gcd(s, d) across the range,
+    a_{n-2} falls by s / gcd(s, d) along it and a_{n-1} (the rest) rises by
+    (s - d) / gcd(s, d).  One call per prefix zips those three progressions
+    into that prefix's orders; without a revenue total the last two levels
+    are zipped the same way (0..left and left..0).
 
     Every occupancy is a tuple of Python ints >= 0 (each range runs from
-    max(0, ...) to at most ``left``; the closed form is kept only when
-    0 <= a <= left), so the records are built without EconomicOrder's checks.
+    max(0, ...) to at most ``left``, and a_{n-3} in its range leaves a_{n-2}
+    in [0, left - a_{n-3}]; for two levels the closed form is kept only when
+    0 <= a <= left), so the records are built without EconomicOrder's checks,
+    by C-level passes over the list.
 
-    With a ``cap``, listing stops with CapExceededError at the first order
-    past it.
+    With a ``cap``, more than ``cap`` orders raise CapExceededError while
+    they are listed: the count is checked after each prefix's orders, and a
+    truncated list is never returned.
     """
     levels = grid.levels
     last = grid.n - 1
     top = levels[-1]
     total = config.total_revenue
     limit = math.inf if cap is None else cap
-    out: list[EconomicOrder] = []
+    occs: list[tuple[int, ...]] = []
 
-    def emit(occ: tuple[int, ...]) -> None:
-        out.append(_order(occ))
-        if len(out) > limit:
+    def extend(rows: Iterable[tuple[int, ...]]) -> None:
+        occs.extend(rows)
+        if len(occs) > limit:
             raise CapExceededError(None, cap, "order list")
 
     def free(k: int, left: int, prefix: tuple[int, ...]) -> None:
-        if k == last:
-            emit(prefix + (left,))
+        if k == last - 1:
+            extend(zip(*map(repeat, prefix), range(left + 1), range(left, -1, -1)))
             return
         for a in range(left + 1):
             free(k + 1, left - a, prefix + (a,))
 
+    if last >= 2:
+        s, d = top - levels[-3], top - levels[-2]
+        h = math.gcd(s, d)
+        step, a_down, rest_up = d // h, s // h, (s - d) // h
+        inverse = pow(a_down, -1, step)  # of s/h modulo d/h (0 when d/h = 1)
+
     def bounded(k: int, left: int, need: int, prefix: tuple[int, ...]) -> None:
         e, nxt = levels[k], levels[k + 1]
-        if k == last - 1:
-            a, rem = divmod(left * top - need, top - e)
-            if not rem and 0 <= a <= left:
-                emit(prefix + (a, left - a))
-            return
         lo = max(0, -((need - left * nxt) // (nxt - e)))
         hi = min(left, (left * top - need) // (top - e))
-        for a in range(lo, hi + 1):
-            bounded(k + 1, left - a, need - a * e, prefix + (a,))
+        if k < last - 2:
+            for a in range(lo, hi + 1):
+                bounded(k + 1, left - a, need - a * e, prefix + (a,))
+            return
+        # a_{n-3} = lo + j leaves the numerator x - j*s, exact iff j*s = x mod d
+        x = left * top - need - lo * s
+        if x % h:
+            return
+        j = x // h * inverse % step
+        b = (x - j * s) // d
+        extend(
+            zip(
+                *map(repeat, prefix),
+                range(lo + j, hi + 1, step),
+                count(b, -a_down),
+                count(left - lo - j - b, rest_up),
+            )
+        )
 
     n_firms = config.n_firms
-    if total is None:
+    if last == 0:
+        if total is None or n_firms * top == total:
+            extend([(n_firms,)])
+    elif total is None:
         free(0, n_firms, ())
-    elif last == 0:
-        if n_firms * top == total:
-            emit((n_firms,))
+    elif last == 1:
+        a, rem = divmod(n_firms * top - total, top - levels[0])
+        if not rem and 0 <= a <= n_firms:
+            extend([(a, n_firms - a)])
     else:
         bounded(0, n_firms, total, ())
-    return out
+    orders = list(map(object.__new__, repeat(EconomicOrder, len(occs))))
+    deque(map(EconomicOrder.occupancy.__set__, orders, occs), maxlen=0)
+    return orders
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -422,6 +518,11 @@ def catalog(
     ``cap``, more than ``cap`` orders raise CapExceededError while they are
     listed, before any multiplicity is computed.
 
+    Each entry holds its multiplicity and the total; its exact probability is
+    reduced only when ``CatalogEntry.probability`` is first read, so a caller
+    that reads ``multiplicity / total_outcomes`` (``sample``, ``check``)
+    reduces no fraction.  The entries are made and filled by C-level passes.
+
     It calls ``multiplicity`` once per listed order, not a faster running
     product along the listing, until ``bench/suite.py::counting_rows``, which
     divides by the call counts of ``multiplicity`` and ``enumerate_orders``,
@@ -430,20 +531,17 @@ def catalog(
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
-    counts = [multiplicity(order, grid, config.regime) for order in orders]
+    counts = list(map(multiplicity, orders, repeat(grid), repeat(config.regime)))
     cumulative = tuple(accumulate(counts))
     total = cumulative[-1]
-    # one pass, each slot stored by its descriptor: no frozen-__init__ setattr calls
-    set_order, set_count, set_probability = (
-        getattr(CatalogEntry, name).__set__ for name in CatalogEntry.__slots__
-    )
-    listing = []
-    for order, omega in zip(orders, counts):
-        entry = object.__new__(CatalogEntry)
-        set_order(entry, order)
-        set_count(entry, omega)
-        set_probability(entry, Fraction(omega, total))
-        listing.append(entry)
+    listing = list(map(object.__new__, repeat(CatalogEntry, len(orders))))
+    # the probability slot stays empty until it is read
+    for set_slot, values in (
+        (_set_order, orders),
+        (_set_multiplicity, counts),
+        (_set_total, repeat(total)),
+    ):
+        deque(map(set_slot, listing, values), maxlen=0)
     # stable, so equal multiplicities keep the lexicographic listing order
     entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
     return OrderCatalog(

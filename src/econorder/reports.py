@@ -41,25 +41,27 @@ def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
             ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
         )
         for entry in catalog.entries:
+            probability = entry.probability
             writer.writerow(
                 [
                     occupancy_text(entry.order),
                     entry.multiplicity,
-                    entry.probability.numerator,
-                    entry.probability.denominator,
-                    repr(float(entry.probability)),
+                    probability.numerator,
+                    probability.denominator,
+                    repr(float(probability)),
                 ]
             )
 
 
 def spontaneous_payload(catalog: OrderCatalog) -> dict:
     top = catalog.entries[0]
+    probability = top.probability
     return {
         "order": list(top.order.occupancy),
         "multiplicity": str(top.multiplicity),
-        "probability_num": str(top.probability.numerator),
-        "probability_den": str(top.probability.denominator),
-        "probability_float": float(top.probability),
+        "probability_num": str(probability.numerator),
+        "probability_den": str(probability.denominator),
+        "probability_float": float(probability),
         "tie_set": [list(o.occupancy) for o in catalog.tie_set()],
         "total_outcomes": str(catalog.total_outcomes),
         "n_orders": len(catalog.entries),
@@ -146,9 +148,10 @@ def write_frequencies_csv(
         writer.writerow(
             ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
         )
+        total = catalog.total_outcomes
         for entry in catalog.listing:
             freq = frequencies.get(entry.order, Fraction(0))
-            exact = float(entry.probability)
+            exact = entry.multiplicity / total  # float(entry.probability), no gcd
             writer.writerow(
                 [
                     occupancy_text(entry.order),

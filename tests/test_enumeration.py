@@ -14,12 +14,13 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from econorder import (
     CapExceededError,
+    CatalogEntry,
     ConfigError,
     EconomicOrder,
     EconomyConfig,
@@ -76,6 +77,33 @@ def revenue_totals(levels, n_firms):
     )
 
 
+@st.composite
+def feasible_economies(draw):
+    """Up to 4 levels with degeneracies up to 9 and a realisable or no total:
+    mon totals run far above 2**53."""
+    levels = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(sorted))
+    degens = draw(st.lists(st.integers(1, 9), min_size=len(levels), max_size=len(levels)))
+    n_firms = draw(st.integers(1, 12))
+    total = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(levels), min_size=n_firms, max_size=n_firms).map(sum),
+        )
+    )
+    regime = draw(st.sampled_from(list(Regime)))
+    return RevenueGrid(tuple(levels), tuple(degens)), EconomyConfig(n_firms, total, regime)
+
+
+# 956 orders; under mon a 98-bit total that no probability reduces by, under
+# per a 24-bit total that 861 of them reduce by
+FIVE_LEVELS = RevenueGrid((1, 2, 3, 4, 5), (1, 2, 2, 3, 3))
+FIVE_LEVEL_TOTALS = {Regime.MONOPOLISTIC: (98, 0), Regime.PERFECT: (24, 861)}
+
+
+def five_level_catalog(regime):
+    return catalog(FIVE_LEVELS, EconomyConfig(30, 90, regime))
+
+
 class TestEnumerateOrders:
     def test_revenue_constraint_keeps_only_split(self):
         config = EconomyConfig(2, 3, Regime.MONOPOLISTIC)
@@ -107,12 +135,17 @@ class TestEnumerateOrders:
         occs = [o.occupancy for o in enumerate_orders(GRID_2, config)]
         assert occs == sorted(occs)
 
-    @given(levels=LEVELS, n_firms=st.integers(1, 8), data=st.data())
+    @given(
+        levels=LEVELS,
+        n_firms=st.integers(1, 8),
+        regime=st.sampled_from(list(Regime)),
+        data=st.data(),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, levels, n_firms, data):
+    def test_matches_brute_force(self, levels, n_firms, regime, data):
         total = data.draw(revenue_totals(levels, n_firms))
         grid = RevenueGrid(tuple(levels), ())
-        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        config = EconomyConfig(n_firms, total, regime)
         expected = []
         for head in itertools.product(range(n_firms + 1), repeat=len(levels) - 1):
             occ = head + (n_firms - sum(head),)
@@ -120,11 +153,14 @@ class TestEnumerateOrders:
                 expected.append(occ)
         expected.sort()
         assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
-        capped = enumerate_orders(grid, config, cap=len(expected))
-        assert [o.occupancy for o in capped] == expected
-        if expected:
-            with pytest.raises(CapExceededError):
-                enumerate_orders(grid, config, cap=len(expected) - 1)
+        # every cap, including those that fall inside one prefix's run of orders
+        for cap in range(len(expected) + 2):
+            if cap < len(expected):
+                with pytest.raises(CapExceededError):
+                    enumerate_orders(grid, config, cap=cap)
+            else:
+                capped = enumerate_orders(grid, config, cap=cap)
+                assert [o.occupancy for o in capped] == expected
 
 
 class TestEnumerateOutcomes:
@@ -270,6 +306,75 @@ class TestCatalog:
             assert [(e.order, e.probability) for e in scaled.entries] == [
                 (e.order, e.probability) for e in base.entries
             ]
+
+
+class TestCatalogEntry:
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_probability_is_reduced_on_first_read_and_kept(self, regime):
+        cat = five_level_catalog(regime)
+        total = cat.total_outcomes
+        reduced = 0
+        for entry in cat.listing:
+            probability = entry.probability
+            assert probability == Fraction(entry.multiplicity, total)
+            assert math.gcd(probability.numerator, probability.denominator) == 1
+            assert entry.probability is probability
+            reduced += probability.denominator != total
+        assert (total.bit_length(), reduced) == FIVE_LEVEL_TOTALS[regime]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize(
+        "view", [lambda e: e, hash, repr, pickle.dumps], ids=["eq", "hash", "repr", "pickle"]
+    )
+    def test_catalog_entries_match_constructed_ones(self, regime, view):
+        # a fresh catalog, so each view is the first read of every entry
+        cat = five_level_catalog(regime)
+        for entry in cat.listing:
+            built = CatalogEntry(
+                entry.order, entry.multiplicity, Fraction(entry.multiplicity, cat.total_outcomes)
+            )
+            assert view(entry) == view(built)
+
+    def test_unpickled_entry_equals_its_source(self):
+        entry = five_level_catalog(Regime.PERFECT).entries[0]
+        assert pickle.loads(pickle.dumps(entry)) == entry
+
+    def test_constructor_keeps_the_probability_it_is_given(self):
+        given_probability = Fraction(2, 3)
+        entry = CatalogEntry(EconomicOrder((1, 1)), 2, given_probability)
+        assert entry.probability is given_probability
+        assert entry != CatalogEntry(EconomicOrder((1, 1)), 2, Fraction(1, 3))
+
+    def test_entries_are_frozen(self):
+        entry = five_level_catalog(Regime.PERFECT).entries[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.multiplicity = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del entry.order
+
+    @given(economy=feasible_economies())
+    @example(economy=(FIVE_LEVELS, EconomyConfig(30, 90, Regime.MONOPOLISTIC)))
+    @settings(max_examples=100, deadline=None)
+    def test_float_probability_is_multiplicity_over_total(self, economy):
+        # what frequencies.csv and check_sampler read instead of the Fraction
+        cat = catalog(*economy)
+        for entry in cat.listing:
+            assert entry.multiplicity / cat.total_outcomes == float(entry.probability)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_catalog_counts_each_listed_order_once(self, monkeypatch, regime):
+        # bench/suite.py::counting_rows divides by the traced number of
+        # counting.multiplicity calls, so a catalog that carries the count
+        # down the listing (no such calls) waits until that division is guarded
+        calls = []
+
+        def counted(order, grid, regime):
+            calls.append(order)
+            return multiplicity(order, grid, regime)
+
+        monkeypatch.setattr(enumeration, "multiplicity", counted)
+        cat = five_level_catalog(regime)
+        assert calls == [entry.order for entry in cat.listing]
 
 
 class TestSpontaneousOrder:
