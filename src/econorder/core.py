@@ -8,8 +8,10 @@ floating-point tolerance.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -152,6 +154,13 @@ def _order(occupancy: tuple[int, ...]) -> EconomicOrder:
     order = object.__new__(EconomicOrder)
     object.__setattr__(order, "occupancy", occupancy)
     return order
+
+
+def _orders(occupancies: list[tuple[int, ...]]) -> list[EconomicOrder]:
+    """``_order`` over a list, in two C-level passes and no call per order."""
+    orders = list(map(object.__new__, repeat(EconomicOrder, len(occupancies))))
+    deque(map(EconomicOrder.occupancy.__set__, orders, occupancies), maxlen=0)
+    return orders
 
 
 def as_occupancy(order: "EconomicOrder | Sequence[int]") -> tuple[int, ...]:

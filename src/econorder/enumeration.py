@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import attrgetter
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order
+from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order, _orders
 from .counting import multiplicity
 from .errors import CapExceededError, ConfigError, InfeasibleError
 
@@ -65,71 +64,40 @@ class MicroOutcome:
         return _order(tuple(occ)) if mon else EconomicOrder(tuple(occ))
 
 
+@dataclass(frozen=True)
 class CatalogEntry:
-    """One feasible order, its multiplicity ω and its exact probability.
+    """One feasible order, its multiplicity ω and its exact probability ω / T.
 
     ``CatalogEntry(order, multiplicity, probability)`` keeps the probability
-    it is given.  An entry built by ``catalog`` holds ω and the catalog total
-    T instead, and reduces ``Fraction(ω, T)`` the first time ``probability``
-    is read, then keeps it.  A reader that needs only a float can take
-    ``multiplicity / total_outcomes``: that division and ``float(probability)``
-    both round the same rational correctly, so they agree, and no gcd is paid.
-
-    Otherwise it behaves as a frozen dataclass of (order, multiplicity,
-    probability): equality, hashing, repr and pickles go by those three.
+    it is given.  An entry built by ``catalog`` leaves that slot empty and
+    holds the catalog total T: the first read of ``probability`` reduces
+    ``Fraction(ω, T)`` into the slot, so a caller that reads only
+    ``multiplicity / total_outcomes`` pays no gcd.  Equality, hashing, repr,
+    ``dataclasses`` helpers and pickles read the field, and so the same
+    three values, either way.
     """
 
-    __slots__ = ("order", "multiplicity", "_total", "_probability")
+    __slots__ = ("order", "multiplicity", "probability", "_total")
 
-    def __init__(self, order: EconomicOrder, multiplicity: int, probability: Fraction):
-        self.__setstate__((order, multiplicity, probability))
+    order: EconomicOrder
+    multiplicity: int
+    probability: Fraction
 
-    @property
-    def probability(self) -> Fraction:
-        try:
-            return self._probability
-        except AttributeError:  # a catalog entry, read for the first time
-            probability = Fraction(self.multiplicity, self._total)
-            _set_probability(self, probability)
-            return probability
+    def __getattr__(self, name: str) -> Fraction:
+        # reached only when a slot is empty: a catalog entry's unread probability
+        if name != "probability":
+            raise AttributeError(name)
+        probability = Fraction(self.multiplicity, self._total)
+        object.__setattr__(self, "probability", probability)
+        return probability
 
-    def _fields(self) -> tuple[EconomicOrder, int, Fraction]:
-        return self.order, self.multiplicity, self.probability
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "%s(order=%r, multiplicity=%r, probability=%r)" % (
-            self.__class__.__qualname__, *self._fields()
-        )
-
+    # the state of a slots=True dataclass: its field values, never the total
     def __getstate__(self) -> list:
-        # the state a frozen slotted dataclass pickles, so its pickles still load
-        return list(self._fields())
+        return [self.order, self.multiplicity, self.probability]
 
-    def __setstate__(self, state) -> None:
-        order, multiplicity, probability = state
-        _set_order(self, order)
-        _set_multiplicity(self, multiplicity)
-        _set_probability(self, probability)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-
-# each slot is stored by its descriptor, past the frozen __setattr__
-_set_order, _set_multiplicity, _set_total, _set_probability = (
-    getattr(CatalogEntry, name).__set__ for name in CatalogEntry.__slots__
-)
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(("order", "multiplicity", "probability"), state):
+            object.__setattr__(self, name, value)
 
 
 # Draws are placed in batches that double from _FIRST_BATCH draws up to about
@@ -344,8 +312,8 @@ def enumerate_orders(
     Every occupancy is a tuple of Python ints >= 0 (each range runs from
     max(0, ...) to at most ``left``, and a_{n-3} in its range leaves a_{n-2}
     in [0, left - a_{n-3}]; for two levels the closed form is kept only when
-    0 <= a <= left), so the records are built without EconomicOrder's checks,
-    by C-level passes over the list.
+    0 <= a <= left), so ``core._orders`` builds the records without
+    EconomicOrder's checks.
 
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
     they are listed: the count is checked after each prefix's orders, and a
@@ -411,9 +379,7 @@ def enumerate_orders(
             extend([(a, n_firms - a)])
     else:
         bounded(0, n_firms, total, ())
-    orders = list(map(object.__new__, repeat(EconomicOrder, len(occs))))
-    deque(map(EconomicOrder.occupancy.__set__, orders, occs), maxlen=0)
-    return orders
+    return _orders(occs)
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -516,12 +482,11 @@ def catalog(
 
     The one table of feasible orders and their multiplicities.  With a
     ``cap``, more than ``cap`` orders raise CapExceededError while they are
-    listed, before any multiplicity is computed.
-
-    Each entry holds its multiplicity and the total; its exact probability is
-    reduced only when ``CatalogEntry.probability`` is first read, so a caller
-    that reads ``multiplicity / total_outcomes`` (``sample``, ``check``)
-    reduces no fraction.  The entries are made and filled by C-level passes.
+    listed, before any multiplicity is computed.  An entry's exact
+    probability is reduced on its first read (``CatalogEntry``):
+    ``orders.csv`` reads every one and ``spontaneous.json`` the top one, while
+    ``most_probable``, ``tie_set``, the sampler, ``frequencies.csv`` and
+    ``check_sampler`` read none.
 
     It calls ``multiplicity`` once per listed order, not a faster running
     product along the listing, until ``bench/suite.py::counting_rows``, which
@@ -534,14 +499,18 @@ def catalog(
     counts = list(map(multiplicity, orders, repeat(grid), repeat(config.regime)))
     cumulative = tuple(accumulate(counts))
     total = cumulative[-1]
-    listing = list(map(object.__new__, repeat(CatalogEntry, len(orders))))
-    # the probability slot stays empty until it is read
-    for set_slot, values in (
-        (_set_order, orders),
-        (_set_multiplicity, counts),
-        (_set_total, repeat(total)),
-    ):
-        deque(map(set_slot, listing, values), maxlen=0)
+    # one pass, each slot stored by its descriptor: no frozen-__init__ setattr
+    # calls, and the probability slot stays empty until it is read
+    set_order, set_count, set_total = (
+        getattr(CatalogEntry, name).__set__ for name in ("order", "multiplicity", "_total")
+    )
+    listing = []
+    for order, omega in zip(orders, counts):
+        entry = object.__new__(CatalogEntry)
+        set_order(entry, order)
+        set_count(entry, omega)
+        set_total(entry, total)
+        listing.append(entry)
     # stable, so equal multiplicities keep the lexicographic listing order
     entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
     return OrderCatalog(

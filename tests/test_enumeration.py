@@ -153,8 +153,10 @@ class TestEnumerateOrders:
                 expected.append(occ)
         expected.sort()
         assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
-        # every cap, including those that fall inside one prefix's run of orders
-        for cap in range(len(expected) + 2):
+        # the listing checks its cap once per run of orders that share all
+        # but the last three levels, so a drawn cap also lands inside a run
+        inside = data.draw(st.integers(0, len(expected) + 1))
+        for cap in {0, len(expected) - 1, len(expected), len(expected) + 1, inside} - {-1}:
             if cap < len(expected):
                 with pytest.raises(CapExceededError):
                     enumerate_orders(grid, config, cap=cap)
@@ -324,7 +326,9 @@ class TestCatalogEntry:
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize(
-        "view", [lambda e: e, hash, repr, pickle.dumps], ids=["eq", "hash", "repr", "pickle"]
+        "view",
+        [lambda e: e, hash, repr, pickle.dumps, dataclasses.asdict, dataclasses.astuple],
+        ids=["eq", "hash", "repr", "pickle", "asdict", "astuple"],
     )
     def test_catalog_entries_match_constructed_ones(self, regime, view):
         # a fresh catalog, so each view is the first read of every entry
@@ -335,22 +339,22 @@ class TestCatalogEntry:
             )
             assert view(entry) == view(built)
 
-    def test_unpickled_entry_equals_its_source(self):
+    def test_entries_stay_frozen_dataclasses(self):
         entry = five_level_catalog(Regime.PERFECT).entries[0]
+        assert [f.name for f in dataclasses.fields(entry)] == ["order", "multiplicity", "probability"]
+        assert dataclasses.replace(entry) == entry
         assert pickle.loads(pickle.dumps(entry)) == entry
+        for name in ("multiplicity", "probability"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(entry, name)
 
     def test_constructor_keeps_the_probability_it_is_given(self):
         given_probability = Fraction(2, 3)
         entry = CatalogEntry(EconomicOrder((1, 1)), 2, given_probability)
         assert entry.probability is given_probability
         assert entry != CatalogEntry(EconomicOrder((1, 1)), 2, Fraction(1, 3))
-
-    def test_entries_are_frozen(self):
-        entry = five_level_catalog(Regime.PERFECT).entries[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            entry.multiplicity = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del entry.order
 
     @given(economy=feasible_economies())
     @example(economy=(FIVE_LEVELS, EconomyConfig(30, 90, Regime.MONOPOLISTIC)))
