@@ -28,6 +28,12 @@ from .macro import (
 )
 from .maxent import solve_multipliers, solve_multipliers_bisection
 
+COUNTING_INSTANCES = 40
+SCAN_CAP = 60_000  # outcome spaces above this are redrawn, not scanned
+SOLVER_INSTANCES = 20  # per regime
+ARGMAX_SIZES = (10, 20, 40)  # firm counts, at a fixed mean revenue of 9/5
+SAMPLER_DRAWS = 20_000
+
 
 @dataclass
 class CheckResult:
@@ -106,16 +112,16 @@ def check_two_firm_example(inject_fault: str | None = None) -> CheckResult:
     return CheckResult("two_firm_example_exactness", passed, detail)
 
 
-def check_counting_oracle(seed: int, instances: int = 40, scan_cap: int = 60_000) -> CheckResult:
+def check_counting_oracle(seed: int) -> CheckResult:
     """Closed-form multiplicity equals exhaustive micro-outcome group sizes."""
     rng = np.random.default_rng(seed)
     checked = 0
-    while checked < instances:
+    while checked < COUNTING_INSTANCES:
         grid, config = random_counting_instance(rng)  # always feasible: catalog never raises
         cat = catalog(grid, config)
-        if cat.total_outcomes > scan_cap:
+        if cat.total_outcomes > SCAN_CAP:
             continue  # keep the exhaustive scan desk-sized; the draw stays random
-        groups = enumerate_outcomes(grid, config, cap=scan_cap)
+        groups = enumerate_outcomes(grid, config, cap=SCAN_CAP)
         expected = {e.order: e.multiplicity for e in cat.listing}
         sizes = {order: len(members) for order, members in groups.items()}
         if sizes != expected:
@@ -135,13 +141,13 @@ def check_counting_oracle(seed: int, instances: int = 40, scan_cap: int = 60_000
     return CheckResult("counting_oracle", True, {"instances": checked})
 
 
-def check_solver(seed: int, per_regime: int = 20) -> CheckResult:
+def check_solver(seed: int) -> CheckResult:
     """Newton residuals, agreement with the bisection oracle, and exact
     log-linearity of the Boltzmann occupancy."""
     rng = np.random.default_rng(seed)
     worst = {"residual": 0.0, "oracle_gap": 0.0, "loglinearity": 0.0}
     for regime in (Regime.MONOPOLISTIC, Regime.PERFECT):
-        for _ in range(per_regime):
+        for _ in range(SOLVER_INSTANCES):
             grid, config = random_solver_instance(rng, regime)
             sol = solve_multipliers(grid, config)
             if not sol.converged or sol.alpha is None:
@@ -174,7 +180,7 @@ def check_solver(seed: int, per_regime: int = 20) -> CheckResult:
     return CheckResult("solver_suite", passed, worst)
 
 
-def check_argmax_convergence(max_n: int = 40) -> CheckResult:
+def check_argmax_convergence() -> CheckResult:
     """Normalized distance between the exact most probable order and the
     continuous occupancy shrinks as the economy grows at fixed mean."""
     grid = RevenueGrid((1, 2, 3), (2, 2, 2))
@@ -182,8 +188,7 @@ def check_argmax_convergence(max_n: int = 40) -> CheckResult:
     passed = True
     for regime in (Regime.MONOPOLISTIC, Regime.PERFECT):
         distances = []
-        n_values = [n for n in (10, 20, 40, 80) if n <= max_n]
-        for n_firms in n_values:
+        for n_firms in ARGMAX_SIZES:
             config = EconomyConfig(n_firms, 9 * n_firms // 5, regime)
             cat = catalog(grid, config)
             exact = np.array(cat.most_probable().occupancy, float) / n_firms
@@ -197,7 +202,7 @@ def check_argmax_convergence(max_n: int = 40) -> CheckResult:
     return CheckResult("argmax_convergence", passed, detail)
 
 
-def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
+def check_sampler(seed: int) -> CheckResult:
     """Uniform sampling reproduces the exact catalog probabilities, and on
     grids whose every level has several slots, every micro-outcome that
     ``enumerate_outcomes`` lists is drawn equally often."""
@@ -210,13 +215,13 @@ def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
     passed = True
     for idx, (grid, config) in enumerate(cases):
         cat = catalog(grid, config)
-        freqs = empirical_frequencies(islice(cat.sample(seed + idx), draws), grid)
+        freqs = empirical_frequencies(islice(cat.sample(seed + idx), SAMPLER_DRAWS), grid)
         observed = np.array(
-            [float(freqs.get(e.order, Fraction(0))) * draws for e in cat.entries]
+            [float(freqs.get(e.order, Fraction(0))) * SAMPLER_DRAWS for e in cat.entries]
         )
         # e.multiplicity / total is float(e.probability), without the gcd
         expected = np.array(
-            [e.multiplicity / cat.total_outcomes * draws for e in cat.entries]
+            [e.multiplicity / cat.total_outcomes * SAMPLER_DRAWS for e in cat.entries]
         )
         if len(cat.entries) > 1:
             pvalue = float(stats.chisquare(observed, expected).pvalue)
@@ -231,7 +236,7 @@ def check_sampler(seed: int, draws: int = 20000) -> CheckResult:
     ]
     for idx, (grid, config) in enumerate(micro_cases, start=len(cases)):
         outcomes = [o for group in enumerate_outcomes(grid, config).values() for o in group]
-        drawn = Counter(islice(catalog(grid, config).sample(seed + idx), draws))
+        drawn = Counter(islice(catalog(grid, config).sample(seed + idx), SAMPLER_DRAWS))
         pvalue = float(stats.chisquare([drawn[o] for o in outcomes]).pvalue)
         detail[f"micro_{config.regime.short_name}_pvalue"] = round(pvalue, 6)
         if pvalue < 0.01 or not drawn.keys() <= set(outcomes):
@@ -299,7 +304,7 @@ def run_checks(run_config: RunConfig, inject_fault: str | None = None) -> list[C
         lambda: check_two_firm_example(inject_fault),
         lambda: check_counting_oracle(seed),
         lambda: check_solver(seed + 1),
-        lambda: check_argmax_convergence(),
+        check_argmax_convergence,
         lambda: check_sampler(seed + 2),
         lambda: check_macro_identities(seed + 3),
     ):

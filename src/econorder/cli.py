@@ -23,7 +23,7 @@ from .counting import stirling_log_multiplicity
 from .enumeration import catalog, empirical_frequencies
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 from .fitting import (
-    _truncate_tail,
+    binned_fit_rows,
     fit_boltzmann,
     fit_bose_einstein,
     goodness_of_fit,
@@ -133,12 +133,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.bins < 1:
+        raise ConfigError("--bins must be at least 1")
     out = _out_dir(args)
     samples = load_samples(args.data)
     payload: dict = {"n_samples": len(samples), "source": samples.source}
     exit_code = EXIT_OK
     boltzmann = fit_boltzmann(samples, tail_quantile=args.tail_quantile)
-    gof_b = goodness_of_fit(samples, boltzmann)
+    gof_b = goodness_of_fit(boltzmann)
     payload["boltzmann"] = {
         "parameters": boltzmann.parameters,
         "ks_statistic": boltzmann.ks_statistic,
@@ -149,10 +151,10 @@ def cmd_fit(args) -> int:
     }
     try:
         bose = fit_bose_einstein(samples, bins=args.bins, tail_quantile=args.tail_quantile)
-        gof_be = goodness_of_fit(samples, bose) if bose.converged else None
+        gof_be = goodness_of_fit(bose) if bose.converged else None
         payload["bose_einstein"] = {
             "parameters": bose.parameters,
-            "ks_statistic": None if bose.ks_statistic != bose.ks_statistic else bose.ks_statistic,
+            "ks_statistic": None if gof_be is None else bose.ks_statistic,
             "converged": bose.converged,
             "n_used": bose.n_used,
             "gof_passed": None if gof_be is None else gof_be.passed,
@@ -163,7 +165,8 @@ def cmd_fit(args) -> int:
     except ConfigError as exc:
         payload["bose_einstein"] = {"skipped": str(exc)}
         bose = None
-    _write_binned(out, samples, args, boltzmann, bose)
+    rows = binned_fit_rows(samples, boltzmann, bose, args.bins)
+    reports.write_binned_fit_csv(out / "binned.csv", rows)
     reports.dump_json(out / "fit.json", payload)
     print(
         "fit: boltzmann ks=%.4g%s -> %s"
@@ -174,36 +177,6 @@ def cmd_fit(args) -> int:
         )
     )
     return exit_code
-
-
-def _write_binned(out: Path, samples, args, boltzmann, bose) -> None:
-    import numpy as np
-
-    kept = _truncate_tail(np.asarray(samples.values, dtype=float), args.tail_quantile)
-    counts, edges = np.histogram(kept, bins=args.bins, range=(kept.min(), kept.max()))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    width = edges[1] - edges[0]
-    mu_b, t_b = boltzmann.parameters["mu"], boltzmann.parameters["t_eff"]
-    fitted_b = len(kept) * width / t_b * np.exp(-(np.maximum(centers - mu_b, 0.0)) / t_b)
-    if bose is not None:
-        mu_e, s_e, c_e = (
-            bose.parameters["mu"],
-            bose.parameters["lambda_theta"],
-            bose.parameters["scale"],
-        )
-        fitted_e = c_e / np.expm1((centers - mu_e) / s_e)
-    else:
-        fitted_e = np.full_like(centers, float("nan"))
-    rows = [
-        {
-            "bin_center": float(c),
-            "observed_count": int(o),
-            "fitted_boltzmann": float(fb),
-            "fitted_bose_einstein": float(fe),
-        }
-        for c, o, fb, fe in zip(centers, counts, fitted_b, fitted_e)
-    ]
-    reports.write_binned_fit_csv(out / "binned.csv", rows)
 
 
 def cmd_macro(args) -> int:

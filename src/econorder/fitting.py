@@ -7,7 +7,8 @@ closed-form maximum likelihood on the truncated body; the Bose-Einstein fit
 is least squares of histogram counts against the occupancy curve evaluated
 at bin centers, with the location constrained below the first populated bin.
 Both report a one-sample Kolmogorov-Smirnov statistic against the implied
-continuous distribution on the observed support.
+continuous distribution on the observed support; ``goodness_of_fit`` reads
+that statistic back instead of testing the samples again.
 
 Real income data carries a Pareto tail outside these laws, so fits truncate
 a configurable top quantile (default 3 percent) before estimating.
@@ -25,18 +26,24 @@ import numpy as np
 from .errors import ConfigError, EconOrderError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Non-negative revenue/income observations with a provenance note."""
+    """Non-negative revenue/income observations with a provenance note;
+    ``values`` is a read-only 1-D float64 copy of what the set is built from."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        values = np.array(self.values, dtype=np.float64)
+        if values.size == 0:
             raise ConfigError("samples: no samples")
-        if any(v < 0 for v in self.values):
+        if values.ndim != 1:
+            raise ConfigError("samples: expected a one-dimensional sequence")
+        if (values < 0).any():
             raise ConfigError("samples: negative value rejected")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -71,46 +78,37 @@ def load_samples(path: str | Path) -> SampleSet:
     line number.
     """
     path = Path(path)
+    name = path.name
     values: list[float] = []
-    fmt = None
+    width = 0  # cells per row, set by the first data row
     with path.open(newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
+            cells = [c for c in map(str.strip, row) if c]
             if not cells:
                 continue
-            if fmt is None:
-                fmt = "value_count" if len(cells) == 2 else "values"
+            width = width or (2 if len(cells) == 2 else 1)
             try:
                 value = float(cells[0])
             except ValueError:
-                raise ConfigError(
-                    f"{path.name}:{lineno}: cannot parse value {cells[0]!r}"
-                ) from None
+                raise ConfigError(f"{name}:{lineno}: cannot parse value {cells[0]!r}") from None
             if value < 0:
-                raise ConfigError(f"{path.name}:{lineno}: negative value rejected")
-            if fmt == "values":
-                if len(cells) != 1:
-                    raise ConfigError(
-                        f"{path.name}:{lineno}: expected one column, got {len(cells)}"
-                    )
+                raise ConfigError(f"{name}:{lineno}: negative value rejected")
+            if len(cells) != width:
+                expected = f"one column, got {len(cells)}" if width == 1 else "value,count columns"
+                raise ConfigError(f"{name}:{lineno}: expected {expected}")
+            if width == 1:
                 values.append(value)
-            else:
-                if len(cells) != 2:
-                    raise ConfigError(
-                        f"{path.name}:{lineno}: expected value,count columns"
-                    )
-                try:
-                    count = int(cells[1])
-                except ValueError:
-                    raise ConfigError(
-                        f"{path.name}:{lineno}: cannot parse count {cells[1]!r}"
-                    ) from None
-                if count < 1:
-                    raise ConfigError(f"{path.name}:{lineno}: count must be >= 1")
-                values.extend([value] * count)
+                continue
+            try:
+                count = int(cells[1])
+            except ValueError:
+                raise ConfigError(f"{name}:{lineno}: cannot parse count {cells[1]!r}") from None
+            if count < 1:
+                raise ConfigError(f"{name}:{lineno}: count must be >= 1")
+            values.extend([value] * count)
     if not values:
-        raise ConfigError(f"{path.name}: no samples")
-    return SampleSet(tuple(values), source=str(path))
+        raise ConfigError(f"{name}: no samples")
+    return SampleSet(values, source=str(path))
 
 
 def _truncate_tail(values: np.ndarray, tail_quantile: float) -> np.ndarray:
@@ -121,6 +119,13 @@ def _truncate_tail(values: np.ndarray, tail_quantile: float) -> np.ndarray:
     return ordered[: len(ordered) - drop] if drop else ordered
 
 
+def _histogram(kept: np.ndarray, bins: int):
+    """Counts of ``bins`` equal cells spanning the retained body, their
+    centers, and the cell width."""
+    counts, edges = np.histogram(kept, bins=bins, range=(kept.min(), kept.max()))
+    return counts, 0.5 * (edges[:-1] + edges[1:]), edges[1] - edges[0]
+
+
 def fit_boltzmann(samples: SampleSet, tail_quantile: float = 0.03) -> FitResult:
     """Maximum-likelihood exponential fit on the retained body.
 
@@ -128,15 +133,16 @@ def fit_boltzmann(samples: SampleSet, tail_quantile: float = 0.03) -> FitResult:
     excess over it.  Degenerate samples (zero variance) have no temperature.
     """
     from scipy import stats  # scipy loads only when a fit runs
-    values = np.asarray(samples.values, dtype=float)
-    kept = _truncate_tail(values, tail_quantile)
+    kept = _truncate_tail(samples.values, tail_quantile)
     if len(kept) < 10:
         raise ConfigError("boltzmann fit requires at least 10 samples after truncation")
     mu = float(kept.min())
     t_eff = float(np.mean(kept - mu))
     if t_eff <= 0.0:
         raise EconOrderError("zero temperature: all retained samples are equal")
-    ks = float(stats.kstest(kept, stats.expon(loc=mu, scale=t_eff).cdf).statistic)
+    # the statistic only: "asymp" skips the exact p-value, not the distance
+    cdf = stats.expon(loc=mu, scale=t_eff).cdf
+    ks = float(stats.kstest(kept, cdf, method="asymp").statistic)
     n_used = int(len(kept))
     loglik = -n_used * (math.log(t_eff) + 1.0)
     return FitResult(
@@ -145,29 +151,36 @@ def fit_boltzmann(samples: SampleSet, tail_quantile: float = 0.03) -> FitResult:
         ks_statistic=ks,
         log_likelihood=loglik,
         n_used=n_used,
-        tail_truncated_fraction=1.0 - n_used / len(values),
+        tail_truncated_fraction=1.0 - n_used / len(samples),
         support=(mu, math.inf),
     )
+
+
+def _bose_einstein_curve(x, mu: float, scale: float, c: float):
+    """The occupancy law c / (exp((x - mu) / s) - 1)."""
+    return c / np.expm1((x - mu) / scale)
+
+
+def _bose_einstein_antiderivative(x, mu: float, scale: float):
+    """-s ln(1 - exp(-(x - mu) / s)): a decreasing antiderivative of the
+    occupancy law with c = 1, on x > mu."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -scale * np.log1p(-np.exp(-(x - mu) / scale))
 
 
 def _bose_einstein_cdf(mu: float, scale: float, lo: float, hi: float):
     """CDF of the normalised density 1/(exp((x-mu)/s)-1) on [lo, hi].
 
-    The antiderivative -s*ln(1 - exp(-(x-mu)/s)) is decreasing, which gives
-    a closed-form CDF.  The density diverges (integrably) at mu, so the
-    support floor is nudged strictly above mu.
+    The density diverges (integrably) at mu, so the support floor is nudged
+    strictly above mu.
     """
     lo = max(lo, mu + 1e-9 * max(hi - mu, 1.0))
-
-    def antideriv(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -scale * np.log1p(-np.exp(-(x - mu) / scale))
-
-    top, bottom = antideriv(lo), antideriv(hi)
+    top = _bose_einstein_antiderivative(lo, mu, scale)
+    bottom = _bose_einstein_antiderivative(hi, mu, scale)
 
     def cdf(x):
         x = np.clip(x, lo, hi)
-        return (top - antideriv(x)) / (top - bottom)
+        return (top - _bose_einstein_antiderivative(x, mu, scale)) / (top - bottom)
 
     return cdf
 
@@ -183,14 +196,12 @@ def fit_bose_einstein(
     as non-convergence, never as a fabricated fit.
     """
     from scipy import optimize, stats
-    values = np.asarray(samples.values, dtype=float)
-    if len(values) < 100:
+    if len(samples) < 100:
         raise ConfigError("bose-einstein fit requires at least 100 samples")
     if bins < 5:
         raise ConfigError("bose-einstein fit requires at least 5 bins")
-    kept = _truncate_tail(values, tail_quantile)
-    counts, edges = np.histogram(kept, bins=bins, range=(kept.min(), kept.max()))
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    kept = _truncate_tail(samples.values, tail_quantile)
+    counts, centers, width = _histogram(kept, bins)
     populated = counts > 0
     c_obs = counts[populated].astype(float)
     x_obs = centers[populated]
@@ -198,10 +209,10 @@ def fit_bose_einstein(
 
     def residuals(theta):
         mu, log_s, log_c = theta
-        return np.exp(log_c) / np.expm1((x_obs - mu) / np.exp(log_s)) - c_obs
+        return _bose_einstein_curve(x_obs, mu, np.exp(log_s), np.exp(log_c)) - c_obs
 
     start = np.array(
-        [float(x_obs.min()) - 0.5 * (edges[1] - edges[0]) - 1e-6,
+        [float(x_obs.min()) - 0.5 * width - 1e-6,
          math.log(float(kept.std()) + 1.0),
          math.log(float(c_obs.max()))]
     )
@@ -218,7 +229,7 @@ def fit_bose_einstein(
     hi = float(kept.max())
     if converged and hi > max(lo, mu_hat):
         cdf = _bose_einstein_cdf(mu_hat, s_hat, lo, hi)
-        ks = float(stats.kstest(kept, cdf).statistic)
+        ks = float(stats.kstest(kept, cdf, method="asymp").statistic)
     else:
         ks = math.nan
         converged = False
@@ -228,22 +239,10 @@ def fit_bose_einstein(
         ks_statistic=ks,
         log_likelihood=None,
         n_used=int(len(kept)),
-        tail_truncated_fraction=1.0 - len(kept) / len(values),
+        tail_truncated_fraction=1.0 - len(kept) / len(samples),
         support=(lo, hi),
         converged=converged,
     )
-
-
-def fitted_cdf(fit: FitResult):
-    """The continuous CDF implied by a fit, on its recorded support."""
-    from scipy import stats
-    if fit.model == "boltzmann":
-        return stats.expon(loc=fit.parameters["mu"], scale=fit.parameters["t_eff"]).cdf
-    if fit.model == "bose_einstein":
-        return _bose_einstein_cdf(
-            fit.parameters["mu"], fit.parameters["lambda_theta"], *fit.support
-        )
-    raise ConfigError(f"unknown fit model {fit.model!r}")
 
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
@@ -256,26 +255,47 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
 
 
-def goodness_of_fit(
-    samples: SampleSet, fit: FitResult, level: float = 0.01
-) -> GoodnessReport:
-    """One-sample KS of the samples against the fitted law, with pass/fail.
+def goodness_of_fit(fit: FitResult, level: float = 0.01) -> GoodnessReport:
+    """The fit's KS statistic against the critical value at ``level``.
 
-    The same top-quantile truncation used by the fit is applied, so the
-    statistic refers to the body the fit actually describes.
+    The fit measured the statistic on the body it describes, its ``n_used``
+    retained samples, so nothing is truncated or tested again.  A fit that
+    did not converge carries a NaN statistic and never passes.
     """
-    from scipy import stats
-    values = np.asarray(samples.values, dtype=float)
-    kept = _truncate_tail(values, fit.tail_truncated_fraction)
-    statistic = float(stats.kstest(kept, fitted_cdf(fit)).statistic)
-    critical = ks_critical_value(len(kept), level)
+    critical = ks_critical_value(fit.n_used, level)
     return GoodnessReport(
-        statistic=statistic,
+        statistic=fit.ks_statistic,
         critical_value=critical,
         level=level,
-        n=int(len(kept)),
-        passed=statistic < critical,
+        n=fit.n_used,
+        passed=fit.ks_statistic < critical,
     )
+
+
+def binned_fit_rows(
+    samples: SampleSet, boltzmann: FitResult, bose: FitResult | None, bins: int
+) -> list[dict]:
+    """Counts of the body the exponential fit kept (its ``n_used`` smallest
+    samples) in ``bins`` cells, beside each law's expected counts at the cell
+    centers; the Bose-Einstein column is NaN without that fit."""
+    kept = np.sort(samples.values)[: boltzmann.n_used]
+    counts, centers, width = _histogram(kept, bins)
+    mu_b, t_b = boltzmann.parameters["mu"], boltzmann.parameters["t_eff"]
+    fitted_b = len(kept) * width / t_b * np.exp(-(np.maximum(centers - mu_b, 0.0)) / t_b)
+    if bose is None:
+        fitted_e = np.full_like(centers, math.nan)
+    else:
+        p = bose.parameters
+        fitted_e = _bose_einstein_curve(centers, p["mu"], p["lambda_theta"], p["scale"])
+    return [
+        {
+            "bin_center": float(c),
+            "observed_count": int(o),
+            "fitted_boltzmann": float(fb),
+            "fitted_bose_einstein": float(fe),
+        }
+        for c, o, fb, fe in zip(centers, counts, fitted_b, fitted_e)
+    ]
 
 
 def synthetic_exponential(
@@ -283,8 +303,7 @@ def synthetic_exponential(
 ) -> SampleSet:
     """Exponential body with known parameters, for estimator studies."""
     rng = np.random.default_rng(seed)
-    values = mu + rng.exponential(scale=t_eff, size=n)
-    return SampleSet(tuple(float(v) for v in values), source="synthetic exponential")
+    return SampleSet(mu + rng.exponential(scale=t_eff, size=n), source="synthetic exponential")
 
 
 def synthetic_bose_einstein(
@@ -307,21 +326,17 @@ def synthetic_bose_einstein(
         raise ConfigError("synthetic BE samples need every level above mu")
     rng = np.random.default_rng(seed)
     if mode == "bin_weights":
-        weights = 1.0 / np.expm1((levels - mu) / lambda_theta)
+        weights = _bose_einstein_curve(levels, mu, lambda_theta, 1.0)
         prob = weights / weights.sum()
         cell = float(np.min(np.diff(levels))) if len(levels) > 1 else 1.0
         drawn = rng.choice(levels, size=n, p=prob)
         values = drawn + rng.uniform(-0.5 * cell, 0.5 * cell, size=n)
     elif mode == "continuous":
-        lo, hi = float(levels.min()), float(levels.max())
-
-        def antideriv(x):
-            return -lambda_theta * np.log1p(-np.exp(-(x - mu) / lambda_theta))
-
-        top, bottom = antideriv(lo), antideriv(hi)
+        top = _bose_einstein_antiderivative(float(levels.min()), mu, lambda_theta)
+        bottom = _bose_einstein_antiderivative(float(levels.max()), mu, lambda_theta)
         t = top - rng.uniform(0.0, 1.0, size=n) * (top - bottom)
-        values = mu - lambda_theta * np.log1p(-np.exp(-t / lambda_theta))
+        # y -> -s ln(1 - exp(-y / s)) is its own inverse on y > 0
+        values = mu + _bose_einstein_antiderivative(t, 0.0, lambda_theta)
     else:
         raise ConfigError("synthetic BE mode must be bin_weights or continuous")
-    values = np.clip(values, 0.0, None)
-    return SampleSet(tuple(float(v) for v in values), source="synthetic bose-einstein")
+    return SampleSet(np.clip(values, 0.0, None), source="synthetic bose-einstein")

@@ -4,6 +4,7 @@ import csv
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from econorder import enumeration
@@ -353,7 +354,7 @@ class TestFit:
 
         data = tmp_path / "data.csv"
         samples = synthetic_exponential(20_000, 10.0, 0.0, seed=9)
-        data.write_text("\n".join(repr(v) for v in samples.values) + "\n")
+        data.write_text("\n".join(map(repr, samples.values.tolist())) + "\n")
         out = tmp_path / "out"
         code = main(["fit", str(data), "--out", str(out), "--tail-quantile", "0"])
         assert code == 0
@@ -370,6 +371,29 @@ class TestFit:
         assert main(["fit", str(data), "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "zero temperature" in err["message"]
+
+    @pytest.mark.parametrize("rows", [13, 200_003])
+    def test_top_tail_quantile_is_accepted(self, tmp_path, rows):
+        # 0.2 drops round(0.2 n) rows, a fraction that can exceed 0.2 (3/13);
+        # goodness of fit must not re-derive the cut from that fraction
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(0)
+        np.savetxt(data, 1.0 + rng.exponential(5.0, size=rows), fmt="%.6f")
+        out = tmp_path / "out"
+        assert main(["fit", str(data), "--out", str(out), "--tail-quantile", "0.2"]) == 0
+        report = json.loads((out / "fit.json").read_text())
+        assert report["boltzmann"]["n_used"] == rows - round(0.2 * rows)
+        assert ("skipped" in report["bose_einstein"]) == (rows < 100)
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_bins_is_a_config_error(self, tmp_path, capsys, bins):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(str(v) for v in range(1, 14)) + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(data), "--out", str(out), "--bins", bins]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": "--bins must be at least 1"}
+        assert not out.exists()  # rejected before any fit or output
 
 
 class TestMacro:

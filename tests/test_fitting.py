@@ -9,6 +9,7 @@ from scipy import stats
 from econorder import (
     ConfigError,
     EconOrderError,
+    FitResult,
     SampleSet,
     fit_boltzmann,
     fit_bose_einstein,
@@ -18,6 +19,7 @@ from econorder import (
     synthetic_bose_einstein,
     synthetic_exponential,
 )
+from econorder.fitting import _bose_einstein_cdf
 
 BE_LEVELS = list(range(1, 51))
 
@@ -26,12 +28,14 @@ class TestLoadSamples:
     def test_one_column(self, tmp_path):
         path = tmp_path / "vals.csv"
         path.write_text("5\n7\n")
-        assert load_samples(path).values == (5.0, 7.0)
+        values = load_samples(path).values
+        assert values.dtype == np.float64
+        assert values.tolist() == [5.0, 7.0]
 
     def test_two_column_count_expansion(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("10,3\n20,1\n")
-        assert load_samples(path).values == (10.0, 10.0, 10.0, 20.0)
+        assert load_samples(path).values.tolist() == [10.0, 10.0, 10.0, 20.0]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -58,6 +62,27 @@ class TestLoadSamples:
             load_samples(path)
 
 
+class TestSampleSet:
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([1.0, 2.5, 4.0])
+        samples = SampleSet(source)
+        source[0] = 99.0
+        assert samples.values.tolist() == [1.0, 2.5, 4.0]
+        with pytest.raises(ValueError):
+            samples.values[0] = 0.0
+
+    def test_integers_become_float64(self):
+        assert SampleSet([1, 2, 3]).values.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [((), "no samples"), ((1.0, -0.5), "negative"), ([[1.0, 2.0]], "one-dimensional")],
+    )
+    def test_rejects(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            SampleSet(values)
+
+
 class TestBoltzmannFit:
     def test_synthetic_recovery_within_two_percent(self):
         samples = synthetic_exponential(100_000, 10.0, 0.0, seed=2718)
@@ -74,7 +99,7 @@ class TestBoltzmannFit:
     def test_shift_invariance(self):
         samples = synthetic_exponential(5000, 3.0, 0.0, seed=5)
         fit0 = fit_boltzmann(samples, tail_quantile=0.0)
-        shifted = SampleSet(tuple(v + 11.5 for v in samples.values))
+        shifted = SampleSet(samples.values + 11.5)
         fit1 = fit_boltzmann(shifted, tail_quantile=0.0)
         assert fit1.parameters["mu"] == pytest.approx(fit0.parameters["mu"] + 11.5)
         assert fit1.parameters["t_eff"] == pytest.approx(fit0.parameters["t_eff"], rel=1e-12)
@@ -123,14 +148,14 @@ class TestBoseEinsteinFit:
         samples = synthetic_exponential(20_000, 10.0, 0.0, seed=12)
         be = fit_bose_einstein(samples, tail_quantile=0.0)
         exp = fit_boltzmann(samples, tail_quantile=0.0)
-        assert be.parameters["mu"] < min(samples.values) - 10.0
+        assert be.parameters["mu"] < samples.values.min() - 10.0
         # with mu pushed far down the BE law degenerates to an exponential,
         # so the two KS statistics are comparable
         assert abs(be.ks_statistic - exp.ks_statistic) < 0.01
 
     def test_sample_count_precondition(self):
         with pytest.raises(ConfigError):
-            fit_bose_einstein(SampleSet(tuple(float(i) for i in range(99))))
+            fit_bose_einstein(SampleSet(np.arange(99.0)))
 
     def test_bin_count_precondition(self):
         samples = synthetic_exponential(500, 1.0, 0.0, seed=0)
@@ -144,16 +169,41 @@ class TestGoodnessOfFit:
         for seed in range(100):
             samples = synthetic_exponential(2000, 5.0, 1.0, seed=seed)
             fit = fit_boltzmann(samples, tail_quantile=0.0)
-            if goodness_of_fit(samples, fit).passed:
+            if goodness_of_fit(fit).passed:
                 passes += 1
         assert passes >= 95
 
     def test_uniform_data_fails_against_exponential(self):
         rng = np.random.default_rng(0)
-        samples = SampleSet(tuple(rng.uniform(0, 10, 10_000).tolist()))
+        samples = SampleSet(rng.uniform(0, 10, 10_000))
         fit = fit_boltzmann(samples, tail_quantile=0.0)
-        report = goodness_of_fit(samples, fit)
+        report = goodness_of_fit(fit)
         assert not report.passed
+
+    @pytest.mark.parametrize("model", ["boltzmann", "bose_einstein"])
+    def test_statistic_is_the_fits_own_and_matches_exact_kstest(self, model):
+        # the fits ask scipy for the asymptotic mode; the distance must equal
+        # the default (exact at this n) mode's, on the same retained body
+        samples = synthetic_exponential(3000, 5.0, 1.0, seed=11)
+        if model == "boltzmann":
+            fit = fit_boltzmann(samples)
+            cdf = stats.expon(loc=fit.parameters["mu"], scale=fit.parameters["t_eff"]).cdf
+        else:
+            fit = fit_bose_einstein(samples)
+            assert fit.converged
+            cdf = _bose_einstein_cdf(
+                fit.parameters["mu"], fit.parameters["lambda_theta"], *fit.support
+            )
+        kept = np.sort(samples.values)[: fit.n_used]
+        assert fit.n_used == 3000 - round(0.03 * 3000)
+        report = goodness_of_fit(fit)
+        assert report.statistic == fit.ks_statistic == stats.kstest(kept, cdf).statistic
+        assert report.n == fit.n_used
+        assert report.critical_value == ks_critical_value(fit.n_used)
+
+    def test_unconverged_fit_never_passes(self):
+        fit = FitResult("bose_einstein", {}, math.nan, None, 500, 0.0, (0.0, 1.0), False)
+        assert not goodness_of_fit(fit).passed
 
     def test_small_n_uses_exact_critical_table(self):
         exact = ks_critical_value(10)
@@ -194,8 +244,6 @@ class TestSyntheticGenerators:
         samples = synthetic_bose_einstein(
             20_000, BE_LEVELS, 0.5, 4.0, seed=3, mode="continuous"
         )
-        from econorder.fitting import _bose_einstein_cdf
-
         cdf = _bose_einstein_cdf(0.5, 4.0, 1.0, 50.0)
         ks = float(stats.kstest(np.asarray(samples.values), cdf).statistic)
         assert ks < 0.02

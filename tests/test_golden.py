@@ -1,4 +1,4 @@
-"""CLI artifacts of the demo configs and test configs, held to fixed sha256 digests.
+"""CLI artifacts of the demo configs, test configs and test data, held to fixed sha256 digests.
 
 A change that alters any byte of these files, or an exit code, fails here
 and must name the difference and update the digest with it.
@@ -56,6 +56,12 @@ GOLDEN = {
     ("sample", "five_levels.ini", "--seed", "1", "--regime", "per"): {
         "frequencies.csv": "cabc9881bd40361516133362eae7a7cf8a53d722167a106c7a75153f26d3a716",
     },
+    # 2,000 rows of 1 + Exp(5), seed 0, written with %.6f: both fits converge;
+    # read by its bare name, since fit.json records the path it was given
+    ("fit", "exp_2000.csv"): {
+        "binned.csv": "6b55e9e5b4b16182d71d8343bdf3448b2539ce27218d66c2b956bcd29cb50416",
+        "fit.json": "db3be252d8a03f1a90701a3046931e8d9d892ac8bedae4740b2e53c58ff5075b",
+    },
 }
 
 
@@ -72,10 +78,15 @@ def config_path(name):
 
 
 @pytest.mark.parametrize("run", GOLDEN, ids=run_id)
-def test_demo_artifacts_match_golden_digests(run, tmp_path):
+def test_demo_artifacts_match_golden_digests(run, tmp_path, monkeypatch):
     command, config, *extra = run
     out = tmp_path / "out"
-    code = main([command, "--config", str(config_path(config)), "--out", str(out), *extra])
+    if command == "fit":
+        monkeypatch.chdir(config_path(config).parent)
+        source = [config]
+    else:
+        source = ["--config", str(config_path(config))]
+    code = main([command, *source, "--out", str(out), *extra])
     assert code == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN[run]
