@@ -55,10 +55,8 @@ from .macro import (
     MacroParams,
     entropy_identity_residual,
     log_W,
-    log_W_gradient,
     macro_from_multipliers,
     multipliers_from_macro,
-    occupancy_from_macro,
     technology,
 )
 from .maxent import (
@@ -106,13 +104,11 @@ __all__ = [
     "ks_critical_value",
     "load_samples",
     "log_W",
-    "log_W_gradient",
     "log_multiplicity",
     "macro_from_multipliers",
     "multiplicity",
     "multipliers_from_macro",
     "occupancy",
-    "occupancy_from_macro",
     "sample_outcomes",
     "solve_multipliers",
     "solve_multipliers_bisection",

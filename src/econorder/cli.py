@@ -192,7 +192,6 @@ def cmd_macro(args) -> int:
         macro,
         solution.alpha,
         solution.beta,
-        run.lam,
         technology(log_omega, run.lam),
         log_omega,
         identity,
@@ -208,7 +207,7 @@ def cmd_macro(args) -> int:
 def cmd_check(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     out = _out_dir(args, run)
-    results = run_checks(run, inject_fault=args.inject_fault)
+    results = run_checks(run)
     payload = {
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the internal verification suites")
     add_common(p, with_seed=True)
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
     return parser
 

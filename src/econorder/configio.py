@@ -94,10 +94,9 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
     if "levels" not in gsec:
         raise ConfigError("grid.levels: key is required")
     levels = _parse_int_list("grid", "levels", gsec["levels"])
+    degens = ()  # RevenueGrid gives every level one industry by default
     if "degeneracies" in gsec:
         degens = _parse_int_list("grid", "degeneracies", gsec["degeneracies"])
-    else:
-        degens = tuple(1 for _ in levels)  # one industry per level by default
     grid = RevenueGrid(levels, degens)
 
     if "n" not in esec:

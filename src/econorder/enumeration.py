@@ -45,18 +45,23 @@ class MicroOutcome:
     assignment: tuple
     drawn_order: EconomicOrder | None = field(default=None, compare=False, repr=False)
 
-    def order(self, n_levels: int) -> EconomicOrder:
-        """The order read off the assignment, on a grid of ``n_levels`` levels.
+    def order(self, grid: RevenueGrid) -> EconomicOrder:
+        """The order read off the assignment, on ``grid``.
 
-        ConfigError when a level lies outside 0..n_levels-1 or, for
-        indistinguishable firms, a count is below 1.
+        ConfigError when a level lies outside 0..n-1, a slot outside
+        0..g_k-1 of its level or, for indistinguishable firms, a count is
+        below 1.
         """
         mon = self.regime is Regime.MONOPOLISTIC
         placed = ((position, 1) for position in self.assignment) if mon else self.assignment
-        occ = [0] * n_levels
-        for (level, _slot), count in placed:
-            if not 0 <= level < n_levels:
-                raise ConfigError("outcome: level %r is not in 0..%d" % (level, n_levels - 1))
+        degens = grid.degeneracies
+        occ = [0] * grid.n
+        for (level, slot), count in placed:
+            if not 0 <= level < grid.n:
+                raise ConfigError("outcome: level %r is not in 0..%d" % (level, grid.n - 1))
+            if not 0 <= slot < degens[level]:
+                top = degens[level] - 1
+                raise ConfigError("outcome: slot %r at level %r is not in 0..%d" % (slot, level, top))
             if count < 1:
                 raise ConfigError("outcome: count %r at level %r is below 1" % (count, level))
             occ[level] += count
@@ -406,9 +411,15 @@ def enumerate_outcomes(
     Generation walks the assignment space directly (depth-first with revenue
     pruning) and never consults the closed-form multiplicity, so group sizes
     are an independent check of it.  Refuses with CapExceededError when the
-    feasible outcome space is larger than ``cap``.
+    feasible outcome space is larger than ``cap``: every feasible order holds
+    at least one outcome, so more than ``cap`` orders refuse while they are
+    listed, before any multiplicity is computed.
     """
-    count = feasible_outcome_count(grid, config)
+    try:
+        orders = enumerate_orders(grid, config, cap=cap)
+    except CapExceededError:
+        raise CapExceededError(None, cap) from None
+    count = sum(multiplicity(order, grid, config.regime) for order in orders)
     if count > cap:
         raise CapExceededError(count, cap)
 
@@ -427,7 +438,7 @@ def enumerate_outcomes(
             if firm == n_firms:
                 if total is None or revenue == total:
                     outcome = MicroOutcome(config.regime, tuple(acc))
-                    groups.setdefault(outcome.order(grid.n), []).append(outcome)
+                    groups.setdefault(outcome.order(grid), []).append(outcome)
                 return
             rest = n_firms - firm - 1
             for pos in positions:
@@ -447,7 +458,7 @@ def enumerate_outcomes(
             if left == 0:
                 if total is None or revenue == total:
                     outcome = MicroOutcome(config.regime, tuple(acc))
-                    groups.setdefault(outcome.order(grid.n), []).append(outcome)
+                    groups.setdefault(outcome.order(grid), []).append(outcome)
                 return
             if idx == len(positions):
                 return
@@ -550,7 +561,7 @@ def empirical_frequencies(
     for outcome in outcomes:
         order = outcome.drawn_order
         if order is None:
-            order = outcome.order(grid.n)
+            order = outcome.order(grid)
         key = order.occupancy
         if key in counts:
             counts[key] += 1

@@ -25,10 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, EconOrderError
 
+KS_LEVEL = 0.01  # significance level of the goodness-of-fit verdict
+
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Non-negative revenue/income observations with a provenance note;
+    """Finite non-negative revenue/income observations with a provenance note;
     ``values`` is a read-only 1-D float64 copy of what the set is built from."""
 
     values: np.ndarray
@@ -40,6 +42,8 @@ class SampleSet:
             raise ConfigError("samples: no samples")
         if values.ndim != 1:
             raise ConfigError("samples: expected a one-dimensional sequence")
+        if not np.isfinite(values).all():
+            raise ConfigError("samples: non-finite value rejected")
         if (values < 0).any():
             raise ConfigError("samples: negative value rejected")
         values.flags.writeable = False
@@ -56,17 +60,13 @@ class FitResult:
     ks_statistic: float
     log_likelihood: float | None
     n_used: int
-    tail_truncated_fraction: float
     support: tuple[float, float]
     converged: bool = True
 
 
 @dataclass(frozen=True)
 class GoodnessReport:
-    statistic: float
     critical_value: float
-    level: float
-    n: int
     passed: bool
 
 
@@ -91,6 +91,8 @@ def load_samples(path: str | Path) -> SampleSet:
                 value = float(cells[0])
             except ValueError:
                 raise ConfigError(f"{name}:{lineno}: cannot parse value {cells[0]!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}:{lineno}: non-finite value rejected")
             if value < 0:
                 raise ConfigError(f"{name}:{lineno}: negative value rejected")
             if len(cells) != width:
@@ -151,7 +153,6 @@ def fit_boltzmann(samples: SampleSet, tail_quantile: float = 0.03) -> FitResult:
         ks_statistic=ks,
         log_likelihood=loglik,
         n_used=n_used,
-        tail_truncated_fraction=1.0 - n_used / len(samples),
         support=(mu, math.inf),
     )
 
@@ -239,37 +240,30 @@ def fit_bose_einstein(
         ks_statistic=ks,
         log_likelihood=None,
         n_used=int(len(kept)),
-        tail_truncated_fraction=1.0 - len(kept) / len(samples),
         support=(lo, hi),
         converged=converged,
     )
 
 
-def ks_critical_value(n: int, level: float = 0.01) -> float:
-    """Two-sided one-sample KS critical value; exact for small n."""
+def ks_critical_value(n: int) -> float:
+    """Two-sided one-sample KS critical value at KS_LEVEL; exact for small n."""
     from scipy import stats
     if n < 1:
         raise ConfigError("KS critical value requires n >= 1")
     if n <= 40:
-        return float(stats.kstwo.ppf(1.0 - level, n))
-    return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
+        return float(stats.kstwo.ppf(1.0 - KS_LEVEL, n))
+    return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 
-def goodness_of_fit(fit: FitResult, level: float = 0.01) -> GoodnessReport:
-    """The fit's KS statistic against the critical value at ``level``.
+def goodness_of_fit(fit: FitResult) -> GoodnessReport:
+    """The fit's KS statistic against the critical value at KS_LEVEL.
 
     The fit measured the statistic on the body it describes, its ``n_used``
     retained samples, so nothing is truncated or tested again.  A fit that
     did not converge carries a NaN statistic and never passes.
     """
-    critical = ks_critical_value(fit.n_used, level)
-    return GoodnessReport(
-        statistic=fit.ks_statistic,
-        critical_value=critical,
-        level=level,
-        n=fit.n_used,
-        passed=fit.ks_statistic < critical,
-    )
+    critical = ks_critical_value(fit.n_used)
+    return GoodnessReport(critical_value=critical, passed=fit.ks_statistic < critical)
 
 
 def binned_fit_rows(

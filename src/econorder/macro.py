@@ -5,12 +5,14 @@ technology return theta through a positive scale constant lambda:
 
     alpha = -mu / (lambda * theta),    beta = 1 / (lambda * theta),
 
-so the occupancy can be written a_k = g_k / (exp((e_k - mu)/(lambda*theta)) - I)
-and the technology level is proportional to the log of the economy's degree of
-freedom: T = lambda * ln(Omega).
+so the occupancy a_k = g_k / (exp((e_k - mu)/(lambda*theta)) - I) is
+maxent.occupancy at multipliers_from_macro(params), and the technology level
+is proportional to the log of the economy's degree of freedom:
+T = lambda * ln(Omega).
 
 log_W is the generating function whose alpha/beta derivatives reproduce the
-firm count and total revenue.  Its sign convention is measured rather than
+firm count and total revenue; entropy_identity_residual reports them as
+grad_alpha and grad_beta.  Its sign convention is measured rather than
 assumed: entropy_identity_residual evaluates the identity between the Stirling
 entropy and (ln W - alpha dlnW/dalpha - beta dlnW/dbeta) under both signs and
 reports whichever matches.
@@ -26,7 +28,7 @@ import numpy as np
 from .core import Regime, RevenueGrid
 from .counting import stirling_log_multiplicity
 from .errors import ConfigError
-from .maxent import _closed_form, occupancy
+from .maxent import _closed_form
 
 _FD_STEP = 1e-6  # relative step of the identity's central differences
 
@@ -61,18 +63,6 @@ def macro_from_multipliers(alpha: float, beta: float, lam: float = 1.0) -> Macro
     return MacroParams(mu=-alpha / beta, theta=1.0 / (lam * beta), lam=lam)
 
 
-def occupancy_from_macro(
-    params: MacroParams, grid: RevenueGrid, regime: Regime
-) -> np.ndarray:
-    """Occupancy a_k = g_k / (exp((e_k - mu)/(lambda*theta)) - I).
-
-    The multiplier form evaluated at the mapped multipliers.  For perfect
-    competition every exponent must be positive; a level at or below mu is
-    the crisis singularity and raises SingularityError.
-    """
-    return occupancy(*multipliers_from_macro(params), grid, regime)
-
-
 @np.errstate(over="ignore")
 def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float:
     """Level-wise generating function, ln W = -ln Z.
@@ -82,19 +72,6 @@ def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float
     limit of (1 - I exp(-x))^(g/I), giving -sum_k g_k exp(-(alpha + beta e_k)).
     """
     return -_closed_form(alpha, beta, *grid.vectors, regime)[1]
-
-
-def log_W_gradient(
-    alpha: float, beta: float, grid: RevenueGrid, regime: Regime
-) -> tuple[float, float]:
-    """Analytic (d lnW / d alpha, d lnW / d beta).
-
-    In both regimes the gradient equals (sum a_k, sum a_k e_k) evaluated at
-    the closed-form occupancy, which is how the generating function encodes
-    the two constraints.
-    """
-    occ = occupancy(alpha, beta, grid, regime)
-    return float(occ.sum()), float((occ * grid.vectors[0]).sum())
 
 
 @dataclass(frozen=True)
@@ -126,9 +103,9 @@ def entropy_identity_residual(
     generating-function expression, for both sign conventions.
 
     One closed-form evaluation at (alpha, beta) supplies the occupancy,
-    ln W and the analytic gradient, equal to what occupancy, log_W and
-    log_W_gradient return there; the four central finite-difference points
-    go through log_W.
+    ln W and the analytic gradient (sum a_k, sum a_k e_k), the first two
+    equal to what occupancy and log_W return there; the four central
+    finite-difference points go through log_W.
     """
     e, g = grid.vectors
     occ, log_z = _closed_form(alpha, beta, e, g, regime)

@@ -119,7 +119,6 @@ def macro_payload(
     macro: MacroParams,
     alpha: float,
     beta: float,
-    lam: float,
     technology_level: float,
     log_omega: float,
     identity: IdentityReport,
@@ -127,7 +126,7 @@ def macro_payload(
     return {
         "mu": macro.mu,
         "theta": macro.theta,
-        "lambda": lam,
+        "lambda": macro.lam,
         "alpha": alpha,
         "beta": beta,
         "T": technology_level,

@@ -385,6 +385,22 @@ class TestFit:
         assert report["boltzmann"]["n_used"] == rows - round(0.2 * rows)
         assert ("skipped" in report["bose_einstein"]) == (rows < 100)
 
+    @pytest.mark.parametrize("tail", ["0", "0.03"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_row_is_a_config_error(self, tmp_path, capsys, cell, tail):
+        # at the default tail the row sorts into the dropped top, where it
+        # would leave the fit while n_samples counted it
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(0)
+        rows = ["%.6f" % v for v in 1.0 + rng.exponential(5.0, size=200)]
+        rows.insert(100, cell)
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(data), "--out", str(out), "--tail-quantile", tail]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": "data.csv:101: non-finite value rejected"}
+        assert not (out / "fit.json").exists()
+
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_nonpositive_bins_is_a_config_error(self, tmp_path, capsys, bins):
         data = tmp_path / "data.csv"
@@ -427,13 +443,17 @@ class TestCheck:
             "macro_identities",
         }
 
-    def test_fault_injection_fails_naming_order(self, tmp_path):
+    def test_fault_injection_fails_naming_order(self, monkeypatch, tmp_path):
+        # a multiplicity off by one on the even split
+        exact = enumeration.multiplicity
+
+        def faulty(order, grid, regime):
+            return exact(order, grid, regime) + (order.occupancy == (1, 1))
+
+        monkeypatch.setattr(enumeration, "multiplicity", faulty)
         config = write_config(tmp_path, CHECK_CONFIG)
         out = tmp_path / "out"
-        code = main(
-            ["check", "--config", str(config), "--out", str(out),
-             "--inject-fault", "multiplicity"]
-        )
+        code = main(["check", "--config", str(config), "--out", str(out)])
         assert code == 1
         report = json.loads((out / "check.json").read_text())
         failing = [c for c in report["checks"] if not c["passed"]]

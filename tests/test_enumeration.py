@@ -212,7 +212,7 @@ class TestEnumerateOutcomes:
         # the second pair keeps the level's total >= 1, so only a check per pair catches it
         outcome = MicroOutcome(Regime.PERFECT, (((0, 0), count), ((0, 1), 2)))
         with pytest.raises(ConfigError, match=message):
-            outcome.order(1)
+            outcome.order(RevenueGrid((1,), (2,)))
 
     @pytest.mark.parametrize(
         "regime, assignment, level",
@@ -227,7 +227,25 @@ class TestEnumerateOutcomes:
     def test_order_of_a_hand_built_outcome_checks_its_levels(self, regime, assignment, level):
         # level -1 used to wrap to the top level, and level 2 raised IndexError
         with pytest.raises(ConfigError, match=r"level %d is not in 0\.\.1" % level):
-            MicroOutcome(regime, assignment).order(2)
+            MicroOutcome(regime, assignment).order(GRID_2)
+
+    @pytest.mark.parametrize(
+        "regime, assignment",
+        [
+            (Regime.MONOPOLISTIC, ((0, 7), (1, 0))),
+            (Regime.PERFECT, (((0, 7), 1), ((1, 0), 1))),
+            (Regime.MONOPOLISTIC, ((0, -1), (1, 0))),
+        ],
+        ids=["mon-above", "per-above", "mon-below"],
+    )
+    def test_order_of_a_hand_built_outcome_checks_its_slots(self, regime, assignment):
+        # GRID_2 has one slot per level, so slot 7 (or -1) is no position of it
+        outcome = MicroOutcome(regime, assignment)
+        slot = assignment[0][0][1] if regime is Regime.PERFECT else assignment[0][1]
+        with pytest.raises(ConfigError, match=r"slot %d at level 0 is not in 0\.\.0" % slot):
+            outcome.order(GRID_2)
+        with pytest.raises(ConfigError, match="slot"):
+            empirical_frequencies([outcome], GRID_2)
 
     def test_cap_refusal_names_the_bound(self):
         config = EconomyConfig(12, None, Regime.MONOPOLISTIC)
@@ -235,6 +253,19 @@ class TestEnumerateOutcomes:
             enumerate_outcomes(GRID_2, config, cap=100)
         assert err.value.count == 2**12
         assert err.value.cap == 100
+
+    def test_cap_refuses_more_orders_than_the_cap_before_counting(self, monkeypatch):
+        # every feasible order holds an outcome, so 1,143 orders exceed a cap
+        # of 1,000 outcomes before any multiplicity is computed
+        calls = []
+        monkeypatch.setattr(enumeration, "multiplicity", lambda *args: calls.append(args))
+        grid = RevenueGrid((1, 2, 3, 4, 5), (1, 2, 2, 3, 3))
+        config = EconomyConfig(32, 96, Regime.MONOPOLISTIC)
+        with pytest.raises(CapExceededError, match="outcome space has more than 1000") as err:
+            enumerate_outcomes(grid, config, cap=1000)
+        assert err.value.count is None and err.value.cap == 1000
+        assert calls == []
+        assert len(enumerate_orders(grid, config)) == 1143
 
 
 class TestCatalog:
@@ -548,7 +579,7 @@ class TestSampling:
             sample_outcomes(grid, config, seed=0, cap=1)
         # the cap bounds orders, not outcomes: 2 orders fit under a cap of 2
         stream = sample_outcomes(grid, config, seed=0, cap=2)
-        assert next(stream).order(grid.n).occupancy in {(2, 4, 0), (3, 1, 2)}
+        assert next(stream).order(grid).occupancy in {(2, 4, 0), (3, 1, 2)}
 
     @given(
         levels=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
@@ -577,7 +608,7 @@ class TestSampling:
             (o.assignment, o.drawn_order) for o in longer[:k]
         ]
         for outcome in longer:
-            assert outcome.drawn_order == outcome.order(grid.n)
+            assert outcome.drawn_order == outcome.order(grid)
             assert validate_order(outcome.drawn_order, grid, config).feasible
             if regime is Regime.MONOPOLISTIC:
                 placed = [(pos, 1) for pos in outcome.assignment]
@@ -641,7 +672,7 @@ class TestEmpiricalFrequencies:
         keys = [order.occupancy for order in freqs]
         assert all(type(order) is EconomicOrder for order in freqs)
         assert keys == sorted(set(keys))  # one key per order, sorted by occupancy
-        tally = Counter(o.order(grid.n).occupancy for o in stream)
+        tally = Counter(o.order(grid).occupancy for o in stream)
         assert {order.occupancy: p for order, p in freqs.items()} == {
             occ: Fraction(count, len(stream)) for occ, count in tally.items()
         }

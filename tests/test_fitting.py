@@ -37,6 +37,14 @@ class TestLoadSamples:
         path.write_text("10,3\n20,1\n")
         assert load_samples(path).values.tolist() == [10.0, 10.0, 10.0, 20.0]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rows", ["5\n{}\n7\n", "5,1\n{},2\n"])
+    def test_non_finite_value_names_its_line(self, tmp_path, cell, rows):
+        path = tmp_path / "vals.csv"
+        path.write_text(rows.format(cell))
+        with pytest.raises(ConfigError, match="vals.csv:2: non-finite value rejected"):
+            load_samples(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -76,7 +84,14 @@ class TestSampleSet:
 
     @pytest.mark.parametrize(
         "values, message",
-        [((), "no samples"), ((1.0, -0.5), "negative"), ([[1.0, 2.0]], "one-dimensional")],
+        [
+            ((), "no samples"),
+            ((1.0, -0.5), "negative"),
+            ([[1.0, 2.0]], "one-dimensional"),
+            ((1.0, math.nan), "non-finite"),
+            ((1.0, math.inf), "non-finite"),
+            ((-math.inf,), "non-finite"),
+        ],
     )
     def test_rejects(self, values, message):
         with pytest.raises(ConfigError, match=message):
@@ -196,13 +211,13 @@ class TestGoodnessOfFit:
             )
         kept = np.sort(samples.values)[: fit.n_used]
         assert fit.n_used == 3000 - round(0.03 * 3000)
+        assert fit.ks_statistic == stats.kstest(kept, cdf).statistic
         report = goodness_of_fit(fit)
-        assert report.statistic == fit.ks_statistic == stats.kstest(kept, cdf).statistic
-        assert report.n == fit.n_used
         assert report.critical_value == ks_critical_value(fit.n_used)
+        assert report.passed == (fit.ks_statistic < report.critical_value)
 
     def test_unconverged_fit_never_passes(self):
-        fit = FitResult("bose_einstein", {}, math.nan, None, 500, 0.0, (0.0, 1.0), False)
+        fit = FitResult("bose_einstein", {}, math.nan, None, 500, (0.0, 1.0), False)
         assert not goodness_of_fit(fit).passed
 
     def test_small_n_uses_exact_critical_table(self):

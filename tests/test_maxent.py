@@ -13,7 +13,6 @@ from econorder import (
     ConfigError,
     EconomyConfig,
     InfeasibleError,
-    MacroParams,
     Regime,
     RevenueGrid,
     SingularityError,
@@ -22,10 +21,8 @@ from econorder import (
     entropy_identity_residual,
     enumerate_orders,
     log_W,
-    log_W_gradient,
     macro_from_multipliers,
     occupancy,
-    occupancy_from_macro,
     solve_multipliers,
     solve_multipliers_bisection,
     stirling_log_multiplicity,
@@ -242,8 +239,6 @@ class TestNewtonRobustness:
                 lambda: macro_from_multipliers(sol.alpha, sol.beta),
                 lambda: occupancy(0.0, far, grid, regime),
                 lambda: log_W(0.0, far, grid, regime),
-                lambda: log_W_gradient(0.0, far, grid, regime),
-                lambda: occupancy_from_macro(MacroParams(0.0, 1.0 / far), grid, regime),
             ]
             for call in calls:
                 state = np.geterr()
