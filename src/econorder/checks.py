@@ -105,7 +105,11 @@ def check_two_firm_example() -> CheckResult:
 
 
 def check_counting_oracle(seed: int) -> CheckResult:
-    """Closed-form multiplicity equals exhaustive micro-outcome group sizes."""
+    """The catalog's counts equal exhaustive micro-outcome group sizes.
+
+    It holds the catalog's table counts (``counting._multiplicities``) to
+    the group sizes of ``enumerate_outcomes``, which never uses a formula.
+    """
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < COUNTING_INSTANCES:

@@ -135,8 +135,8 @@ def cmd_sample(args) -> int:
 def cmd_fit(args) -> int:
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
-    out = _out_dir(args)
     samples = load_samples(args.data)
+    out = _out_dir(args)
     payload: dict = {"n_samples": len(samples), "source": samples.source}
     exit_code = EXIT_OK
     boltzmann = fit_boltzmann(samples, tail_quantile=args.tail_quantile)

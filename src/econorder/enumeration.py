@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat
@@ -21,8 +22,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order, _orders
-from .counting import multiplicity
-from .errors import CapExceededError, ConfigError, InfeasibleError
+from .counting import _multiplicities, multiplicity
+from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
 
@@ -390,10 +391,12 @@ def enumerate_orders(
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
     """Total number of feasible micro-outcomes (sum of multiplicities).
 
-    It walks the same ``enumerate_orders`` listing as ``catalog``, so it
-    cross-checks the counts, not the listing.  The listing is checked by a
-    brute-force property test and by ``check_counting_oracle``, which walks
-    the outcomes themselves.
+    The closed-form oracle of the catalog's column counts: it sums
+    ``multiplicity`` order by order, where ``catalog`` counts from level
+    tables (``counting._multiplicities``).  It walks the same
+    ``enumerate_orders`` listing, so it cross-checks the counts, not the
+    listing.  The listing is checked by a brute-force property test and by
+    ``check_counting_oracle``, which walks the outcomes themselves.
     """
     return sum(
         multiplicity(order, grid, config.regime)
@@ -499,34 +502,39 @@ def catalog(
     ``most_probable``, ``tie_set``, the sampler, ``frequencies.csv`` and
     ``check_sampler`` read none.
 
-    It calls ``multiplicity`` once per listed order, not a faster running
-    product along the listing, until ``bench/suite.py::counting_rows``, which
-    divides by the call counts of ``multiplicity`` and ``enumerate_orders``,
-    guards its divisions.
+    The multiplicities come from ``counting._multiplicities``, which builds
+    them level column by level column from small exact tables, with no
+    Python call per order; the entries are built in C-level passes.  After
+    the sort, the top entry's count is recomputed once by the closed-form
+    ``multiplicity`` (a few µs), and a disagreement raises EconOrderError
+    naming the order.  That check serves two ends: the count that
+    ``spontaneous.json`` reports is held to the closed form on every run,
+    and the benchmark's traced layer suite (``bench/suite.py``), which
+    divides by the number of ``multiplicity`` calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
-    counts = list(map(multiplicity, orders, repeat(grid), repeat(config.regime)))
+    columns = list(zip(*map(attrgetter("occupancy"), orders)))
+    counts = _multiplicities(columns, grid.degeneracies, config.regime)
     cumulative = tuple(accumulate(counts))
     total = cumulative[-1]
-    # one pass, each slot stored by its descriptor: no frozen-__init__ setattr
-    # calls, and the probability slot stays empty until it is read
-    set_order, set_count, set_total = (
-        getattr(CatalogEntry, name).__set__ for name in ("order", "multiplicity", "_total")
-    )
-    listing = []
-    for order, omega in zip(orders, counts):
-        entry = object.__new__(CatalogEntry)
-        set_order(entry, order)
-        set_count(entry, omega)
-        set_total(entry, total)
-        listing.append(entry)
+    # each slot stored by its descriptor over the whole listing: no
+    # frozen-__init__ setattr calls, and the probability slot stays empty
+    # until it is read
+    listing = tuple(map(object.__new__, repeat(CatalogEntry, len(orders))))
+    for name, values in (("order", orders), ("multiplicity", counts), ("_total", repeat(total))):
+        deque(map(getattr(CatalogEntry, name).__set__, listing, values), maxlen=0)
     # stable, so equal multiplicities keep the lexicographic listing order
     entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
-    return OrderCatalog(
-        entries, total, tuple(listing), cumulative, grid.degeneracies, config.regime
-    )
+    top = entries[0]
+    exact = multiplicity(top.order, grid, config.regime)
+    if top.multiplicity != exact:
+        raise EconOrderError(
+            "catalog: order %s counts %d outcomes by the column tables and %d by "
+            "the closed form" % (list(top.order.occupancy), top.multiplicity, exact)
+        )
+    return OrderCatalog(entries, total, listing, cumulative, grid.degeneracies, config.regime)
 
 
 def sample_outcomes(

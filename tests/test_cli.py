@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from econorder import enumeration
+from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, enumeration
 from econorder.checks import check_sampler
 from econorder.cli import main
 
@@ -143,14 +143,15 @@ class TestEnumerate:
     def test_cap_exceeded_exits_4(self, tmp_path, capsys, monkeypatch):
         # N = 12 firms over two levels: 13 orders, one more than the cap,
         # which stops the listing before any order is counted
-        counted = count_calls(monkeypatch, "multiplicity")
+        counted = count_calls(monkeypatch, "_multiplicities")
+        checked = count_calls(monkeypatch, "multiplicity")
         text = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 12\n"
         config = write_config(tmp_path, text)
         assert main(["enumerate", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "cap_exceeded"
         assert "order list" in err["message"]
-        assert counted == []
+        assert counted == checked == []
 
 
 class TestSolve:
@@ -399,7 +400,7 @@ class TestFit:
         assert main(["fit", str(data), "--out", str(out), "--tail-quantile", tail]) == 1
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err == {"error": "config", "message": "data.csv:101: non-finite value rejected"}
-        assert not (out / "fit.json").exists()
+        assert not out.exists()  # rejected before any fit or output
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_nonpositive_bins_is_a_config_error(self, tmp_path, capsys, bins):
@@ -444,21 +445,47 @@ class TestCheck:
         }
 
     def test_fault_injection_fails_naming_order(self, monkeypatch, tmp_path):
-        # a multiplicity off by one on the even split
-        exact = enumeration.multiplicity
+        # the column count of (2, 0) one short on the unconstrained two-firm
+        # listing with one slot per level, in both regimes; it is never the
+        # top entry there (mon (1, 1) = 2, per (0, 2) = 1 stay first), so
+        # the catalog's own check of its top entry does not stop the run
+        exact = enumeration._multiplicities
 
-        def faulty(order, grid, regime):
-            return exact(order, grid, regime) + (order.occupancy == (1, 1))
+        def faulty(columns, degeneracies, regime):
+            counts = exact(columns, degeneracies, regime)
+            if degeneracies == (1, 1) and columns == [(0, 1, 2), (2, 1, 0)]:
+                counts[2] -= 1
+            return counts
 
-        monkeypatch.setattr(enumeration, "multiplicity", faulty)
+        monkeypatch.setattr(enumeration, "_multiplicities", faulty)
         config = write_config(tmp_path, CHECK_CONFIG)
         out = tmp_path / "out"
         code = main(["check", "--config", str(config), "--out", str(out)])
         assert code == 1
         report = json.loads((out / "check.json").read_text())
         failing = [c for c in report["checks"] if not c["passed"]]
-        assert failing
-        assert failing[0]["detail"]["mismatched_order"] == [1, 1]
+        assert failing[0]["name"] == "two_firm_example_exactness"
+        assert failing[0]["detail"]["mismatched_order"] == [2, 0]
+        assert "exception" not in {c["name"] for c in failing}
+
+    def test_top_entry_fault_stops_the_catalog_naming_order(self, monkeypatch, tmp_path, capsys):
+        # the column count of the top entry (1, 1) one too high
+        exact = enumeration._multiplicities
+
+        def faulty(columns, degeneracies, regime):
+            counts = exact(columns, degeneracies, regime)
+            return [c + (occ == (1, 1)) for c, occ in zip(counts, zip(*columns))]
+
+        monkeypatch.setattr(enumeration, "_multiplicities", faulty)
+        grid, economy = RevenueGrid((1, 2), (1, 1)), EconomyConfig(2, None, Regime.MONOPOLISTIC)
+        with pytest.raises(EconOrderError, match=r"order \[1, 1\] counts 3 .* and 2 by the closed form"):
+            enumeration.catalog(grid, economy)
+        config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
+        out = tmp_path / "out"
+        assert main(["enumerate", "--config", str(config), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert "order [1, 1]" in err["message"]
+        assert not (out / "orders.csv").exists()
 
     @pytest.mark.parametrize("regime", ["mon", "per"])
     def test_sampler_check_catches_a_placement_that_ignores_slots(self, monkeypatch, regime):

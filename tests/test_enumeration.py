@@ -78,11 +78,12 @@ def revenue_totals(levels, n_firms):
 
 
 @st.composite
-def feasible_economies(draw):
-    """Up to 4 levels with degeneracies up to 9 and a realisable or no total:
-    mon totals run far above 2**53."""
-    levels = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(sorted))
-    degens = draw(st.lists(st.integers(1, 9), min_size=len(levels), max_size=len(levels)))
+def feasible_economies(draw, max_levels=4, max_degeneracy=9):
+    """Levels from 0..12 (so level 0 and gaps), up to 12 firms and a
+    realisable or no total; by default up to 4 levels with degeneracies up
+    to 9, where mon totals run far above 2**53."""
+    levels = draw(st.lists(st.integers(0, 12), min_size=1, max_size=max_levels, unique=True).map(sorted))
+    degens = draw(st.lists(st.integers(1, max_degeneracy), min_size=len(levels), max_size=len(levels)))
     n_firms = draw(st.integers(1, 12))
     total = draw(
         st.one_of(
@@ -397,10 +398,8 @@ class TestCatalogEntry:
             assert entry.multiplicity / cat.total_outcomes == float(entry.probability)
 
     @pytest.mark.parametrize("regime", list(Regime))
-    def test_catalog_counts_each_listed_order_once(self, monkeypatch, regime):
-        # bench/suite.py::counting_rows divides by the traced number of
-        # counting.multiplicity calls, so a catalog that carries the count
-        # down the listing (no such calls) waits until that division is guarded
+    def test_catalog_calls_multiplicity_once_on_the_top_entry(self, monkeypatch, regime):
+        # the column tables count every order; the closed form checks the top one
         calls = []
 
         def counted(order, grid, regime):
@@ -409,7 +408,18 @@ class TestCatalogEntry:
 
         monkeypatch.setattr(enumeration, "multiplicity", counted)
         cat = five_level_catalog(regime)
-        assert calls == [entry.order for entry in cat.listing]
+        assert calls == [cat.entries[0].order]
+
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=4))
+    @example(economy=(RevenueGrid((0,), (4,)), EconomyConfig(12, 0, Regime.MONOPOLISTIC)))
+    @example(economy=(RevenueGrid((0, 3, 4, 9, 12), (4, 1, 3, 1, 2)), EconomyConfig(12, None, Regime.PERFECT)))
+    @settings(max_examples=200, deadline=None)
+    def test_column_counts_equal_multiplicity(self, economy):
+        grid, config = economy
+        cat = catalog(grid, config)
+        for entry in cat.listing:
+            assert entry.multiplicity == multiplicity(entry.order, grid, config.regime)
+        assert cat.total_outcomes == feasible_outcome_count(grid, config)
 
 
 class TestSpontaneousOrder:
