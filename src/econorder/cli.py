@@ -3,7 +3,9 @@
 Every command reads a validated config (or a data file for ``fit``), writes
 machine-readable CSV/JSON into the output directory, and exits with
 0 on success, 2 on infeasibility, 3 on non-convergence, 4 on an exceeded
-enumeration cap, and 1 on any other error.  Outputs are deterministic for a
+enumeration cap, and 1 on any other error.  The output directory is made
+only once the command's catalog or solve has succeeded, so a run that exits
+2 or 4 leaves no empty directory behind.  Outputs are deterministic for a
 fixed config and seed set.
 """
 
@@ -63,8 +65,8 @@ def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
 
 def cmd_enumerate(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    out = _out_dir(args, run)
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
+    out = _out_dir(args, run)
     reports.write_orders_csv(out / "orders.csv", cat)
     reports.dump_json(out / "spontaneous.json", reports.spontaneous_payload(cat))
     print(
@@ -94,8 +96,8 @@ def _solve_bundle(run: RunConfig):
 
 def cmd_solve(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    out = _out_dir(args, run)
     solution, condensation, macro, identity = _solve_bundle(run)
+    out = _out_dir(args, run)
     reports.dump_json(
         out / "solution.json",
         reports.solution_payload(solution, condensation, macro, identity, run.lam),
@@ -117,9 +119,9 @@ def _logged(outcomes, handle):
 
 def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    out = _out_dir(args, run)
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
+    out = _out_dir(args, run)
     outcomes = islice(cat.sample(run.seed), draws)
     if args.log_outcomes:  # each row is written as the tally reads it
         with (out / "outcomes.csv").open("w", newline="") as handle:
@@ -181,12 +183,12 @@ def cmd_fit(args) -> int:
 
 def cmd_macro(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    out = _out_dir(args, run)
     solution, condensation, macro, identity = _solve_bundle(run)
     if macro is None or identity is None:
         raise InfeasibleError(
             "macro mapping undefined: boundary-degenerate economy has no finite multipliers"
         )
+    out = _out_dir(args, run)
     log_omega = stirling_log_multiplicity(solution.occupancy, run.grid, run.economy.regime)
     payload = reports.macro_payload(
         macro,

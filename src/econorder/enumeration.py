@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, repeat, takewhile
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -135,8 +135,9 @@ class OrderCatalog:
         return self.entries[0].order
 
     def tie_set(self) -> tuple[EconomicOrder, ...]:
+        # entries fall in multiplicity, so the orders tied at the top are a prefix
         top = self.entries[0].multiplicity
-        return tuple(e.order for e in self.entries if e.multiplicity == top)
+        return tuple(e.order for e in takewhile(lambda e: e.multiplicity == top, self.entries))
 
     def sample(self, seed: int) -> Iterator[MicroOutcome]:
         """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.

@@ -1,10 +1,13 @@
-"""The benchmark's traced counting rows run on the current package.
+"""The benchmark's traced counting rows and big counts run on the current package.
 
 ``bench/suite.py::counting_rows`` times two N=100 catalogs under the
 benchmark's own Tracer and divides by the traced number of
 ``counting.multiplicity`` calls.  A catalog that stopped calling
 ``multiplicity`` would break every traced benchmark run; this runs those
 rows in process (it imports bench/, never edits it) so that tier-1 sees it.
+The exact-orders deck's big counts (N = 10^4 and 2 * 10^4, both regimes)
+also run here through the deck's own ``run`` and ``gate``, so that a count
+the benchmark would reject as incorrect fails tier-1 first.
 """
 
 import importlib
@@ -25,7 +28,21 @@ def suite(monkeypatch):
     return importlib.import_module("suite")
 
 
+@pytest.fixture
+def workloads(suite):
+    return importlib.import_module("workloads")
+
+
 def test_counting_rows_are_finite_under_the_tracer(suite):
     rows = suite.counting_rows([])
     assert rows and all(math.isfinite(value) for value in rows.values())
     assert rows["counting.multiplicity_calls"] >= 1
+
+
+def test_exact_orders_big_counts_pass_the_deck_gate(workloads, tmp_path):
+    deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
+    big = [op for op in deck.ops if op.kind == "multiplicity"]
+    sizes = sorted((sum(op.args[0]), op.args[2].value) for op in big)
+    assert sizes == sorted((n, regime.value) for n in deck.BIG for regime in workloads.REGIMES)
+    for op in big:
+        assert deck.gate(op, deck.run(op)), op.args[0]

@@ -89,6 +89,43 @@ def test_orders_listed_once(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
+INFEASIBLE = EXAMPLE_TWO_FIRMS.replace("regime = mon", "regime = mon\nPi = 1000")
+CAPPED = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 12\n"
+BOUNDARY = TWO_LEVEL_SOLVE.replace("Pi = 14", "Pi = 10")
+
+
+@pytest.mark.parametrize(
+    "argv,text,code",
+    [
+        (["enumerate"], INFEASIBLE, 2),
+        (["solve"], INFEASIBLE, 2),
+        (["sample"], INFEASIBLE, 2),
+        (["sample", "--log-outcomes"], INFEASIBLE, 2),
+        (["macro"], INFEASIBLE, 2),
+        (["macro"], BOUNDARY, 2),
+        (["enumerate"], CAPPED, 4),
+        (["sample", "--log-outcomes"], CAPPED, 4),
+    ],
+    ids=[
+        "enumerate-infeasible",
+        "solve-infeasible",
+        "sample-infeasible",
+        "sample-log-infeasible",
+        "macro-infeasible",
+        "macro-boundary",
+        "enumerate-cap",
+        "sample-log-cap",
+    ],
+)
+def test_failed_command_makes_no_output_folder(tmp_path, capsys, argv, text, code):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == ("infeasible" if code == 2 else "cap_exceeded")
+    assert not out.exists()
+
+
 class TestEnumerate:
     def test_two_firm_example_counts(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)

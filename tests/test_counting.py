@@ -17,6 +17,8 @@ from econorder import (
     multiplicity,
     stirling_log_multiplicity,
 )
+from econorder import counting
+from econorder.counting import PRIME_ROUTE_MIN_WORK
 
 
 def brute_force_count(occ, degens, regime):
@@ -126,6 +128,80 @@ def test_boltzmann_multiplicity_equals_multinomial(occ, degens):
     expected, rest = divmod(numerator, math.prod(math.factorial(a) for a in occ))
     assert rest == 0
     assert multiplicity(occ, grid, Regime.MONOPOLISTIC) == expected
+
+
+def chain_work(occ):
+    """s = sum_k min(a_k, firms left after level k), written out afresh."""
+    work = 0
+    for k, a in enumerate(occ):
+        work += min(a, sum(occ[k + 1 :]))
+    return work
+
+
+@st.composite
+def large_occupancies(draw):
+    """Occupancies with N > PRIME_ROUTE_MIN_WORK and s on either side of it.
+
+    - spread: three to five levels of more than C/2 firms each, so s > C;
+    - skewed: one level of C to 3C firms, the rest at most C/8 each, so
+      s <= 2 * (firms off the big level) <= C;
+    - single: one level of up to 3C firms, s = 0.
+    Zero entries are inserted anywhere, and change neither N nor s.
+    """
+    c = PRIME_ROUTE_MIN_WORK
+    kind = draw(st.sampled_from(["spread", "skewed", "single"]))
+    if kind == "spread":
+        occ = draw(st.lists(st.integers(c // 2 + 1, c), min_size=3, max_size=5))
+    elif kind == "skewed":
+        occ = draw(st.lists(st.integers(0, c // 8), min_size=0, max_size=4))
+        occ.insert(draw(st.integers(0, len(occ))), draw(st.integers(c + 1, 3 * c)))
+    else:
+        occ = [draw(st.integers(c + 1, 3 * c))]
+    for _ in range(draw(st.integers(0, 2))):
+        occ.insert(draw(st.integers(0, len(occ))), 0)
+    return kind, tuple(occ)
+
+
+@given(drawn=large_occupancies(), degens=st.lists(st.integers(1, 4), min_size=7, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_multiplicity_equals_factorial_reference_on_both_routes(drawn, degens):
+    kind, occ = drawn
+    assert (chain_work(occ) > PRIME_ROUTE_MIN_WORK) == (kind == "spread")
+    grid = RevenueGrid(tuple(range(1, len(occ) + 1)), tuple(degens[: len(occ)]))
+    expected = (
+        math.factorial(sum(occ))
+        // math.prod(math.factorial(a) for a in occ)
+        * math.prod(g**a for a, g in zip(occ, grid.degeneracies))
+    )
+    assert multiplicity(occ, grid, Regime.MONOPOLISTIC) == expected
+
+
+def test_prime_route_taken_only_above_the_chain_work(monkeypatch):
+    calls = []
+    prime_route = counting._multinomial_by_primes
+
+    def spy(*args):
+        calls.append(args)
+        return prime_route(*args)
+
+    monkeypatch.setattr(counting, "_multinomial_by_primes", spy)
+    grid = RevenueGrid((1, 2, 3), (1, 2, 3))
+    n = PRIME_ROUTE_MIN_WORK
+    multiplicity((n // 3, n // 3, n - 2 * (n // 3)), grid, Regime.MONOPOLISTIC)
+    assert calls == []  # N <= C chains without computing s
+    multiplicity((n, n, n), grid, Regime.MONOPOLISTIC)
+    assert len(calls) == 1  # s = 2C
+
+
+def test_skewed_occupancy_at_a_million_firms_chains(monkeypatch):
+    def fail(*args):
+        raise AssertionError("prime route taken for a skewed occupancy")
+
+    monkeypatch.setattr(counting, "_multinomial_by_primes", fail)
+    n = 10**6
+    grid = RevenueGrid((1, 2, 3, 4, 5), (1, 2, 3, 1, 1))
+    got = multiplicity((n - 10, 5, 5, 0, 0), grid, Regime.MONOPOLISTIC)
+    assert got == math.comb(n, 5) * math.comb(n - 5, 5) * 2**5 * 3**5
 
 
 def test_money_scale_invariance_of_multiplicity():

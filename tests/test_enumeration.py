@@ -436,6 +436,16 @@ class TestSpontaneousOrder:
         assert cat.most_probable().occupancy == (0, 2)
         assert [o.occupancy for o in cat.tie_set()] == [(0, 2), (1, 1), (2, 0)]
 
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=2))
+    @example(economy=(RevenueGrid((0, 1, 2, 3), (1, 1, 1, 1)), EconomyConfig(6, 9, Regime.PERFECT)))
+    @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 1)), EconomyConfig(2, None, Regime.MONOPOLISTIC)))
+    @settings(max_examples=100, deadline=None)
+    def test_tie_set_is_every_entry_at_the_top_count(self, economy):
+        # the examples: every order tied; three tied at the top above three
+        cat = catalog(*economy)
+        top = max(e.multiplicity for e in cat.entries)
+        assert cat.tie_set() == tuple(e.order for e in cat.entries if e.multiplicity == top)
+
     def test_constrained_argmax_against_direct_comparison(self):
         grid = GRID_3
         config = EconomyConfig(4, 8, Regime.MONOPOLISTIC)
