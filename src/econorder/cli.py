@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from itertools import islice
 from pathlib import Path
@@ -57,8 +58,8 @@ def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "lam", None) is not None:
-        if not (args.lam > 0):
-            raise ConfigError("economy.lambda: must be positive")
+        if not (0 < args.lam < math.inf):
+            raise ConfigError("economy.lambda: must be positive and finite")
         updates["lam"] = args.lam
     return dataclasses.replace(run_config, **updates) if updates else run_config
 

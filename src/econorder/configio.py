@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,9 +52,11 @@ def _parse_int(section: str, key: str, raw: str) -> int:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        if math.isfinite(value := float(raw)):  # nan and inf are no JSON numbers
+            return value
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+        pass
+    raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
 
 
 def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
@@ -128,6 +131,8 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
         )
         if not (0 < thresholds.ground_fraction <= 1):
             raise ConfigError("thresholds.ground_fraction: must lie in (0, 1]")
+        if thresholds.gap < 0:
+            raise ConfigError("thresholds.gap: must be non-negative")
 
     caps = Caps()
     if "caps" in parser:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -149,18 +149,14 @@ class EconomicOrder:
         return sum(self.occupancy)
 
 
-def _order(occupancy: tuple[int, ...]) -> EconomicOrder:
-    """``EconomicOrder(occupancy)`` minus its checks, for Python ints >= 0."""
-    order = object.__new__(EconomicOrder)
-    object.__setattr__(order, "occupancy", occupancy)
-    return order
-
-
-def _orders(occupancies: list[tuple[int, ...]]) -> list[EconomicOrder]:
-    """``_order`` over a list, in two C-level passes and no call per order."""
-    orders = list(map(object.__new__, repeat(EconomicOrder, len(occupancies))))
-    deque(map(EconomicOrder.occupancy.__set__, orders, occupancies), maxlen=0)
-    return orders
+def _records(cls: type, size: int, **slots: Iterable) -> list:
+    """``size`` instances of the slotted class ``cls`` made without
+    ``__init__`` or its checks: each named slot is set from its iterable of
+    values by the slot's descriptor, in one C-level pass per slot."""
+    records = list(map(object.__new__, repeat(cls, size)))
+    for name, values in slots.items():
+        deque(map(getattr(cls, name).__set__, records, values), maxlen=0)
+    return records
 
 
 def as_occupancy(order: "EconomicOrder | Sequence[int]") -> tuple[int, ...]:

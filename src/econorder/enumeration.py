@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, repeat, takewhile
@@ -21,14 +21,11 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _order, _orders
+from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _records
 from .counting import _multiplicities, multiplicity
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
-
-Position = tuple[int, int]  # (level index, slot index within the level)
-
 
 @dataclass(frozen=True, slots=True)
 class MicroOutcome:
@@ -51,7 +48,7 @@ class MicroOutcome:
 
         ConfigError when a level lies outside 0..n-1, a slot outside
         0..g_k-1 of its level or, for indistinguishable firms, a count is
-        below 1.
+        below 1 or not an integer.
         """
         mon = self.regime is Regime.MONOPOLISTIC
         placed = ((position, 1) for position in self.assignment) if mon else self.assignment
@@ -66,8 +63,7 @@ class MicroOutcome:
             if count < 1:
                 raise ConfigError("outcome: count %r at level %r is below 1" % (count, level))
             occ[level] += count
-        # tallies of 1s need no further checks; counts from the caller do
-        return _order(tuple(occ)) if mon else EconomicOrder(tuple(occ))
+        return EconomicOrder(tuple(occ))
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,8 @@ class OrderCatalog:
         calls of ``randrange`` do; ``bisect_right`` into ``cumulative`` picks
         the order.  The orders, the placement's index plan and its table of
         (level, slot) positions are built once per stream, and a batch's
-        assignments are gathered from that table.  Beyond that a draw costs
-        one outcome whose slots are set directly; the random work is O(N)
+        assignments are gathered from that table; ``core._records`` makes a
+        batch's outcomes in C-level passes.  The random work is O(N)
         (distinguishable) or sum_k (g_k - 1) (indistinguishable) integer
         draws inside numpy, and a level with one slot takes none.  No outcome
         other than the drawn ones is ever built.  Every entry of an
@@ -176,16 +172,13 @@ class OrderCatalog:
         from numpy.random import default_rng  # numpy.random loads only when sampling
 
         cumulative, total = self.cumulative, self.total_outcomes
-        regime = self.regime
+        regimes = repeat(self.regime)
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
         getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
         order_at = [entry.order for entry in self.listing].__getitem__
-        place = (_place_firms if regime is Regime.MONOPOLISTIC else _place_units)(
+        place = (_place_firms if self.regime is Regime.MONOPOLISTIC else _place_units)(
             self.degeneracies
-        )
-        set_regime, set_assignment, set_order = (
-            getattr(MicroOutcome, name).__set__ for name in MicroOutcome.__slots__
         )
         width = self.listing[0].order.n_firms + sum(self.degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
@@ -195,15 +188,10 @@ class OrderCatalog:
             while len(picks) < size:
                 picks += filter(below, map(getrandbits, repeat(bits, size - len(picks))))
             orders = list(map(order_at, map(bisect_right, repeat(cumulative), picks)))
-            occ = np.array([order.occupancy for order in orders])
-            batch = []
-            for order, assignment in zip(orders, place(gen, occ)):
-                outcome = object.__new__(MicroOutcome)
-                set_regime(outcome, regime)
-                set_assignment(outcome, assignment)
-                set_order(outcome, order)
-                batch.append(outcome)
-            yield from batch
+            assignments = place(gen, np.array([order.occupancy for order in orders]))
+            yield from _records(
+                MicroOutcome, size, regime=regimes, assignment=assignments, drawn_order=orders
+            )
             size = min(2 * size, largest)
 
 
@@ -319,7 +307,7 @@ def enumerate_orders(
     Every occupancy is a tuple of Python ints >= 0 (each range runs from
     max(0, ...) to at most ``left``, and a_{n-3} in its range leaves a_{n-2}
     in [0, left - a_{n-3}]; for two levels the closed form is kept only when
-    0 <= a <= left), so ``core._orders`` builds the records without
+    0 <= a <= left), so ``core._records`` builds the orders without
     EconomicOrder's checks.
 
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
@@ -386,7 +374,7 @@ def enumerate_orders(
             extend([(a, n_firms - a)])
     else:
         bounded(0, n_firms, total, ())
-    return _orders(occs)
+    return _records(EconomicOrder, len(occs), occupancy=occs)
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -412,12 +400,20 @@ def enumerate_outcomes(
 ) -> dict[EconomicOrder, tuple[MicroOutcome, ...]]:
     """Exhaustively generate all feasible micro-outcomes grouped by order.
 
-    Generation walks the assignment space directly (depth-first with revenue
-    pruning) and never consults the closed-form multiplicity, so group sizes
-    are an independent check of it.  Refuses with CapExceededError when the
-    feasible outcome space is larger than ``cap``: every feasible order holds
-    at least one outcome, so more than ``cap`` orders refuse while they are
-    listed, before any multiplicity is computed.
+    One depth-first walk serves both regimes and never consults the
+    closed-form multiplicity, so group sizes are an independent check of it.
+    Each firm takes one (level, slot) position, tried in level order; an
+    indistinguishable firm never steps back past the firm before it, so each
+    multiset is walked once, then returned as sorted ((level, slot), count)
+    runs.  With a revenue total a position is skipped when the firms after
+    it cannot make up the rest, and the loop stops at the first one too
+    dear.  Groups, keyed by the level counts the walk keeps, come out sorted
+    by occupancy, each in walk order (lexicographic for distinguishable
+    firms).  The walk recurses once per firm: a few hundred firms at most.
+    Refuses with CapExceededError when the feasible outcome space is larger
+    than ``cap``: every feasible order holds at least one outcome, so more
+    than ``cap`` orders refuse while they are listed, before any
+    multiplicity is computed.
     """
     try:
         orders = enumerate_orders(grid, config, cap=cap)
@@ -427,66 +423,42 @@ def enumerate_outcomes(
     if count > cap:
         raise CapExceededError(count, cap)
 
-    positions = _positions(grid.degeneracies).tolist()
-    levels = grid.levels
-    total = config.total_revenue
-    n_firms = config.n_firms
-    groups: dict[EconomicOrder, list[MicroOutcome]] = {}
+    levels, total, regime = grid.levels, config.total_revenue, config.regime
+    low, high = levels[0], levels[-1]
+    steps = [(pos, pos[0], levels[pos[0]]) for pos in _positions(grid.degeneracies).tolist()]
+    mon = regime is Regime.MONOPOLISTIC
+    occ = [0] * grid.n
+    acc: list[tuple[int, int]] = []  # the (level, slot) of each placed firm
+    groups: dict[tuple[int, ...], list[tuple]] = {}
 
-    min_level = levels[0]
-    max_level = levels[-1]
+    def walk(start: int, revenue: int, rest: int) -> None:
+        # places one firm; ``rest`` firms follow it
+        for i in range(start, len(steps)):
+            pos, level, e = steps[i]
+            rev = revenue + e
+            if total is not None:
+                need = total - rev
+                if need < rest * low:
+                    break
+                if need > rest * high:
+                    continue
+            acc.append(pos)
+            occ[level] += 1
+            if rest:
+                walk(0 if mon else i, rev, rest - 1)
+            else:  # with a total, the bounds at rest = 0 leave only rev == total
+                outcome = tuple(acc) if mon else tuple(Counter(acc).items())  # runs, in order
+                groups.setdefault(tuple(occ), []).append(outcome)
+            acc.pop()
+            occ[level] -= 1
 
-    if config.regime is Regime.MONOPOLISTIC:
-
-        def walk(firm: int, revenue: int, acc: list[Position]) -> None:
-            if firm == n_firms:
-                if total is None or revenue == total:
-                    outcome = MicroOutcome(config.regime, tuple(acc))
-                    groups.setdefault(outcome.order(grid), []).append(outcome)
-                return
-            rest = n_firms - firm - 1
-            for pos in positions:
-                rev = revenue + levels[pos[0]]
-                if total is not None:
-                    need = total - rev
-                    if need < rest * min_level or need > rest * max_level:
-                        continue
-                acc.append(pos)
-                walk(firm + 1, rev, acc)
-                acc.pop()
-
-        walk(0, 0, [])
-    else:
-
-        def walk_multiset(idx: int, left: int, revenue: int, acc: list[tuple[Position, int]]) -> None:
-            if left == 0:
-                if total is None or revenue == total:
-                    outcome = MicroOutcome(config.regime, tuple(acc))
-                    groups.setdefault(outcome.order(grid), []).append(outcome)
-                return
-            if idx == len(positions):
-                return
-            pos = positions[idx]
-            level_value = levels[pos[0]]
-            for c in range(left + 1):
-                rev = revenue + c * level_value
-                rest = left - c
-                if total is not None:
-                    need = total - rev
-                    if need < rest * min_level:
-                        break
-                    if need > rest * max_level:
-                        continue
-                if c:
-                    acc.append((pos, c))
-                walk_multiset(idx + 1, rest, rev, acc)
-                if c:
-                    acc.pop()
-
-        walk_multiset(0, n_firms, 0, [])
-
+    walk(0, 0, config.n_firms - 1)
+    keys = sorted(groups)
+    orders = _records(EconomicOrder, len(keys), occupancy=keys)
+    regimes, none = repeat(regime), repeat(None)
     return {
-        order: tuple(groups[order]) for order in sorted(groups, key=lambda o: o.occupancy)
+        order: tuple(_records(MicroOutcome, len(a), regime=regimes, assignment=a, drawn_order=none))
+        for order, a in zip(orders, map(groups.get, keys))
     }
 
 
@@ -505,7 +477,8 @@ def catalog(
 
     The multiplicities come from ``counting._multiplicities``, which builds
     them level column by level column from small exact tables, with no
-    Python call per order; the entries are built in C-level passes.  After
+    Python call per order; ``core._records`` makes the entries in one
+    C-level pass per slot and leaves the probability slot empty.  After
     the sort, the top entry's count is recomputed once by the closed-form
     ``multiplicity`` (a few µs), and a disagreement raises EconOrderError
     naming the order.  That check serves two ends: the count that
@@ -520,12 +493,9 @@ def catalog(
     counts = _multiplicities(columns, grid.degeneracies, config.regime)
     cumulative = tuple(accumulate(counts))
     total = cumulative[-1]
-    # each slot stored by its descriptor over the whole listing: no
-    # frozen-__init__ setattr calls, and the probability slot stays empty
-    # until it is read
-    listing = tuple(map(object.__new__, repeat(CatalogEntry, len(orders))))
-    for name, values in (("order", orders), ("multiplicity", counts), ("_total", repeat(total))):
-        deque(map(getattr(CatalogEntry, name).__set__, listing, values), maxlen=0)
+    listing = tuple(
+        _records(CatalogEntry, len(orders), order=orders, multiplicity=counts, _total=repeat(total))
+    )
     # stable, so equal multiplicities keep the lexicographic listing order
     entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
     top = entries[0]

@@ -42,8 +42,8 @@ class MacroParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ConfigError("macro.lambda: must be positive")
+        if not (0 < self.lam < math.inf):
+            raise ConfigError("macro.lambda: must be positive and finite")
         if self.theta == 0:
             raise ConfigError("macro.theta: must be nonzero for invertibility")
 
@@ -58,8 +58,8 @@ def macro_from_multipliers(alpha: float, beta: float, lam: float = 1.0) -> Macro
     """(mu, theta) implied by the multipliers at a given scale constant."""
     if beta == 0:
         raise ConfigError("beta must be nonzero to recover macro parameters")
-    if not (lam > 0):
-        raise ConfigError("macro.lambda: must be positive")
+    if not (0 < lam < math.inf):
+        raise ConfigError("macro.lambda: must be positive and finite")
     return MacroParams(mu=-alpha / beta, theta=1.0 / (lam * beta), lam=lam)
 
 
@@ -87,8 +87,6 @@ class IdentityReport:
     best_sign: int
     entropy: float
     expression: float
-    residual_positive: float
-    residual_negative: float
     grad_alpha: float
     grad_beta: float
     grad_alpha_fd: float
@@ -125,19 +123,12 @@ def entropy_identity_residual(
     grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
     grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
     expression = lw - alpha * grad_a - beta * grad_b
-    residual_positive = entropy - expression
-    residual_negative = entropy + expression
-    if abs(residual_positive) <= abs(residual_negative):
-        best_sign, residual = 1, residual_positive
-    else:
-        best_sign, residual = -1, residual_negative
+    best_sign = 1 if abs(entropy - expression) <= abs(entropy + expression) else -1
     return IdentityReport(
-        residual=residual,
+        residual=entropy - best_sign * expression,
         best_sign=best_sign,
         entropy=entropy,
         expression=expression,
-        residual_positive=residual_positive,
-        residual_negative=residual_negative,
         grad_alpha=grad_a,
         grad_beta=grad_b,
         grad_alpha_fd=grad_a_fd,
@@ -147,6 +138,6 @@ def entropy_identity_residual(
 
 def technology(log_omega: float, lam: float = 1.0) -> float:
     """Technology level implied by the degree of freedom: T = lambda * ln(Omega)."""
-    if not (lam > 0):
-        raise ConfigError("macro.lambda: must be positive")
+    if not (0 < lam < math.inf):
+        raise ConfigError("macro.lambda: must be positive and finite")
     return lam * log_omega

@@ -559,6 +559,27 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "grid.levels" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["solve"], TWO_LEVEL_SOLVE + "\n[thresholds]\ngap = nan\n", "thresholds.gap"),
+            (["solve"], TWO_LEVEL_SOLVE + "\n[thresholds]\ngap = inf\n", "thresholds.gap"),
+            (["macro"], TWO_LEVEL_SOLVE.replace("regime = mon", "regime = mon\nlambda = inf"), "economy.lambda"),
+            (["macro", "--lambda", "inf"], TWO_LEVEL_SOLVE, "economy.lambda"),
+            (["solve", "--lambda", "nan"], TWO_LEVEL_SOLVE, "economy.lambda"),
+        ],
+        ids=["gap-nan", "gap-inf", "lambda-inf", "flag-lambda-inf", "flag-lambda-nan"],
+    )
+    def test_non_finite_values_exit_1_before_output(self, tmp_path, capsys, argv, text, key):
+        # a nan gap used to exit 0 with "gap_threshold": NaN in solution.json, and
+        # an infinite lambda to fail later over macro.theta
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert key in err["message"]
+        assert not out.exists()
+
     def test_lambda_rejected_where_unused(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
         with pytest.raises(SystemExit) as exc:

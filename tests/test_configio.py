@@ -102,6 +102,29 @@ def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):
         load_run_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("[thresholds]\ngap = nan", "thresholds.gap"),
+        ("[thresholds]\ngap = inf", "thresholds.gap"),
+        ("[thresholds]\ngap = -1e-6", "thresholds.gap"),
+        ("[thresholds]\nground_fraction = -inf", "thresholds.ground_fraction"),
+        ("lambda = inf", "economy.lambda"),
+        ("lambda = nan", "economy.lambda"),
+    ],
+)
+def test_non_finite_or_negative_numbers_name_their_key(tmp_path, line, key):
+    # nan and inf used to load: a nan gap reached solution.json as NaN, not JSON
+    text = "[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n" + line + "\n"
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(write(tmp_path, text))
+
+
+def test_zero_gap_loads(tmp_path):
+    text = "[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[thresholds]\ngap = 0\n"
+    assert load_run_config(write(tmp_path, text)).thresholds.gap == 0.0
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_run_config("/nonexistent/econorder.ini")

@@ -248,6 +248,66 @@ class TestEnumerateOutcomes:
         with pytest.raises(ConfigError, match="slot"):
             empirical_frequencies([outcome], GRID_2)
 
+    @given(
+        levels=st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True).map(sorted),
+        degeneracies=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        n_firms=st.integers(1, 4),
+        regime=st.sampled_from(list(Regime)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lists_every_outcome_once_against_itertools(self, levels, degeneracies, n_firms, regime, data):
+        # labeled firms: every tuple of positions; identical firms: every
+        # multiset, as sorted (position, count) pairs; both filtered by revenue
+        total = data.draw(revenue_totals(levels, n_firms))
+        grid = RevenueGrid(tuple(levels), tuple(degeneracies[: len(levels)]))
+        positions = [(k, s) for k, g in enumerate(grid.degeneracies) for s in range(g)]
+        if regime is Regime.MONOPOLISTIC:
+            walks = itertools.product(positions, repeat=n_firms)
+        else:
+            walks = itertools.combinations_with_replacement(positions, n_firms)
+        expected = []
+        for placed in walks:
+            if total is None or sum(levels[k] for k, _ in placed) == total:
+                runs = tuple((pos, placed.count(pos)) for pos in sorted(set(placed)))
+                expected.append(placed if regime is Regime.MONOPOLISTIC else runs)
+        groups = enumerate_outcomes(grid, EconomyConfig(n_firms, total, regime))
+        listed = [m.assignment for members in groups.values() for m in members]
+        assert sorted(listed) == sorted(expected)
+        assert len(set(listed)) == len(listed)
+        assert [o.occupancy for o in groups] == sorted(o.occupancy for o in groups)
+        for order, members in groups.items():
+            assert members  # no empty group
+            for m in members:
+                assert m.regime is regime and m.drawn_order is None
+                assert m.order(grid) == order
+            if regime is Regime.MONOPOLISTIC:  # labeled outcomes in lexicographic order
+                assert [m.assignment for m in members] == sorted(m.assignment for m in members)
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=["mon", "per"])
+    def test_group_sizes_never_read_the_closed_form(self, monkeypatch, regime):
+        # multiplicity feeds only the cap check, so a spy that counts every
+        # order as one outcome leaves the groups as they were
+        cases = [
+            (RevenueGrid((0, 2, 3), (2, 1, 3)), EconomyConfig(5, 10, regime)),
+            (RevenueGrid((1, 2, 5), (1, 3, 2)), EconomyConfig(4, None, regime)),
+            (FIVE_LEVELS, EconomyConfig(5, 15, regime)),
+        ]
+
+        def sizes():
+            return [
+                {order.occupancy: len(members) for order, members in enumerate_outcomes(*case).items()}
+                for case in cases
+            ]
+
+        expected = sizes()
+        calls = []
+        monkeypatch.setattr(enumeration, "multiplicity", lambda *args: calls.append(args) or 1)
+        assert sizes() == expected
+        assert len(calls) == sum(map(len, expected))
+        for (grid, config), by_order in zip(cases, expected):
+            assert by_order == {o: multiplicity(o, grid, regime) for o in by_order}
+
     def test_cap_refusal_names_the_bound(self):
         config = EconomyConfig(12, None, Regime.MONOPOLISTIC)
         with pytest.raises(CapExceededError) as err:

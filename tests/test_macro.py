@@ -179,7 +179,7 @@ class TestEntropyIdentity:
         # ln N! term, so the negative-sign residual is exactly ln N!
         sol = solve_multipliers(GRID_2, EconomyConfig(10, 14, Regime.MONOPOLISTIC))
         report = entropy_identity_residual(sol.alpha, sol.beta, GRID_2, Regime.MONOPOLISTIC)
-        assert report.residual_negative == pytest.approx(math.lgamma(11), rel=1e-9)
+        assert report.entropy + report.expression == pytest.approx(math.lgamma(11), rel=1e-9)
         assert report.entropy == pytest.approx(8.80868, abs=1e-4)
         assert report.expression == pytest.approx(6.29573, abs=1e-4)
         assert report.best_sign == 1
@@ -224,8 +224,8 @@ def identity_reference(alpha, beta, grid, regime):
     positive, negative = entropy - expression, entropy + expression
     sign = 1 if abs(positive) <= abs(negative) else -1
     return IdentityReport(
-        positive if sign == 1 else negative, sign, entropy, expression, positive,
-        negative, grad_a, grad_b, grad_a_fd, grad_b_fd,
+        positive if sign == 1 else negative, sign, entropy, expression,
+        grad_a, grad_b, grad_a_fd, grad_b_fd,
     )
 
 
@@ -294,6 +294,17 @@ class TestTechnology:
     def test_requires_positive_lambda(self):
         with pytest.raises(ConfigError):
             technology(1.0, 0.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_is_named(self, lam):
+        # an infinite lambda used to pass and fail later over macro.theta
+        for build in (
+            lambda: technology(1.0, lam),
+            lambda: macro_from_multipliers(1.0, 0.5, lam),
+            lambda: MacroParams(mu=1.0, theta=1.0, lam=lam),
+        ):
+            with pytest.raises(ConfigError, match="macro.lambda"):
+                build()
 
     def test_maximised_at_most_probable_order(self):
         grid = RevenueGrid((1, 2, 3), (1, 1, 1))
