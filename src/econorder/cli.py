@@ -4,9 +4,10 @@ Every command reads a validated config (or a data file for ``fit``), writes
 machine-readable CSV/JSON into the output directory, and exits with
 0 on success, 2 on infeasibility, 3 on non-convergence, 4 on an exceeded
 enumeration cap, and 1 on any other error.  The output directory is made
-only once the command's catalog or solve has succeeded, so a run that exits
-2 or 4 leaves no empty directory behind.  Outputs are deterministic for a
-fixed config and seed set.
+only once the command's catalog, solve or Boltzmann fit has succeeded, so a
+run that exits 2 or 4, or is refused its data or config, leaves no empty
+directory behind.  Outputs are deterministic for a fixed config and seed
+set.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _out_dir(args, run_config: RunConfig | None = None) -> Path:
 def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be non-negative")
         updates["seed"] = args.seed
     if getattr(args, "lam", None) is not None:
         if not (0 < args.lam < math.inf):
@@ -139,10 +142,10 @@ def cmd_fit(args) -> int:
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
     samples = load_samples(args.data)
-    out = _out_dir(args)
     payload: dict = {"n_samples": len(samples), "source": samples.source}
     exit_code = EXIT_OK
     boltzmann = fit_boltzmann(samples, tail_quantile=args.tail_quantile)
+    out = _out_dir(args)
     gof_b = goodness_of_fit(boltzmann)
     payload["boltzmann"] = {
         "parameters": boltzmann.parameters,

@@ -121,6 +121,8 @@ def load_run_config(path: str | Path, regime_override: str | None = None) -> Run
     seeds = _parse_int_list("economy", "seeds", esec.get("seeds", "0"))
     if len(seeds) > 1:
         raise ConfigError(f"economy.seeds: expected one integer, got {len(seeds)}")
+    if seeds[0] < 0:
+        raise ConfigError("economy.seeds: must be non-negative")
     output_dir = esec.get("output_dir") or None
 
     thresholds = Thresholds()

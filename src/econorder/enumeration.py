@@ -279,101 +279,88 @@ def enumerate_orders(
 ) -> list[EconomicOrder]:
     """All occupancy vectors meeting the constraints, in lexicographic order.
 
-    The recursive listing of Nijenhuis & Wilf (*Combinatorial Algorithms*,
-    1978), in closed form.  With ``left`` firms and ``need`` revenue still to
-    place at level k, the later levels can absorb only revenue between
+    The listing of Nijenhuis & Wilf (*Combinatorial Algorithms*, 1978), in
+    closed form, as one loop over an explicit stack of (prefix, left, need)
+    entries: the values a_0..a_{k-1} fixed so far, and the firms and revenue
+    still to place (``need`` is None without a revenue total).  No grid is
+    too deep for it.  The later levels can absorb only revenue between
     rest*e_{k+1} and rest*e_max for ``rest`` firms, so a_k runs over exactly
 
         ceil((left*e_{k+1} - need) / (e_{k+1} - e_k)) <= a_k
             <= floor((left*e_max - need) / (e_max - e_k)),
 
-    clipped to [0, left]; at level n-2 the two constraints leave the single
-    value a_{n-2} = (left*e_{n-1} - need) / (e_{n-1} - e_{n-2}), kept when the
-    division is exact.  Every value tried has a real completion, so on
-    consecutive integer levels every branch ends in an order and the listing
-    costs O(1) per order for a fixed number of levels; gaps between levels
-    can still leave branches with no integer completion.  Without a revenue
-    total every value 0..left is taken.
+    clipped to [0, left] (0..left without a total).  Every value tried has a
+    real completion, so on consecutive integer levels the listing costs O(1)
+    per order for a fixed number of levels; gaps between levels can still
+    leave branches with no integer completion.  A popped entry takes one of
+    four cases:
 
-    The last three levels take no Python call per order.  At level n-3 the
-    numerator of a_{n-2} falls by s = e_{n-1} - e_{n-3} per unit of a_{n-3},
-    so the values of a_{n-3} whose division by d = e_{n-1} - e_{n-2} is exact
-    form one arithmetic progression of step d / gcd(s, d) across the range,
-    a_{n-2} falls by s / gcd(s, d) along it and a_{n-1} (the rest) rises by
-    (s - d) / gcd(s, d).  One call per prefix zips those three progressions
-    into that prefix's orders; without a revenue total the last two levels
-    are zipped the same way (0..left and left..0).
+    - at the last level (one- and two-level grids only), (prefix, left) is
+      kept when the revenue matches;
+    - without a total, at level n-2, the last two levels are zipped:
+      a_{n-2} over 0..left, a_{n-1} over left..0;
+    - with a total, at level n-3, the last three levels are zipped.  The
+      numerator of a_{n-2} falls by s = e_{n-1} - e_{n-3} per unit of
+      a_{n-3}, so the a_{n-3} whose division by d = e_{n-1} - e_{n-2} is
+      exact form one progression of step d / gcd(s, d), started by a modular
+      inverse; along it a_{n-2} falls by s / gcd(s, d) and a_{n-1} rises by
+      (s - d) / gcd(s, d);
+    - otherwise the level's range is pushed high to low, so it pops low to
+      high.
 
-    Every occupancy is a tuple of Python ints >= 0 (each range runs from
-    max(0, ...) to at most ``left``, and a_{n-3} in its range leaves a_{n-2}
-    in [0, left - a_{n-3}]; for two levels the closed form is kept only when
-    0 <= a <= left), so ``core._records`` builds the orders without
-    EconomicOrder's checks.
-
+    So the last two or three levels take no Python call per order, but each
+    entry pushed copies its prefix: O(levels) per node, which dominates a
+    listing without a total over many levels.  Every occupancy is a tuple of
+    Python ints >= 0 (each range runs from max(0, ...) to at most ``left``,
+    and a_{n-3} in its range leaves a_{n-2} in [0, left - a_{n-3}]), so
+    ``core._records`` builds the orders without EconomicOrder's checks.
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
-    they are listed: the count is checked after each prefix's orders, and a
-    truncated list is never returned.
+    they are listed: the count is checked after each popped entry's orders
+    are kept, and a truncated list is never returned.
     """
     levels = grid.levels
     last = grid.n - 1
     top = levels[-1]
-    total = config.total_revenue
     limit = math.inf if cap is None else cap
-    occs: list[tuple[int, ...]] = []
-
-    def extend(rows: Iterable[tuple[int, ...]]) -> None:
-        occs.extend(rows)
-        if len(occs) > limit:
-            raise CapExceededError(None, cap, "order list")
-
-    def free(k: int, left: int, prefix: tuple[int, ...]) -> None:
-        if k == last - 1:
-            extend(zip(*map(repeat, prefix), range(left + 1), range(left, -1, -1)))
-            return
-        for a in range(left + 1):
-            free(k + 1, left - a, prefix + (a,))
-
     if last >= 2:
         s, d = top - levels[-3], top - levels[-2]
         h = math.gcd(s, d)
         step, a_down, rest_up = d // h, s // h, (s - d) // h
         inverse = pow(a_down, -1, step)  # of s/h modulo d/h (0 when d/h = 1)
-
-    def bounded(k: int, left: int, need: int, prefix: tuple[int, ...]) -> None:
-        e, nxt = levels[k], levels[k + 1]
-        lo = max(0, -((need - left * nxt) // (nxt - e)))
-        hi = min(left, (left * top - need) // (top - e))
-        if k < last - 2:
-            for a in range(lo, hi + 1):
-                bounded(k + 1, left - a, need - a * e, prefix + (a,))
-            return
-        # a_{n-3} = lo + j leaves the numerator x - j*s, exact iff j*s = x mod d
-        x = left * top - need - lo * s
-        if x % h:
-            return
-        j = x // h * inverse % step
-        b = (x - j * s) // d
-        extend(
-            zip(
-                *map(repeat, prefix),
-                range(lo + j, hi + 1, step),
-                count(b, -a_down),
-                count(left - lo - j - b, rest_up),
-            )
-        )
-
-    n_firms = config.n_firms
-    if last == 0:
-        if total is None or n_firms * top == total:
-            extend([(n_firms,)])
-    elif total is None:
-        free(0, n_firms, ())
-    elif last == 1:
-        a, rem = divmod(n_firms * top - total, top - levels[0])
-        if not rem and 0 <= a <= n_firms:
-            extend([(a, n_firms - a)])
-    else:
-        bounded(0, n_firms, total, ())
+    occs: list[tuple[int, ...]] = []
+    stack = [((), config.n_firms, config.total_revenue)]  # (prefix, left, need)
+    while stack:
+        prefix, left, need = stack.pop()
+        k = len(prefix)
+        if k == last:
+            if need is None or left * top == need:
+                occs.append(prefix + (left,))
+        elif need is None and k == last - 1:
+            occs.extend(zip(*map(repeat, prefix), range(left + 1), range(left, -1, -1)))
+        elif need is None:
+            stack.extend((prefix + (a,), left - a, None) for a in range(left, -1, -1))
+        else:
+            e, nxt = levels[k], levels[k + 1]
+            lo = max(0, -((need - left * nxt) // (nxt - e)))
+            hi = min(left, (left * top - need) // (top - e))
+            if k == last - 2:
+                # a_{n-3} = lo + j leaves the numerator x - j*s, exact iff j*s = x mod d
+                x = left * top - need - lo * s
+                if x % h == 0:
+                    j = x // h * inverse % step
+                    b = (x - j * s) // d
+                    occs.extend(
+                        zip(
+                            *map(repeat, prefix),
+                            range(lo + j, hi + 1, step),
+                            count(b, -a_down),
+                            count(left - lo - j - b, rest_up),
+                        )
+                    )
+            else:  # pushed high to low, so the values pop low to high
+                stack.extend((prefix + (a,), left - a, need - a * e) for a in range(hi, lo - 1, -1))
+        if len(occs) > limit:
+            raise CapExceededError(None, cap, "order list")
     return _records(EconomicOrder, len(occs), occupancy=occs)
 
 

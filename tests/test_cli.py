@@ -126,6 +126,31 @@ def test_failed_command_makes_no_output_folder(tmp_path, capsys, argv, text, cod
     assert not out.exists()
 
 
+# 1,200 levels, far deeper than the interpreter's recursion limit; the one
+# feasible order puts the firm on level 7
+TWELVE_HUNDRED_LEVELS = """
+[grid]
+levels = %s
+
+[economy]
+N = 1
+Pi = 7
+regime = mon
+
+[caps]
+sample_draws = 100
+""" % " ".join(map(str, range(1, 1201)))
+
+
+@pytest.mark.parametrize("command, table", [("enumerate", "orders.csv"), ("sample", "frequencies.csv")])
+def test_twelve_hundred_levels(tmp_path, command, table):
+    config = write_config(tmp_path, TWELVE_HUNDRED_LEVELS)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    rows = read_rows(out / table)
+    assert [r["occupancy"] for r in rows] == [" ".join("1" if k == 6 else "0" for k in range(1200))]
+
+
 class TestEnumerate:
     def test_two_firm_example_counts(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS)
@@ -439,6 +464,28 @@ class TestFit:
         assert err == {"error": "config", "message": "data.csv:101: non-finite value rejected"}
         assert not out.exists()  # rejected before any fit or output
 
+    @pytest.mark.parametrize(
+        "rows, tail, message",
+        [
+            (None, "0.5", "tail_quantile must lie in [0, 0.2]"),
+            (None, "-0.1", "tail_quantile must lie in [0, 0.2]"),
+            (["1.5", "2.5", "3.5"], "0.03", "boltzmann fit requires at least 10 samples after truncation"),
+            (["5.0"] * 12, "0.03", "zero temperature: all retained samples are equal"),
+        ],
+        ids=["tail-above-0.2", "tail-negative", "three-rows", "equal-rows"],
+    )
+    def test_rejected_fit_makes_no_output_folder(self, tmp_path, capsys, rows, tail, message):
+        if rows is None:
+            rng = np.random.default_rng(0)
+            rows = ["%.6f" % v for v in 1.0 + rng.exponential(5.0, size=200)]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(data), "--out", str(out), "--tail-quantile", tail]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_nonpositive_bins_is_a_config_error(self, tmp_path, capsys, bins):
         data = tmp_path / "data.csv"
@@ -578,6 +625,25 @@ class TestConfigValidation:
         assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert key in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, flags, key",
+        [
+            ("check", EXAMPLE_TWO_FIRMS, ["--seed", "-1"], "--seed"),
+            ("sample", EXAMPLE_TWO_FIRMS, ["--seed", "-1"], "--seed"),
+            ("check", EXAMPLE_TWO_FIRMS.replace("seeds = 7", "seeds = -1"), [], "economy.seeds"),
+            ("sample", EXAMPLE_TWO_FIRMS.replace("seeds = 7", "seeds = -1"), [], "economy.seeds"),
+        ],
+        ids=["check-flag", "sample-flag", "check-config", "sample-config"],
+    )
+    def test_negative_seed_exits_1_before_output(self, tmp_path, capsys, command, text, flags, key):
+        # numpy's seeding refused it with a bare ValueError after --out was made
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), *flags]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": key + ": must be non-negative"}
         assert not out.exists()
 
     def test_lambda_rejected_where_unused(self, tmp_path):

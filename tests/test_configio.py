@@ -94,6 +94,7 @@ def test_missing_regime_without_override(tmp_path):
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nmax_outcomes = 0\n", "caps.max_outcomes"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nburn_in = 50\n", "caps.burn_in"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = 1 2\n", "economy.seeds"),
+        ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = -1\n", "economy.seeds"),
         ("[grid]\nlevels = 1 2\nquantum = 0.5\n\n[economy]\nN = 2\nregime = mon\n", "grid.quantum"),
     ],
 )

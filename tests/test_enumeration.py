@@ -165,6 +165,41 @@ class TestEnumerateOrders:
                 capped = enumerate_orders(grid, config, cap=cap)
                 assert [o.occupancy for o in capped] == expected
 
+    # the revenues of each order's firms, in listing order: lexicographic in
+    # the occupancy, so fewer firms on the lowest level come first
+    @pytest.mark.parametrize(
+        "n_firms, total, revenues",
+        [
+            (1, 7, [(7,)]),
+            (2, 7, [(3, 4), (2, 5), (1, 6)]),
+            (
+                3,
+                12,
+                [
+                    (4, 4, 4), (3, 4, 5), (3, 3, 6), (2, 5, 5), (2, 4, 6), (2, 3, 7),
+                    (2, 2, 8), (1, 5, 6), (1, 4, 7), (1, 3, 8), (1, 2, 9), (1, 1, 10),
+                ],
+            ),
+        ],
+    )
+    def test_twelve_hundred_levels(self, n_firms, total, revenues):
+        # far deeper than the interpreter's recursion limit
+        grid = RevenueGrid(tuple(range(1, 1201)), ())
+        expected = []
+        for firms in revenues:
+            occ = [0] * 1200
+            for e in firms:
+                occ[e - 1] += 1
+            expected.append(tuple(occ))
+        mon = EconomyConfig(n_firms, total, Regime.MONOPOLISTIC)
+        per = EconomyConfig(n_firms, total, Regime.PERFECT)
+        assert [o.occupancy for o in enumerate_orders(grid, mon)] == expected
+        # labeled firms: each ordered split of the total into n_firms positive parts
+        for config, outcomes in ((mon, math.comb(total - 1, n_firms - 1)), (per, len(expected))):
+            cat = catalog(grid, config)
+            assert [entry.order.occupancy for entry in cat.listing] == expected
+            assert cat.total_outcomes == outcomes
+
 
 class TestEnumerateOutcomes:
     def test_two_firm_unconstrained_monopolistic(self):

@@ -32,6 +32,11 @@ GOLDEN = {
         "occupancy.csv": "d0d06c21ec7da05ec09cf4dca01d0b95ee9d41a0c0a37dc7270eff6f0d692588",
         "solution.json": "65d2adecc66e925b0a7d35591b6549431d8f0a09428d01dc3070b94844bc8617",
     },
+    # two levels with a revenue total: one order, fixed by the total
+    ("enumerate", "two_level_solve.ini"): {
+        "orders.csv": "1395a672a188f51443edf11d28ab938b982432a61dfcadf8c56baf2d74a13d75",
+        "spontaneous.json": "7c49997fcbcc2309012975489e7c0201d3199b98438cbac7cada156309b48506",
+    },
     ("macro", "two_level_solve.ini"): {
         "macro.json": "b60b0f31b68ba199ae58d74e82da3b7e3afe1adcaf239dab4359b00ff7212aee",
     },
