@@ -118,7 +118,7 @@ def check_counting_oracle(seed: int) -> CheckResult:
         if cat.total_outcomes > SCAN_CAP:
             continue  # keep the exhaustive scan desk-sized; the draw stays random
         groups = enumerate_outcomes(grid, config, cap=SCAN_CAP)
-        expected = {e.order: e.multiplicity for e in cat.listing}
+        expected = dict(zip(cat.orders, cat.counts))
         sizes = {order: len(members) for order, members in groups.items()}
         if sizes != expected:
             for order in set(expected) | set(sizes):

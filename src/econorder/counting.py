@@ -165,21 +165,29 @@ def _multiplicities(
     factors is built only over the distinct values of its column, so a short
     listing at large N builds no O(N) table.
 
-    - Distinguishable firms: C(left_k, a_k) by ``map(comb, ...)`` over the
-      running columns of firms still to place (left_0 = N), times a table of
-      g_k**a_k.  The last level's C(left, left) = 1 is skipped.
+    - Distinguishable firms: left_0 = N for every order, so level 0's
+      C(N, a_0) * g_0**a_0 is one table.  At each later level but the last,
+      C(left_k, a_k) by ``map(comb, ...)`` over the running column of firms
+      still to place, times a table of g_k**a_k; the last level's
+      C(left, left) = 1 is skipped.
     - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
 
-    Levels with g_k = 1 take no table.  Every count is an exact Python int.
+    Other levels with g_k = 1 take no table.  Every count is an exact
+    Python int.
     """
     mon = regime is Regime.MONOPOLISTIC
     factors = []  # one lazy column of factors per level and kind
     if mon:
-        left = repeat(sum(column[0] for column in columns))
-        for column in columns[:-1]:
+        n = sum(column[0] for column in columns)
+        first, g = columns[0], degeneracies[0]
+        table = {a: comb(n, a) * g**a for a in set(first)}
+        factors.append(map(table.__getitem__, first))
+        left = repeat(n)
+        for prev, column in zip(columns, columns[1:-1]):
+            left = list(map(sub, left, prev))
             factors.append(map(comb, left, column))
-            left = list(map(sub, left, column))
-    for column, g in zip(columns, degeneracies):
+    tabled = zip(columns[1:], degeneracies[1:]) if mon else zip(columns, degeneracies)
+    for column, g in tabled:
         if g != 1:
             values = set(column)
             table = {a: g**a for a in values} if mon else {a: comb(a + g - 1, a) for a in values}

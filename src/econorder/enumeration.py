@@ -13,10 +13,11 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, repeat, takewhile
-from operator import attrgetter
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter, eq
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -66,40 +67,61 @@ class MicroOutcome:
         return EconomicOrder(tuple(occ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One feasible order, its multiplicity ω and its exact probability ω / T.
 
-    ``CatalogEntry(order, multiplicity, probability)`` keeps the probability
-    it is given.  An entry built by ``catalog`` leaves that slot empty and
-    holds the catalog total T: the first read of ``probability`` reduces
-    ``Fraction(ω, T)`` into the slot, so a caller that reads only
-    ``multiplicity / total_outcomes`` pays no gcd.  Equality, hashing, repr,
-    ``dataclasses`` helpers and pickles read the field, and so the same
-    three values, either way.
+    A plain frozen record.  A catalog keeps none: its ``listing`` and
+    ``entries`` views make each one, with ``Fraction(ω, T)`` reduced, when
+    it is read.
     """
-
-    __slots__ = ("order", "multiplicity", "probability", "_total")
 
     order: EconomicOrder
     multiplicity: int
     probability: Fraction
 
-    def __getattr__(self, name: str) -> Fraction:
-        # reached only when a slot is empty: a catalog entry's unread probability
-        if name != "probability":
-            raise AttributeError(name)
-        probability = Fraction(self.multiplicity, self._total)
-        object.__setattr__(self, "probability", probability)
-        return probability
 
-    # the state of a slots=True dataclass: its field values, never the total
-    def __getstate__(self) -> list:
-        return [self.order, self.multiplicity, self.probability]
+class _Entries(Sequence):
+    """A catalog's entries as a read-only sequence over its columns.
 
-    def __setstate__(self, state: list) -> None:
-        for name, value in zip(("order", "multiplicity", "probability"), state):
-            object.__setattr__(self, name, value)
+    Entry i is ``CatalogEntry(orders[j], counts[j], Fraction(counts[j], T))``
+    for j = ``positions[i]``, made when it is read; a slice is a tuple.
+    ``positions`` is given (the listing's own range), or else it is the
+    stable descending-count permutation, sorted the first time an entry,
+    a slice or ``positions`` itself is read.  The length never sorts.
+    """
+
+    __slots__ = ("_orders", "_counts", "_total", "_positions")
+
+    def __init__(self, orders, counts, total, positions=None):
+        self._orders, self._counts, self._total = orders, counts, total
+        self._positions = positions
+
+    @property
+    def positions(self) -> Sequence[int]:
+        """The listing index of each entry, in this view's order."""
+        if self._positions is None:
+            # stable, so equal counts keep the lexicographic listing order
+            counts = self._counts
+            self._positions = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+        return self._positions
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._at(self.positions[index]))
+        (entry,) = self._at((self.positions[index],))
+        return entry
+
+    def __iter__(self) -> Iterator[CatalogEntry]:
+        return self._at(self.positions)
+
+    def _at(self, positions: Iterable[int]) -> Iterator[CatalogEntry]:
+        counts = list(map(self._counts.__getitem__, positions))
+        orders = map(self._orders.__getitem__, positions)
+        return map(CatalogEntry, orders, counts, map(Fraction, counts, repeat(self._total)))
 
 
 # Draws are placed in batches that double from _FIRST_BATCH draws up to about
@@ -111,29 +133,48 @@ _BATCH_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class OrderCatalog:
-    """All feasible occupancies with exact multiplicities and probabilities.
+    """All feasible orders with exact multiplicities, kept as columns.
 
-    Entries are sorted by decreasing multiplicity, ties broken by
-    lexicographically smaller occupancy, so the first entry is the most
-    probable order under the documented tie rule.  ``listing`` holds the same
-    entries in listing (lexicographic) order and ``cumulative`` their running
-    multiplicity totals, the table the exact sampler draws from.
+    ``orders`` holds the feasible orders in listing (lexicographic) order,
+    ``counts`` their multiplicities, ``cumulative`` the running totals the
+    exact sampler draws from, and ``total_outcomes`` their sum T.
+
+    ``listing`` and ``entries`` are read-only sequence views of
+    ``CatalogEntry`` records, each made (its probability ω / T reduced) when
+    it is read: ``listing`` in listing order, ``entries`` by decreasing
+    multiplicity, ties broken by the lexicographically smaller occupancy, so
+    that ``entries[0]`` is the most probable order under the documented tie
+    rule.  ``entries`` sorts the first time it is indexed or iterated, once
+    per catalog, and ``entries.positions`` then holds the listing index of
+    each entry; its length, ``most_probable``, ``tie_set`` and ``sample``
+    read the columns and never sort.  ``entries`` may also be given, as any
+    sequence of entries (``dataclasses.replace(cat, entries=...)``); no
+    method of the catalog reads it.
     """
 
-    entries: tuple[CatalogEntry, ...]
-    total_outcomes: int
-    listing: tuple[CatalogEntry, ...]
+    orders: tuple[EconomicOrder, ...]
+    counts: tuple[int, ...]
     cumulative: tuple[int, ...]
+    total_outcomes: int
     degeneracies: tuple[int, ...]
     regime: Regime
+    entries: Sequence[CatalogEntry] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.entries is None:
+            entries = _Entries(self.orders, self.counts, self.total_outcomes)
+            object.__setattr__(self, "entries", entries)
+
+    @property
+    def listing(self) -> Sequence[CatalogEntry]:
+        return _Entries(self.orders, self.counts, self.total_outcomes, range(len(self.counts)))
 
     def most_probable(self) -> EconomicOrder:
-        return self.entries[0].order
+        # the listing is lexicographic, so the first top count is the smallest tie
+        return self.orders[self.counts.index(max(self.counts))]
 
     def tie_set(self) -> tuple[EconomicOrder, ...]:
-        # entries fall in multiplicity, so the orders tied at the top are a prefix
-        top = self.entries[0].multiplicity
-        return tuple(e.order for e in takewhile(lambda e: e.multiplicity == top, self.entries))
+        return tuple(compress(self.orders, map(eq, self.counts, repeat(max(self.counts)))))
 
     def sample(self, seed: int) -> Iterator[MicroOutcome]:
         """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
@@ -160,8 +201,8 @@ class OrderCatalog:
         draws its picks in C-level passes, ``size`` raw values and then only
         the shortfall below ``total``, so it consumes the stream as ``size``
         calls of ``randrange`` do; ``bisect_right`` into ``cumulative`` picks
-        the order.  The orders, the placement's index plan and its table of
-        (level, slot) positions are built once per stream, and a batch's
+        the order from ``orders``.  The placement's index plan and its table
+        of (level, slot) positions are built once per stream, and a batch's
         assignments are gathered from that table; ``core._records`` makes a
         batch's outcomes in C-level passes.  The random work is O(N)
         (distinguishable) or sum_k (g_k - 1) (indistinguishable) integer
@@ -176,11 +217,11 @@ class OrderCatalog:
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
         getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
-        order_at = [entry.order for entry in self.listing].__getitem__
+        order_at = self.orders.__getitem__
         place = (_place_firms if self.regime is Regime.MONOPOLISTIC else _place_units)(
             self.degeneracies
         )
-        width = self.listing[0].order.n_firms + sum(self.degeneracies)
+        width = self.orders[0].n_firms + sum(self.degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
             # randrange(total)'s own rejection loop, run over the whole batch
@@ -293,8 +334,10 @@ def enumerate_orders(
     real completion, so on consecutive integer levels the listing costs O(1)
     per order for a fixed number of levels; gaps between levels can still
     leave branches with no integer completion.  A popped entry takes one of
-    four cases:
+    five cases:
 
+    - with no firms left, its one completion, zeros to the end, is kept when
+      no revenue is left to place (or there is no total);
     - at the last level (one- and two-level grids only), (prefix, left) is
       kept when the revenue matches;
     - without a total, at level n-2, the last two levels are zipped:
@@ -308,16 +351,20 @@ def enumerate_orders(
     - otherwise the level's range is pushed high to low, so it pops low to
       high.
 
-    So the last two or three levels take no Python call per order, but each
-    entry pushed copies its prefix: O(levels) per node, which dominates a
-    listing without a total over many levels.  Every occupancy is a tuple of
+    So the last two or three levels take no Python call per order, and an
+    entry that has placed every firm is finished at once rather than pushed
+    level by level.  Each entry pushed copies its prefix, O(levels) per
+    node, the size of an order.  Every occupancy is a tuple of
     Python ints >= 0 (each range runs from max(0, ...) to at most ``left``,
     and a_{n-3} in its range leaves a_{n-2} in [0, left - a_{n-3}]), so
     ``core._records`` builds the orders without EconomicOrder's checks.
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
     they are listed: the count is checked after each popped entry's orders
-    are kept, and a truncated list is never returned.
+    are kept, and a truncated list is never returned.  A negative ``cap``
+    is a ConfigError, raised before any listing.
     """
+    if cap is not None and cap < 0:
+        raise ConfigError("cap: must be non-negative, got %d" % cap)
     levels = grid.levels
     last = grid.n - 1
     top = levels[-1]
@@ -332,7 +379,10 @@ def enumerate_orders(
     while stack:
         prefix, left, need = stack.pop()
         k = len(prefix)
-        if k == last:
+        if not left:
+            if not need:  # None without a total, else 0 once the total is met
+                occs.append(prefix + (0,) * (last + 1 - k))
+        elif k == last:
             if need is None or left * top == need:
                 occs.append(prefix + (left,))
         elif need is None and k == last - 1:
@@ -454,45 +504,43 @@ def catalog(
 ) -> OrderCatalog:
     """Exact catalog of feasible orders with equal-outcome probabilities.
 
-    The one table of feasible orders and their multiplicities.  With a
-    ``cap``, more than ``cap`` orders raise CapExceededError while they are
-    listed, before any multiplicity is computed.  An entry's exact
-    probability is reduced on its first read (``CatalogEntry``):
-    ``orders.csv`` reads every one and ``spontaneous.json`` the top one, while
-    ``most_probable``, ``tie_set``, the sampler, ``frequencies.csv`` and
-    ``check_sampler`` read none.
+    The one table of feasible orders and their multiplicities, kept as the
+    columns of ``OrderCatalog``: the orders ``enumerate_orders`` lists and
+    their counts, in listing order.  With a ``cap``, more than ``cap``
+    orders raise CapExceededError while they are listed, before any
+    multiplicity is computed (a negative ``cap`` is a ConfigError).  No
+    entry record and no probability is made here: the ``listing`` and
+    ``entries`` views make an entry when it is read, and ``entries`` sorts
+    by count when it is first read.  ``most_probable``, ``tie_set``, the
+    sampler and every CLI artifact read the columns.
 
     The multiplicities come from ``counting._multiplicities``, which builds
     them level column by level column from small exact tables, with no
-    Python call per order; ``core._records`` makes the entries in one
-    C-level pass per slot and leaves the probability slot empty.  After
-    the sort, the top entry's count is recomputed once by the closed-form
-    ``multiplicity`` (a few µs), and a disagreement raises EconOrderError
-    naming the order.  That check serves two ends: the count that
-    ``spontaneous.json`` reports is held to the closed form on every run,
-    and the benchmark's traced layer suite (``bench/suite.py``), which
-    divides by the number of ``multiplicity`` calls, sees at least one.
+    Python call per order.  The most probable order's count is then
+    recomputed once by the closed-form ``multiplicity`` (a few µs), and a
+    disagreement raises EconOrderError naming the order.  That check serves
+    two ends: the count that ``spontaneous.json`` reports is held to the
+    closed form on every run, and the benchmark's traced layer suite
+    (``bench/suite.py``), which divides by the number of ``multiplicity``
+    calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     columns = list(zip(*map(attrgetter("occupancy"), orders)))
-    counts = _multiplicities(columns, grid.degeneracies, config.regime)
+    counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
     cumulative = tuple(accumulate(counts))
-    total = cumulative[-1]
-    listing = tuple(
-        _records(CatalogEntry, len(orders), order=orders, multiplicity=counts, _total=repeat(total))
+    cat = OrderCatalog(
+        tuple(orders), counts, cumulative, cumulative[-1], grid.degeneracies, config.regime
     )
-    # stable, so equal multiplicities keep the lexicographic listing order
-    entries = tuple(sorted(listing, key=attrgetter("multiplicity"), reverse=True))
-    top = entries[0]
-    exact = multiplicity(top.order, grid, config.regime)
-    if top.multiplicity != exact:
+    top, best = cat.most_probable(), max(counts)
+    exact = multiplicity(top, grid, config.regime)
+    if best != exact:
         raise EconOrderError(
             "catalog: order %s counts %d outcomes by the column tables and %d by "
-            "the closed form" % (list(top.order.occupancy), top.multiplicity, exact)
+            "the closed form" % (list(top.occupancy), best, exact)
         )
-    return OrderCatalog(entries, total, listing, cumulative, grid.degeneracies, config.regime)
+    return cat
 
 
 def sample_outcomes(

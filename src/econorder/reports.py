@@ -35,36 +35,42 @@ def dump_json(path: Path, payload: dict) -> None:
 
 
 def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
+    """One row per order, by decreasing multiplicity (``catalog.entries``'
+    order), written from the catalog's columns: the reduced probability
+    ω / T by one gcd, and its float as ``ω / T``, the correctly rounded
+    quotient that ``float(Fraction(ω, T))`` also gives."""
+    orders, counts, total = catalog.orders, catalog.counts, catalog.total_outcomes
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
         )
-        for entry in catalog.entries:
-            probability = entry.probability
+        for i in catalog.entries.positions:
+            count = counts[i]
+            common = math.gcd(count, total)
             writer.writerow(
                 [
-                    occupancy_text(entry.order),
-                    entry.multiplicity,
-                    probability.numerator,
-                    probability.denominator,
-                    repr(float(probability)),
+                    occupancy_text(orders[i]),
+                    count,
+                    count // common,
+                    total // common,
+                    repr(count / total),
                 ]
             )
 
 
 def spontaneous_payload(catalog: OrderCatalog) -> dict:
-    top = catalog.entries[0]
-    probability = top.probability
+    count, total = max(catalog.counts), catalog.total_outcomes
+    probability = Fraction(count, total)
     return {
-        "order": list(top.order.occupancy),
-        "multiplicity": str(top.multiplicity),
+        "order": list(catalog.most_probable().occupancy),
+        "multiplicity": str(count),
         "probability_num": str(probability.numerator),
         "probability_den": str(probability.denominator),
-        "probability_float": float(probability),
+        "probability_float": count / total,
         "tie_set": [list(o.occupancy) for o in catalog.tie_set()],
-        "total_outcomes": str(catalog.total_outcomes),
-        "n_orders": len(catalog.entries),
+        "total_outcomes": str(total),
+        "n_orders": len(catalog.orders),
     }
 
 
@@ -148,12 +154,12 @@ def write_frequencies_csv(
             ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
         )
         total = catalog.total_outcomes
-        for entry in catalog.listing:
-            freq = frequencies.get(entry.order, Fraction(0))
-            exact = entry.multiplicity / total  # float(entry.probability), no gcd
+        for order, count in zip(catalog.orders, catalog.counts):
+            freq = frequencies.get(order, Fraction(0))
+            exact = count / total  # float(Fraction(count, total)), no gcd
             writer.writerow(
                 [
-                    occupancy_text(entry.order),
+                    occupancy_text(order),
                     freq.numerator * draws // freq.denominator,
                     repr(float(freq)),
                     repr(exact),

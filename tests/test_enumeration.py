@@ -1,7 +1,9 @@
 """Enumeration, exact catalogs, argmax selection, and uniform sampling."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import inspect
 import itertools
 import math
@@ -37,7 +39,7 @@ from econorder import (
     sample_outcomes,
     validate_order,
 )
-from econorder import enumeration
+from econorder import enumeration, reports
 from econorder.checks import random_counting_instance
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
@@ -199,6 +201,24 @@ class TestEnumerateOrders:
             cat = catalog(grid, config)
             assert [entry.order.occupancy for entry in cat.listing] == expected
             assert cat.total_outcomes == outcomes
+
+    @pytest.mark.parametrize("total", [3, 5], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("build", [enumerate_orders, catalog], ids=["orders", "catalog"])
+    def test_negative_cap_is_a_config_error(self, build, total):
+        # refused before listing, so an infeasible economy raises it too
+        with pytest.raises(ConfigError, match="cap: must be non-negative, got -1"):
+            build(GRID_2, EconomyConfig(2, total, Regime.MONOPOLISTIC), cap=-1)
+
+    def test_two_thousand_levels_one_firm(self):
+        # an entry that has placed its one firm is kept at once, not pushed
+        # level by level (quadratic in the levels per order before)
+        n_levels = 2000
+        grid = RevenueGrid(tuple(range(1, n_levels + 1)), ())
+        expected = sorted(
+            tuple(int(k == j) for k in range(n_levels)) for j in range(n_levels)
+        )  # every occupancy of one firm, by the definition
+        config = EconomyConfig(1, None, Regime.MONOPOLISTIC)
+        assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
 
 
 class TestEnumerateOutcomes:
@@ -428,6 +448,94 @@ class TestCatalog:
         with pytest.raises(InfeasibleError):
             catalog(GRID_2, EconomyConfig(2, 5, Regime.MONOPOLISTIC))
 
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=3))
+    @example(economy=(RevenueGrid((0, 1, 2, 3), (1, 1, 1, 1)), EconomyConfig(6, 9, Regime.PERFECT)))
+    @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 1)), EconomyConfig(2, None, Regime.MONOPOLISTIC)))
+    @settings(max_examples=150, deadline=None)
+    def test_views_equal_their_full_scan_definitions(self, economy):
+        # the examples: every order tied; three tied at the top above three
+        cat = catalog(*economy)
+        listing = [
+            CatalogEntry(order, count, Fraction(count, cat.total_outcomes))
+            for order, count in zip(cat.orders, cat.counts)
+        ]
+        assert list(cat.listing) == listing
+        ranked = sorted(listing, key=lambda e: -e.multiplicity)  # stable
+        assert list(cat.entries) == ranked
+        assert [cat.entries[i] for i in range(-len(ranked), len(ranked))] == ranked + ranked
+        assert cat.entries[1::2] == tuple(ranked[1::2])
+        assert len(cat.entries) == len(cat.listing) == len(listing)
+        top = max(cat.counts)
+        ties = tuple(e.order for e in listing if e.multiplicity == top)
+        assert cat.tie_set() == ties
+        assert cat.most_probable() == ties[0] == cat.entries[0].order
+        with pytest.raises(IndexError):
+            cat.entries[len(ranked)]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_queries_never_sort(self, monkeypatch, regime):
+        # only reading ``entries`` ranks the catalog, and only once
+        sorts = []
+
+        def counted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "sorted", counted, raising=False)
+        cat = five_level_catalog(regime)
+        cat.most_probable(), cat.tie_set(), len(cat.entries), list(cat.listing)
+        list(islice(cat.sample(3), 100))
+        assert sorts == []
+        cat.entries[0], cat.entries[1:], list(cat.entries)
+        assert len(sorts) == 1
+
+    @given(economy=feasible_economies(max_levels=5))
+    @example(economy=(FIVE_LEVELS, EconomyConfig(30, 90, Regime.PERFECT)))
+    @settings(max_examples=100, deadline=None)
+    def test_artifacts_from_the_columns_render_the_entries(self, tmp_path_factory, economy):
+        # orders.csv and spontaneous.json are written from the columns; the
+        # reference renders each entry through its Fraction
+        cat = catalog(*economy)
+        path = tmp_path_factory.mktemp("out") / "orders.csv"
+        reports.write_orders_csv(path, cat)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(
+            ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
+        )
+        for e in cat.entries:
+            p = e.probability
+            occupancy = " ".join(str(a) for a in e.order.occupancy)
+            writer.writerow([occupancy, e.multiplicity, p.numerator, p.denominator, repr(float(p))])
+        assert path.read_text() == expected.getvalue()
+        top = cat.entries[0]
+        assert reports.spontaneous_payload(cat) == {
+            "order": list(top.order.occupancy),
+            "multiplicity": str(top.multiplicity),
+            "probability_num": str(top.probability.numerator),
+            "probability_den": str(top.probability.denominator),
+            "probability_float": float(top.probability),
+            "tie_set": [list(o.occupancy) for o in cat.tie_set()],
+            "total_outcomes": str(cat.total_outcomes),
+            "n_orders": len(cat.entries),
+        }
+
+    def test_replaced_entries_round_trip(self):
+        # how bench/selftest.py builds wrong catalogs for its gates
+        cat = five_level_catalog(Regime.MONOPOLISTIC)
+        entries = tuple(cat.entries)
+        assert cat.entries[1:] == entries[1:]
+        same = dataclasses.replace(cat, entries=entries)
+        assert same.entries is entries
+        assert (same.orders, same.counts, same.total_outcomes) == (
+            cat.orders, cat.counts, cat.total_outcomes
+        )
+        e0 = entries[0]
+        wrong = CatalogEntry(e0.order, e0.multiplicity, e0.probability + Fraction(1, cat.total_outcomes))
+        skewed = dataclasses.replace(cat, entries=(wrong,) + cat.entries[1:])
+        assert skewed.entries == (wrong,) + entries[1:]
+        assert list(dataclasses.replace(cat).entries) == list(entries)
+
     def test_probabilities_invariant_under_money_rescaling(self):
         base = catalog(GRID_3, EconomyConfig(4, 8, Regime.MONOPOLISTIC))
         for c in (2, 10):
@@ -458,7 +566,7 @@ class TestCatalogEntry:
         ids=["eq", "hash", "repr", "pickle", "asdict", "astuple"],
     )
     def test_catalog_entries_match_constructed_ones(self, regime, view):
-        # a fresh catalog, so each view is the first read of every entry
+        # every entry the listing makes equals the one the constructor builds
         cat = five_level_catalog(regime)
         for entry in cat.listing:
             built = CatalogEntry(
@@ -487,7 +595,7 @@ class TestCatalogEntry:
     @example(economy=(FIVE_LEVELS, EconomyConfig(30, 90, Regime.MONOPOLISTIC)))
     @settings(max_examples=100, deadline=None)
     def test_float_probability_is_multiplicity_over_total(self, economy):
-        # what frequencies.csv and check_sampler read instead of the Fraction
+        # what the artifacts and check_sampler read instead of the Fraction
         cat = catalog(*economy)
         for entry in cat.listing:
             assert entry.multiplicity / cat.total_outcomes == float(entry.probability)
@@ -918,3 +1026,18 @@ class TestPlacementStream:
     def test_first_draws_keep_their_digest(self, grid, config, digest):
         drawn = list(islice(catalog(grid, config).sample(41), 449))
         assert hashlib.sha256(repr(drawn).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "regime, digest",
+        [
+            (Regime.MONOPOLISTIC, "13079fd617e5a6df3d5671957335fe479b3d45544e781c746eaa99b6065f781a"),
+            (Regime.PERFECT, "3e9b5589e379b911815e304177f2fa444988a1f70efede21e8b09b65b991138d"),
+        ],
+        ids=["mon", "per"],
+    )
+    def test_thousand_draws_from_the_order_column_keep_their_digest(self, regime, digest):
+        # sha256 of each draw's assignment and carried order, taken when the
+        # sampler still picked from a list of catalog entries (956 orders)
+        drawn = list(islice(five_level_catalog(regime).sample(2024), 1000))
+        text = repr([(d.assignment, d.drawn_order.occupancy) for d in drawn])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
