@@ -10,12 +10,12 @@ or for a whole listing at once (``_multiplicities``).  ``multiplicity`` takes
 the distinguishable count by one of two routes, chosen by the chain's work
 s = sum_k min(a_k, left_k - a_k), left_k being the firms not yet placed
 before level k: a chain of binomials C(left_k, a_k) while s is at most
-``PRIME_ROUTE_MIN_WORK``, and above it the multinomial built from the prime
-exponents of N! / prod(a_k!) with no big division
-(``_multinomial_by_primes``).  Two log-scale companions exist: an exact
-log-gamma evaluation for occupancies whose multiplicity no longer fits
-comfortably in memory, and the classical Stirling closed forms used by the
-entropy-maximisation layer, which accept real-valued occupancies.
+max(``PRIME_ROUTE_MIN_WORK``, N // ``PRIME_ROUTE_SIEVE_RATIO``), and above
+it N! / prod(a_k!) from its prime exponents (``_multinomial_by_primes``).
+Two log-scale companions exist: an exact log-gamma evaluation for
+occupancies whose multiplicity no longer fits comfortably in memory, and the
+classical Stirling closed forms used by the entropy-maximisation layer,
+which accept real-valued occupancies.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from .errors import ConfigError
 # Chain work s above which ``multiplicity`` takes the prime route.  On a
 # 2-core Xeon (Python 3.11) both routes take about 0.35 ms at s = 2,000 on
 # five-level occupancies; the crossover measured 1,300 on two levels and
-# 3,500 on fifty equal ones.
+# 3,500 on fifty equal ones.  It also sieves the primes <= N, so it needs
+# s > N // 100 too: at N = 10^6 the crossover was 7,500 (2 levels), 12,000 (5).
 PRIME_ROUTE_MIN_WORK = 2_000
+PRIME_ROUTE_SIEVE_RATIO = 100
 
 # Rows of level values times primes in one exponent block (8 MB of int64).
 _EXPONENT_BLOCK = 1 << 20
@@ -53,12 +55,11 @@ def multiplicity(
     take one of two routes to N! / prod(a_k!) * prod(g_k^a_k), with equal
     results.  Let s = sum_k min(a_k, left_k - a_k) be the work of the chain
     of binomials C(left_k, a_k) (left_k firms are not yet placed at level
-    k).  While s <= ``PRIME_ROUTE_MIN_WORK``, the count is that chain;
-    above, it is ``_multinomial_by_primes``, whose cost has a fixed part
-    of a few hundred µs but grows far more slowly.  s, not N, decides: a
-    skewed occupancy such as (N - 10, 5, 5) chains two small binomials at
-    any N.  Since s <= N, every N <= ``PRIME_ROUTE_MIN_WORK`` chains
-    without computing s.
+    k).  While s <= max(``PRIME_ROUTE_MIN_WORK``, N // 100), the count is
+    that chain; above, it is ``_multinomial_by_primes``, whose cost (a few
+    hundred µs plus an O(N) sieve) grows far more slowly in s.  A skewed
+    occupancy such as (N - 10, 5, 5) chains at any N, and every
+    N <= ``PRIME_ROUTE_MIN_WORK`` chains without computing s.
     """
     occ = order.occupancy if isinstance(order, EconomicOrder) else as_occupancy(order)
     if len(occ) != len(grid.degeneracies):
@@ -66,7 +67,9 @@ def multiplicity(
     result = 1
     if regime is Regime.MONOPOLISTIC:
         left = sum(occ)
-        if left > PRIME_ROUTE_MIN_WORK and _chain_work(occ) > PRIME_ROUTE_MIN_WORK:
+        if left > PRIME_ROUTE_MIN_WORK and _chain_work(occ) > max(
+            PRIME_ROUTE_MIN_WORK, left // PRIME_ROUTE_SIEVE_RATIO
+        ):
             return _multinomial_by_primes(occ, grid.degeneracies)
         # N! / prod a_k! as a product of binomials C(firms left, a_k)
         for a, g in zip(occ, grid.degeneracies):

@@ -24,9 +24,11 @@ import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _records
 from .counting import _multiplicities, multiplicity
-from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
+from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError, WalkDepthError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
+
+MAX_WALK_FIRMS = 500  # enumerate_outcomes' frames: one per firm, under CPython's 1,000
 
 @dataclass(frozen=True, slots=True)
 class MicroOutcome:
@@ -71,9 +73,8 @@ class MicroOutcome:
 class CatalogEntry:
     """One feasible order, its multiplicity ω and its exact probability ω / T.
 
-    A plain frozen record.  A catalog keeps none: its ``listing`` and
-    ``entries`` views make each one, with ``Fraction(ω, T)`` reduced, when
-    it is read.
+    A plain frozen record.  A catalog keeps none: its ``entries`` view
+    makes each one, with ``Fraction(ω, T)`` reduced, when it is read.
     """
 
     order: EconomicOrder
@@ -86,16 +87,15 @@ class _Entries(Sequence):
 
     Entry i is ``CatalogEntry(orders[j], counts[j], Fraction(counts[j], T))``
     for j = ``positions[i]``, made when it is read; a slice is a tuple.
-    ``positions`` is given (the listing's own range), or else it is the
-    stable descending-count permutation, sorted the first time an entry,
-    a slice or ``positions`` itself is read.  The length never sorts.
+    ``positions`` is the stable descending-count permutation, sorted the
+    first time an entry, a slice or ``positions`` itself is read.  The
+    length never sorts.
     """
 
     __slots__ = ("_orders", "_counts", "_total", "_positions")
 
-    def __init__(self, orders, counts, total, positions=None):
-        self._orders, self._counts, self._total = orders, counts, total
-        self._positions = positions
+    def __init__(self, orders, counts, total):
+        self._orders, self._counts, self._total, self._positions = orders, counts, total, None
 
     @property
     def positions(self) -> Sequence[int]:
@@ -136,12 +136,10 @@ class OrderCatalog:
     """All feasible orders with exact multiplicities, kept as columns.
 
     ``orders`` holds the feasible orders in listing (lexicographic) order,
-    ``counts`` their multiplicities, ``cumulative`` the running totals the
-    exact sampler draws from, and ``total_outcomes`` their sum T.
+    ``counts`` their multiplicities and ``total_outcomes`` their sum T.
 
-    ``listing`` and ``entries`` are read-only sequence views of
-    ``CatalogEntry`` records, each made (its probability ω / T reduced) when
-    it is read: ``listing`` in listing order, ``entries`` by decreasing
+    ``entries`` is a read-only sequence view of ``CatalogEntry`` records,
+    each made (its probability ω / T reduced) when it is read, by decreasing
     multiplicity, ties broken by the lexicographically smaller occupancy, so
     that ``entries[0]`` is the most probable order under the documented tie
     rule.  ``entries`` sorts the first time it is indexed or iterated, once
@@ -154,7 +152,6 @@ class OrderCatalog:
 
     orders: tuple[EconomicOrder, ...]
     counts: tuple[int, ...]
-    cumulative: tuple[int, ...]
     total_outcomes: int
     degeneracies: tuple[int, ...]
     regime: Regime
@@ -164,10 +161,6 @@ class OrderCatalog:
         if self.entries is None:
             entries = _Entries(self.orders, self.counts, self.total_outcomes)
             object.__setattr__(self, "entries", entries)
-
-    @property
-    def listing(self) -> Sequence[CatalogEntry]:
-        return _Entries(self.orders, self.counts, self.total_outcomes, range(len(self.counts)))
 
     def most_probable(self) -> EconomicOrder:
         # the listing is lexicographic, so the first top count is the smallest tie
@@ -182,13 +175,13 @@ class OrderCatalog:
         Each draw is exact in two steps (the recursive method of Nijenhuis &
         Wilf, *Combinatorial Algorithms*, 1978).  An order is picked with
         probability multiplicity / total, by an exact big-integer index into
-        the cumulative multiplicities; then one of that order's outcomes is
-        picked uniformly, and the draw carries the order it was picked from.
-        Orders are picked from the stream's ``random.Random``; the outcomes of
-        a batch of picked orders are then placed together by exact integer
-        draws of a numpy Generator seeded from that same ``random.Random``,
-        so one seed drives the whole stream and the first k draws do not
-        depend on how many are taken.
+        the running totals of ``counts``, summed when the stream starts; then
+        one of its outcomes is picked uniformly, and the draw carries the
+        order.  Orders are picked from the stream's ``random.Random``; a
+        batch of picked orders is then placed by exact integer draws of a
+        numpy Generator seeded from that same ``random.Random``, so one seed
+        drives the whole stream and the first k draws do not depend on how
+        many are taken.
 
         - Distinguishable firms: each order's level labels are shuffled over
           the firms, and each firm gets a uniform slot of its level.
@@ -200,9 +193,9 @@ class OrderCatalog:
         result is >= total: the calls ``randrange(total)`` makes.  A batch
         draws its picks in C-level passes, ``size`` raw values and then only
         the shortfall below ``total``, so it consumes the stream as ``size``
-        calls of ``randrange`` do; ``bisect_right`` into ``cumulative`` picks
-        the order from ``orders``.  The placement's index plan and its table
-        of (level, slot) positions are built once per stream, and a batch's
+        calls of ``randrange`` do; ``bisect_right`` into the running totals
+        picks the order.  The placement's index plan and its table of
+        (level, slot) positions are built once per stream, and a batch's
         assignments are gathered from that table; ``core._records`` makes a
         batch's outcomes in C-level passes.  The random work is O(N)
         (distinguishable) or sum_k (g_k - 1) (indistinguishable) integer
@@ -212,7 +205,7 @@ class OrderCatalog:
         """
         from numpy.random import default_rng  # numpy.random loads only when sampling
 
-        cumulative, total = self.cumulative, self.total_outcomes
+        cumulative, total = tuple(accumulate(self.counts)), self.total_outcomes
         regimes = repeat(self.regime)
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
@@ -446,12 +439,16 @@ def enumerate_outcomes(
     it cannot make up the rest, and the loop stops at the first one too
     dear.  Groups, keyed by the level counts the walk keeps, come out sorted
     by occupancy, each in walk order (lexicographic for distinguishable
-    firms).  The walk recurses once per firm: a few hundred firms at most.
+    firms).  The walk recurses once per firm, so more than
+    ``MAX_WALK_FIRMS`` firms refuse with WalkDepthError before any listing.
     Refuses with CapExceededError when the feasible outcome space is larger
     than ``cap``: every feasible order holds at least one outcome, so more
     than ``cap`` orders refuse while they are listed, before any
     multiplicity is computed.
     """
+    if config.n_firms > MAX_WALK_FIRMS:
+        bound = (config.n_firms, MAX_WALK_FIRMS)
+        raise WalkDepthError("enumerate_outcomes: %d firms, over its bound of %d" % bound)
     try:
         orders = enumerate_orders(grid, config, cap=cap)
     except CapExceededError:
@@ -509,10 +506,9 @@ def catalog(
     their counts, in listing order.  With a ``cap``, more than ``cap``
     orders raise CapExceededError while they are listed, before any
     multiplicity is computed (a negative ``cap`` is a ConfigError).  No
-    entry record and no probability is made here: the ``listing`` and
-    ``entries`` views make an entry when it is read, and ``entries`` sorts
-    by count when it is first read.  ``most_probable``, ``tie_set``, the
-    sampler and every CLI artifact read the columns.
+    entry record and no probability is made here: ``entries`` makes each
+    when it is read.  ``most_probable``, ``tie_set``, the sampler and every
+    CLI artifact read the columns.
 
     The multiplicities come from ``counting._multiplicities``, which builds
     them level column by level column from small exact tables, with no
@@ -529,10 +525,7 @@ def catalog(
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     columns = list(zip(*map(attrgetter("occupancy"), orders)))
     counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
-    cumulative = tuple(accumulate(counts))
-    cat = OrderCatalog(
-        tuple(orders), counts, cumulative, cumulative[-1], grid.degeneracies, config.regime
-    )
+    cat = OrderCatalog(tuple(orders), counts, sum(counts), grid.degeneracies, config.regime)
     top, best = cat.most_probable(), max(counts)
     exact = multiplicity(top, grid, config.regime)
     if best != exact:

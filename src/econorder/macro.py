@@ -12,10 +12,10 @@ T = lambda * ln(Omega).
 
 log_W is the generating function whose alpha/beta derivatives reproduce the
 firm count and total revenue; entropy_identity_residual reports them as
-grad_alpha and grad_beta.  Its sign convention is measured rather than
-assumed: entropy_identity_residual evaluates the identity between the Stirling
-entropy and (ln W - alpha dlnW/dalpha - beta dlnW/dbeta) under both signs and
-reports whichever matches.
+grad_alpha and grad_beta, and check holds them to finite differences of log_W.
+Its sign convention is measured rather than assumed: the identity between the
+Stirling entropy and (ln W - alpha dlnW/dalpha - beta dlnW/dbeta) is evaluated
+under both signs and whichever matches is reported.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .core import Regime, RevenueGrid
 from .counting import stirling_log_multiplicity
 from .errors import ConfigError
 from .maxent import _closed_form
-
-_FD_STEP = 1e-6  # relative step of the identity's central differences
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,8 @@ class IdentityReport:
     """Measured residual of the entropy identity, under the better sign.
 
     residual = entropy - best_sign * expression, where expression is
-    lnW - alpha dlnW/dalpha - beta dlnW/dbeta.  grad_* fields carry the
-    analytic derivatives and their central finite-difference cross-checks.
+    lnW - alpha dlnW/dalpha - beta dlnW/dbeta.  grad_alpha and grad_beta
+    are those analytic derivatives, (sum a_k, sum a_k e_k).
     """
 
     residual: float
@@ -89,8 +87,6 @@ class IdentityReport:
     expression: float
     grad_alpha: float
     grad_beta: float
-    grad_alpha_fd: float
-    grad_beta_fd: float
 
 
 @np.errstate(over="ignore")
@@ -100,40 +96,18 @@ def entropy_identity_residual(
     """Compare the Stirling entropy of the closed-form occupancy against the
     generating-function expression, for both sign conventions.
 
-    One closed-form evaluation at (alpha, beta) supplies the occupancy,
-    ln W and the analytic gradient (sum a_k, sum a_k e_k), the first two
-    equal to what occupancy and log_W return there; the four central
-    finite-difference points go through log_W.
+    Evaluated at (alpha, beta) only: the closed form gives the occupancy and
+    the analytic gradient (sum a_k, sum a_k e_k), and one log_W call ln W.
     """
-    e, g = grid.vectors
-    occ, log_z = _closed_form(alpha, beta, e, g, regime)
+    e = grid.vectors[0]
+    occ = _closed_form(alpha, beta, *grid.vectors, regime)[0]
     entropy = stirling_log_multiplicity(occ.tolist(), grid, regime)
-    lw = -log_z
+    lw = log_W(alpha, beta, grid, regime)
     grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * e))
-    ha = _FD_STEP * max(1.0, abs(alpha))
-    hb = _FD_STEP * max(1.0, abs(beta))
-    if regime is Regime.PERFECT:
-        # both central differences must stay inside the domain x_k > 0;
-        # the smallest exponent is ln(1 + g_k / a_k) at the largest a_k / g_k;
-        # a level whose a_k underflowed to 0 has g_k / a_k = inf, never the min
-        with np.errstate(divide="ignore"):
-            x_min = math.log1p(float(np.min(g / occ)))
-        ha = min(ha, _FD_STEP * x_min)
-        hb = min(hb, _FD_STEP * x_min / max(1, grid.levels[-1]))
-    grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
-    grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
     expression = lw - alpha * grad_a - beta * grad_b
     best_sign = 1 if abs(entropy - expression) <= abs(entropy + expression) else -1
-    return IdentityReport(
-        residual=entropy - best_sign * expression,
-        best_sign=best_sign,
-        entropy=entropy,
-        expression=expression,
-        grad_alpha=grad_a,
-        grad_beta=grad_b,
-        grad_alpha_fd=grad_a_fd,
-        grad_beta_fd=grad_b_fd,
-    )
+    residual = entropy - best_sign * expression
+    return IdentityReport(residual, best_sign, entropy, expression, grad_a, grad_b)
 
 
 def technology(log_omega: float, lam: float = 1.0) -> float:

@@ -1,13 +1,16 @@
-"""The benchmark's traced counting rows and big counts run on the current package.
+"""The benchmark's traced counting and solver rows and big counts run on the current package.
 
 ``bench/suite.py::counting_rows`` times two N=100 catalogs under the
 benchmark's own Tracer and divides by the traced number of
 ``counting.multiplicity`` calls.  A catalog that stopped calling
 ``multiplicity`` would break every traced benchmark run; this runs those
 rows in process (it imports bench/, never edits it) so that tier-1 sees it.
-The exact-orders deck's big counts (N = 10^4 and 2 * 10^4, both regimes)
-also run here through the deck's own ``run`` and ``gate``, so that a count
-the benchmark would reject as incorrect fails tier-1 first.
+``solver_rows`` likewise divides by the traced ``macro.log_W`` calls made
+inside ``entropy_identity_residual``, so an identity that stopped calling
+``log_W`` fails here too.  The exact-orders deck's big counts (N = 10^4
+and 2 * 10^4, both regimes) also run here through the deck's own ``run``
+and ``gate``, so that a count the benchmark would reject as incorrect
+fails tier-1 first.
 """
 
 import importlib
@@ -37,6 +40,11 @@ def test_counting_rows_are_finite_under_the_tracer(suite):
     rows = suite.counting_rows([])
     assert rows and all(math.isfinite(value) for value in rows.values())
     assert rows["counting.multiplicity_calls"] >= 1
+
+
+def test_solver_rows_are_finite_under_the_tracer(suite):
+    rows = suite.solver_rows([])
+    assert rows and all(math.isfinite(value) for value in rows.values())
 
 
 def test_exact_orders_big_counts_pass_the_deck_gate(workloads, tmp_path):

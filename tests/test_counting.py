@@ -18,7 +18,7 @@ from econorder import (
     stirling_log_multiplicity,
 )
 from econorder import counting
-from econorder.counting import PRIME_ROUTE_MIN_WORK
+from econorder.counting import PRIME_ROUTE_MIN_WORK, PRIME_ROUTE_SIEVE_RATIO
 
 
 def brute_force_count(occ, degens, regime):
@@ -191,6 +191,48 @@ def test_prime_route_taken_only_above_the_chain_work(monkeypatch):
     assert calls == []  # N <= C chains without computing s
     multiplicity((n, n, n), grid, Regime.MONOPOLISTIC)
     assert len(calls) == 1  # s = 2C
+
+
+def chained_binomials(occ, degens):
+    left, count = sum(occ), 1
+    for a, g in zip(occ, degens):
+        count *= math.comb(left, a) * g**a
+        left -= a
+    return count
+
+
+@pytest.mark.parametrize(
+    "occ, prime",
+    [
+        # two levels at a million firms: s = N // ratio still chains
+        ((10**6 - 10_000, 10_000), False),
+        ((10**6 - 10_001, 10_001), True),
+        # N // ratio below PRIME_ROUTE_MIN_WORK: the work bound alone decides
+        ((10**5 - 2_001, 2_001), True),
+        ((10**5 - 2_000, 2_000), False),
+        # the exact-orders benchmark deck's big counts (s = 8,500 and 17,000)
+        ((3_000, 2_500, 2_000, 1_500, 1_000), True),
+        ((6_000, 5_000, 4_000, 3_000, 2_000), True),
+    ],
+)
+def test_prime_route_pays_for_its_sieve(monkeypatch, occ, prime):
+    # prime route only while s > max(PRIME_ROUTE_MIN_WORK, N // PRIME_ROUTE_SIEVE_RATIO)
+    n, work = sum(occ), chain_work(occ)
+    assert (work > max(PRIME_ROUTE_MIN_WORK, n // PRIME_ROUTE_SIEVE_RATIO)) == prime
+    calls = []
+    prime_route = counting._multinomial_by_primes
+
+    def spy(*args):
+        calls.append(args)
+        return prime_route(*args)
+
+    monkeypatch.setattr(counting, "_multinomial_by_primes", spy)
+    degens = (1, 2, 3, 2, 1)[: len(occ)]
+    grid = RevenueGrid(tuple(range(1, len(occ) + 1)), degens)
+    got = multiplicity(occ, grid, Regime.MONOPOLISTIC)
+    assert len(calls) == prime
+    # equal to the route not taken
+    assert got == (chained_binomials(occ, degens) if prime else prime_route(occ, degens))
 
 
 def test_skewed_occupancy_at_a_million_firms_chains(monkeypatch):

@@ -12,7 +12,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from econorder import (
     validate_order,
 )
 from econorder import enumeration, reports
+from econorder.errors import WalkDepthError
 from econorder.checks import random_counting_instance
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
@@ -199,7 +200,7 @@ class TestEnumerateOrders:
         # labeled firms: each ordered split of the total into n_firms positive parts
         for config, outcomes in ((mon, math.comb(total - 1, n_firms - 1)), (per, len(expected))):
             cat = catalog(grid, config)
-            assert [entry.order.occupancy for entry in cat.listing] == expected
+            assert [order.occupancy for order in cat.orders] == expected
             assert cat.total_outcomes == outcomes
 
     @pytest.mark.parametrize("total", [3, 5], ids=["feasible", "infeasible"])
@@ -383,6 +384,25 @@ class TestEnumerateOutcomes:
         assert calls == []
         assert len(enumerate_orders(grid, config)) == 1143
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("total", [None, enumeration.MAX_WALK_FIRMS], ids=["free", "total"])
+    def test_walk_takes_firms_up_to_its_bound(self, regime, total):
+        # one level, one slot: a single outcome, walked one frame per firm
+        n = enumeration.MAX_WALK_FIRMS
+        groups = enumerate_outcomes(RevenueGrid((1,), (1,)), EconomyConfig(n, total, regime))
+        assert [(order.occupancy, len(members)) for order, members in groups.items()] == [((n,), 1)]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("n_firms", [enumeration.MAX_WALK_FIRMS + 1, 1_200])
+    def test_more_firms_than_the_bound_refuse_before_listing(self, monkeypatch, regime, n_firms):
+        # 1,200 firms used to end in a bare RecursionError
+        def fail(*args, **kwargs):
+            raise AssertionError("orders listed before the firm bound was checked")
+
+        monkeypatch.setattr(enumeration, "enumerate_orders", fail)
+        with pytest.raises(WalkDepthError, match="%d firms" % n_firms):
+            enumerate_outcomes(RevenueGrid((1,), (1,)), EconomyConfig(n_firms, None, regime))
+
 
 class TestCatalog:
     def test_two_firm_probabilities_exact(self):
@@ -437,12 +457,12 @@ class TestCatalog:
         if not orders:
             return
         cat = catalog(grid, config)
-        assert [entry.order for entry in cat.listing] == orders
-        for entry in cat.listing:
-            assert entry.multiplicity == multiplicity(list(entry.order.occupancy), grid, regime)
-            assert entry.probability == Fraction(entry.multiplicity, cat.total_outcomes)
-        assert all(type(c) is int for c in cat.cumulative)
+        assert list(cat.orders) == orders
+        for order, count in zip(cat.orders, cat.counts):
+            assert count == multiplicity(list(order.occupancy), grid, regime)
+        assert all(type(c) is int for c in accumulate(cat.counts))
         assert type(cat.total_outcomes) is int
+        assert cat.total_outcomes == sum(cat.counts)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
@@ -459,12 +479,11 @@ class TestCatalog:
             CatalogEntry(order, count, Fraction(count, cat.total_outcomes))
             for order, count in zip(cat.orders, cat.counts)
         ]
-        assert list(cat.listing) == listing
         ranked = sorted(listing, key=lambda e: -e.multiplicity)  # stable
         assert list(cat.entries) == ranked
         assert [cat.entries[i] for i in range(-len(ranked), len(ranked))] == ranked + ranked
         assert cat.entries[1::2] == tuple(ranked[1::2])
-        assert len(cat.entries) == len(cat.listing) == len(listing)
+        assert len(cat.entries) == len(listing)
         top = max(cat.counts)
         ties = tuple(e.order for e in listing if e.multiplicity == top)
         assert cat.tie_set() == ties
@@ -483,7 +502,7 @@ class TestCatalog:
 
         monkeypatch.setattr(enumeration, "sorted", counted, raising=False)
         cat = five_level_catalog(regime)
-        cat.most_probable(), cat.tie_set(), len(cat.entries), list(cat.listing)
+        cat.most_probable(), cat.tie_set(), len(cat.entries)
         list(islice(cat.sample(3), 100))
         assert sorts == []
         cat.entries[0], cat.entries[1:], list(cat.entries)
@@ -520,6 +539,14 @@ class TestCatalog:
             "n_orders": len(cat.entries),
         }
 
+    def test_columns_are_the_only_stored_listing(self):
+        # the running totals are the sampler's, and the listing-order pairs
+        # are zip(orders, counts): neither is a field or a view
+        names = [f.name for f in dataclasses.fields(enumeration.OrderCatalog)]
+        assert names == ["orders", "counts", "total_outcomes", "degeneracies", "regime", "entries"]
+        assert not hasattr(five_level_catalog(Regime.PERFECT), "listing")
+        assert list(inspect.signature(enumeration._Entries).parameters) == ["orders", "counts", "total"]
+
     def test_replaced_entries_round_trip(self):
         # how bench/selftest.py builds wrong catalogs for its gates
         cat = five_level_catalog(Regime.MONOPOLISTIC)
@@ -551,7 +578,7 @@ class TestCatalogEntry:
         cat = five_level_catalog(regime)
         total = cat.total_outcomes
         reduced = 0
-        for entry in cat.listing:
+        for entry in cat.entries:
             probability = entry.probability
             assert probability == Fraction(entry.multiplicity, total)
             assert math.gcd(probability.numerator, probability.denominator) == 1
@@ -566,9 +593,9 @@ class TestCatalogEntry:
         ids=["eq", "hash", "repr", "pickle", "asdict", "astuple"],
     )
     def test_catalog_entries_match_constructed_ones(self, regime, view):
-        # every entry the listing makes equals the one the constructor builds
+        # every entry the view makes equals the one the constructor builds
         cat = five_level_catalog(regime)
-        for entry in cat.listing:
+        for entry in cat.entries:
             built = CatalogEntry(
                 entry.order, entry.multiplicity, Fraction(entry.multiplicity, cat.total_outcomes)
             )
@@ -597,7 +624,7 @@ class TestCatalogEntry:
     def test_float_probability_is_multiplicity_over_total(self, economy):
         # what the artifacts and check_sampler read instead of the Fraction
         cat = catalog(*economy)
-        for entry in cat.listing:
+        for entry in cat.entries:
             assert entry.multiplicity / cat.total_outcomes == float(entry.probability)
 
     @pytest.mark.parametrize("regime", list(Regime))
@@ -620,8 +647,8 @@ class TestCatalogEntry:
     def test_column_counts_equal_multiplicity(self, economy):
         grid, config = economy
         cat = catalog(grid, config)
-        for entry in cat.listing:
-            assert entry.multiplicity == multiplicity(entry.order, grid, config.regime)
+        for order, count in zip(cat.orders, cat.counts):
+            assert count == multiplicity(order, grid, config.regime)
         assert cat.total_outcomes == feasible_outcome_count(grid, config)
 
 
@@ -771,8 +798,9 @@ class TestSampling:
             assert cat.total_outcomes == total
         rng = random.Random(31)
         rng.getrandbits(128)  # the numpy Generator's seed
+        cumulative = list(accumulate(cat.counts))
         expected = [
-            cat.listing[bisect_right(cat.cumulative, rng.randrange(cat.total_outcomes))].order
+            cat.orders[bisect_right(cumulative, rng.randrange(cat.total_outcomes))]
             for _ in range(64 + 128)  # the first two batches
         ]
         assert [o.drawn_order for o in islice(cat.sample(31), 64 + 128)] == expected

@@ -1,5 +1,6 @@
 """Macro mapping, generating function, and the measured entropy identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import econorder.checks
 import econorder.macro
 from econorder import (
     ConfigError,
@@ -28,6 +30,7 @@ from econorder import (
     stirling_log_multiplicity,
     technology,
 )
+from econorder.checks import check_macro_identities, log_w_gradient_fd
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
 
@@ -159,8 +162,9 @@ class TestEntropyIdentity:
     def test_derivative_cross_check(self):
         sol = solve_multipliers(GRID_2, EconomyConfig(10, 14, Regime.MONOPOLISTIC))
         report = entropy_identity_residual(sol.alpha, sol.beta, GRID_2, Regime.MONOPOLISTIC)
-        assert report.grad_alpha == pytest.approx(report.grad_alpha_fd, rel=1e-6)
-        assert report.grad_beta == pytest.approx(report.grad_beta_fd, rel=1e-6)
+        grad_alpha_fd, grad_beta_fd = log_w_gradient_fd(sol.alpha, sol.beta, GRID_2, Regime.MONOPOLISTIC)
+        assert report.grad_alpha == pytest.approx(grad_alpha_fd, rel=1e-6)
+        assert report.grad_beta == pytest.approx(grad_beta_fd, rel=1e-6)
 
     def test_constraint_recovery_on_solved_instances(self):
         cases = [
@@ -204,13 +208,46 @@ class TestEntropyIdentity:
             assert scaled.best_sign == base.best_sign
 
 
+class TestMacroCheck:
+    def test_passes_on_the_package(self):
+        result = check_macro_identities(3)
+        assert result.passed
+        assert all(result.detail[key]["fd_err"] <= 1e-6 for key in ("mon", "per"))
+
+    @pytest.mark.parametrize("field", ["grad_alpha", "grad_beta"])
+    def test_a_gradient_off_by_a_thousandth_fails_the_finite_differences(self, monkeypatch, field):
+        # the report carries only the analytic gradient; the check's own
+        # central differences of log_W must still catch a wrong one
+        exact = econorder.checks.entropy_identity_residual
+
+        def skewed(*args):
+            report = exact(*args)
+            return dataclasses.replace(report, **{field: getattr(report, field) * (1 + 1e-3)})
+
+        monkeypatch.setattr(econorder.checks, "entropy_identity_residual", skewed)
+        result = check_macro_identities(3)
+        assert not result.passed
+        assert all(result.detail[key]["fd_err"] > 1e-6 for key in ("mon", "per"))
+
+
 def identity_reference(alpha, beta, grid, regime):
     """The identity rebuilt from the public pieces, one call per quantity."""
-    fd_step = 1e-6
     occ = occupancy(alpha, beta, grid, regime)
     entropy = stirling_log_multiplicity(tuple(float(a) for a in occ), grid, regime)
     lw = log_W(alpha, beta, grid, regime)
     grad_a, grad_b = float(occ.sum()), float((occ * grid.vectors[0]).sum())
+    expression = lw - alpha * grad_a - beta * grad_b
+    positive, negative = entropy - expression, entropy + expression
+    sign = 1 if abs(positive) <= abs(negative) else -1
+    return IdentityReport(
+        positive if sign == 1 else negative, sign, entropy, expression, grad_a, grad_b
+    )
+
+
+def gradient_fd_reference(alpha, beta, grid, regime):
+    """The central differences of log_W rebuilt from the public pieces."""
+    fd_step = 1e-6
+    occ = occupancy(alpha, beta, grid, regime)
     ha = fd_step * max(1.0, abs(alpha))
     hb = fd_step * max(1.0, abs(beta))
     if regime is Regime.PERFECT:
@@ -220,13 +257,7 @@ def identity_reference(alpha, beta, grid, regime):
         hb = min(hb, fd_step * x_min / max(1, grid.levels[-1]))
     grad_a_fd = (log_W(alpha + ha, beta, grid, regime) - log_W(alpha - ha, beta, grid, regime)) / (2 * ha)
     grad_b_fd = (log_W(alpha, beta + hb, grid, regime) - log_W(alpha, beta - hb, grid, regime)) / (2 * hb)
-    expression = lw - alpha * grad_a - beta * grad_b
-    positive, negative = entropy - expression, entropy + expression
-    sign = 1 if abs(positive) <= abs(negative) else -1
-    return IdentityReport(
-        positive if sign == 1 else negative, sign, entropy, expression,
-        grad_a, grad_b, grad_a_fd, grad_b_fd,
-    )
+    return grad_a_fd, grad_b_fd
 
 
 class TestIdentityEvaluation:
@@ -249,6 +280,8 @@ class TestIdentityEvaluation:
         assume(sol.beta != 0.0)
         report = entropy_identity_residual(sol.alpha, sol.beta, grid, regime)
         assert report == identity_reference(sol.alpha, sol.beta, grid, regime)
+        fd = log_w_gradient_fd(sol.alpha, sol.beta, grid, regime)
+        assert fd == gradient_fd_reference(sol.alpha, sol.beta, grid, regime)
 
     # mean revenue 300, and one unit above the ground state, where the top
     # occupancies underflow to zero
@@ -261,9 +294,12 @@ class TestIdentityEvaluation:
         assert sol.converged
         report = entropy_identity_residual(sol.alpha, sol.beta, grid, regime)
         assert report == identity_reference(sol.alpha, sol.beta, grid, regime)
+        fd = log_w_gradient_fd(sol.alpha, sol.beta, grid, regime)
+        assert fd == gradient_fd_reference(sol.alpha, sol.beta, grid, regime)
 
-    def test_finite_difference_points_go_through_log_w(self, monkeypatch):
+    def test_ln_w_goes_through_log_w_exactly_once(self, monkeypatch):
         # the benchmark's layer suite times macro.log_W inside the identity
+        # and divides by its call count; no point other than (alpha, beta)
         calls = []
         traced = econorder.macro.log_W
 
@@ -275,7 +311,7 @@ class TestIdentityEvaluation:
         grid = RevenueGrid((1, 2, 3), (2, 3, 1))
         sol = solve_multipliers(grid, EconomyConfig(50, 95, Regime.PERFECT))
         report = entropy_identity_residual(sol.alpha, sol.beta, grid, Regime.PERFECT)
-        assert len(calls) == 4
+        assert calls == [(sol.alpha, sol.beta)]
         assert report == identity_reference(sol.alpha, sol.beta, grid, Regime.PERFECT)
 
 

@@ -16,8 +16,9 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "econorder").glo
 
 # Allowed to recurse, by module and qualified name, each with its open fault.
 ALLOWED = {
-    # one call per firm, so RecursionError from about 1,000 firms: the open
-    # FOUND line in CHANGES.md on enumerate_outcomes' RecursionError
+    # one call per firm; enumerate_outcomes refuses more than
+    # enumeration.MAX_WALK_FIRMS (500) firms with WalkDepthError before the
+    # walk, well below the interpreter's recursion limit of about 1,000
     ("enumeration.py", "enumerate_outcomes.walk"),
 }
 
