@@ -120,18 +120,18 @@ def check_counting_oracle(seed: int) -> CheckResult:
         if cat.total_outcomes > SCAN_CAP:
             continue  # keep the exhaustive scan desk-sized; the draw stays random
         groups = enumerate_outcomes(grid, config, cap=SCAN_CAP)
-        expected = dict(zip(cat.orders, cat.counts))
-        sizes = {order: len(members) for order, members in groups.items()}
+        expected = dict(zip(zip(*cat.orders.columns), cat.counts))  # by occupancy
+        sizes = {order.occupancy: len(members) for order, members in groups.items()}
         if sizes != expected:
-            for order in set(expected) | set(sizes):
-                if sizes.get(order) != expected.get(order):
+            for occupancy in sorted(set(expected) | set(sizes)):  # smallest first
+                if sizes.get(occupancy) != expected.get(occupancy):
                     return CheckResult(
                         "counting_oracle",
                         False,
                         {
-                            "order": list(order.occupancy),
-                            "formula": str(expected.get(order)),
-                            "enumerated": str(sizes.get(order)),
+                            "order": list(occupancy),
+                            "formula": str(expected.get(occupancy)),
+                            "enumerated": str(sizes.get(occupancy)),
                             "regime": config.regime.short_name,
                         },
                     )

@@ -160,10 +160,11 @@ def _multiplicities(
 ) -> list[int]:
     """Exact multiplicity of every order of a listing, given level by level.
 
-    ``columns[k]`` holds a_k of every order (``list(zip(*occupancies))``);
-    the orders share one firm count N.  The counts are ``multiplicity``'s
-    products, built one level column at a time with no Python call per
-    order: each level's factors are mapped over its column in C and chained
+    ``columns[k]`` holds a_k of every order, as ``enumerate_orders`` lists
+    them (its view's ``columns``, one list per level); the orders share one
+    firm count N.  The counts are ``multiplicity``'s products, built one
+    level column at a time with no Python call per order: each level's
+    factors are mapped over its column in C and chained
     into the running products by ``map(mul, ...)``, and a table of a level's
     factors is built only over the distinct values of its column, so a short
     listing at large N builds no O(N) table.

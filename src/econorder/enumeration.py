@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
-from operator import attrgetter, eq
+from functools import cached_property
+from itertools import accumulate, compress, filterfalse, repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -82,6 +83,51 @@ class CatalogEntry:
     probability: Fraction
 
 
+class _Orders(Sequence):
+    """Listed orders as a read-only sequence over their level columns.
+
+    ``columns[k]`` holds a_k of every order, in listing order, so the
+    length is the number of orders.  An ``EconomicOrder`` is made by
+    ``core._records`` only when it is read: one for an index, and for
+    iteration, a slice or ``take`` one C-level pass over the zipped
+    columns; a slice is a tuple.  Views with equal columns are equal and
+    hash alike.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[list[int], ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            size = len(range(len(self))[index])
+            occupancies = zip(*(column[index] for column in self.columns))
+            return tuple(_records(EconomicOrder, size, occupancy=occupancies))
+        occupancy = tuple(map(itemgetter(index), self.columns))
+        return _records(EconomicOrder, 1, occupancy=(occupancy,))[0]
+
+    def __iter__(self) -> Iterator[EconomicOrder]:
+        return iter(_records(EconomicOrder, len(self), occupancy=zip(*self.columns)))
+
+    def take(self, positions: Sequence[int]) -> list[EconomicOrder]:
+        """The orders at ``positions``, gathered column by column."""
+        occupancies = zip(*(map(column.__getitem__, positions) for column in self.columns))
+        return _records(EconomicOrder, len(positions), occupancy=occupancies)
+
+    def __eq__(self, other):
+        return self.columns == other.columns if isinstance(other, _Orders) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self.columns)))
+
+    def __repr__(self) -> str:
+        return "_Orders(%r)" % (self.columns,)
+
+
 class _Entries(Sequence):
     """A catalog's entries as a read-only sequence over its columns.
 
@@ -118,11 +164,16 @@ class _Entries(Sequence):
     def __iter__(self) -> Iterator[CatalogEntry]:
         return self._at(self.positions)
 
-    def _at(self, positions: Iterable[int]) -> Iterator[CatalogEntry]:
+    def _at(self, positions: Sequence[int]) -> Iterator[CatalogEntry]:
         counts = list(map(self._counts.__getitem__, positions))
-        orders = map(self._orders.__getitem__, positions)
+        orders = self._orders.take(positions)
         return map(CatalogEntry, orders, counts, map(Fraction, counts, repeat(self._total)))
 
+
+# Orders kept one at a time wait as rows, at most this many, and are moved
+# into the listing's columns by one zip: far cheaper per value than an append
+# per level, and the rows of a deep grid stay a few MB.
+_ROWS_KEPT = 256
 
 # Draws are placed in batches that double from _FIRST_BATCH draws up to about
 # _BATCH_CELLS array cells: one draw stays cheap, and a long stream pays
@@ -135,8 +186,10 @@ _BATCH_CELLS = 1 << 16
 class OrderCatalog:
     """All feasible orders with exact multiplicities, kept as columns.
 
-    ``orders`` holds the feasible orders in listing (lexicographic) order,
-    ``counts`` their multiplicities and ``total_outcomes`` their sum T.
+    ``orders`` is the listing's read-only view (``enumerate_orders``): the
+    feasible orders in listing (lexicographic) order, kept as the level
+    columns ``orders.columns``, each ``EconomicOrder`` made when it is read.
+    ``counts`` holds their multiplicities and ``total_outcomes`` their sum T.
 
     ``entries`` is a read-only sequence view of ``CatalogEntry`` records,
     each made (its probability ω / T reduced) when it is read, by decreasing
@@ -145,12 +198,14 @@ class OrderCatalog:
     rule.  ``entries`` sorts the first time it is indexed or iterated, once
     per catalog, and ``entries.positions`` then holds the listing index of
     each entry; its length, ``most_probable``, ``tie_set`` and ``sample``
-    read the columns and never sort.  ``entries`` may also be given, as any
-    sequence of entries (``dataclasses.replace(cat, entries=...)``); no
-    method of the catalog reads it.
+    read the columns and never sort.  The top count is found once per
+    catalog; ``most_probable`` makes one record and ``tie_set`` one per tie.
+    ``entries`` may also be given, as any sequence of entries
+    (``dataclasses.replace(cat, entries=...)``); no method of the catalog
+    reads it.
     """
 
-    orders: tuple[EconomicOrder, ...]
+    orders: Sequence[EconomicOrder]
     counts: tuple[int, ...]
     total_outcomes: int
     degeneracies: tuple[int, ...]
@@ -162,12 +217,19 @@ class OrderCatalog:
             entries = _Entries(self.orders, self.counts, self.total_outcomes)
             object.__setattr__(self, "entries", entries)
 
-    def most_probable(self) -> EconomicOrder:
+    @cached_property
+    def _top(self) -> int:
+        """Listing index of the first order with the largest count."""
         # the listing is lexicographic, so the first top count is the smallest tie
-        return self.orders[self.counts.index(max(self.counts))]
+        return self.counts.index(max(self.counts))
+
+    def most_probable(self) -> EconomicOrder:
+        return self.orders[self._top]
 
     def tie_set(self) -> tuple[EconomicOrder, ...]:
-        return tuple(compress(self.orders, map(eq, self.counts, repeat(max(self.counts)))))
+        best = self.counts[self._top]
+        ties = compress(zip(*self.orders.columns), map(eq, self.counts, repeat(best)))
+        return tuple(_records(EconomicOrder, self.counts.count(best), occupancy=ties))
 
     def sample(self, seed: int) -> Iterator[MicroOutcome]:
         """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
@@ -181,7 +243,10 @@ class OrderCatalog:
         batch of picked orders is then placed by exact integer draws of a
         numpy Generator seeded from that same ``random.Random``, so one seed
         drives the whole stream and the first k draws do not depend on how
-        many are taken.
+        many are taken.  The stream builds one occupancy matrix from the
+        order columns when it starts, and a batch gathers its picked rows by
+        index; an order's record is made from the columns the first time it
+        is drawn, and later draws of it share that record.
 
         - Distinguishable firms: each order's level labels are shuffled over
           the firms, and each firm gets a uniform slot of its level.
@@ -210,19 +275,23 @@ class OrderCatalog:
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
         getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
-        order_at = self.orders.__getitem__
         place = (_place_firms if self.regime is Regime.MONOPOLISTIC else _place_units)(
             self.degeneracies
         )
-        width = self.orders[0].n_firms + sum(self.degeneracies)
+        occupancies = np.array(self.orders.columns).T  # one row per listed order
+        made: dict[int, EconomicOrder] = {}  # the record of each order drawn so far
+        width = sum(column[0] for column in self.orders.columns) + sum(self.degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
             # randrange(total)'s own rejection loop, run over the whole batch
             picks = list(filter(below, map(getrandbits, repeat(bits, size))))
             while len(picks) < size:
                 picks += filter(below, map(getrandbits, repeat(bits, size - len(picks))))
-            orders = list(map(order_at, map(bisect_right, repeat(cumulative), picks)))
-            assignments = place(gen, np.array([order.occupancy for order in orders]))
+            indices = list(map(bisect_right, repeat(cumulative), picks))
+            fresh = list(filterfalse(made.__contains__, set(indices)))
+            made.update(zip(fresh, self.orders.take(fresh)))
+            orders = list(map(made.__getitem__, indices))
+            assignments = place(gen, occupancies[indices])
             yield from _records(
                 MicroOutcome, size, regime=regimes, assignment=assignments, drawn_order=orders
             )
@@ -310,8 +379,13 @@ def _place_units(degeneracies: tuple[int, ...]) -> Callable[..., list[tuple]]:
 
 def enumerate_orders(
     grid: RevenueGrid, config: EconomyConfig, *, cap: int | None = None
-) -> list[EconomicOrder]:
+) -> _Orders:
     """All occupancy vectors meeting the constraints, in lexicographic order.
+
+    Returned as a read-only ``Sequence[EconomicOrder]`` view over one list
+    per level (``columns``, a_k of every order in listing order): its length
+    is the number of orders, and each ``EconomicOrder`` is made when it is
+    read (``_Orders``).
 
     The listing of Nijenhuis & Wilf (*Combinatorial Algorithms*, 1978), in
     closed form, as one loop over an explicit stack of (prefix, left, need)
@@ -344,17 +418,21 @@ def enumerate_orders(
     - otherwise the level's range is pushed high to low, so it pops low to
       high.
 
-    So the last two or three levels take no Python call per order, and an
-    entry that has placed every firm is finished at once rather than pushed
-    level by level.  Each entry pushed copies its prefix, O(levels) per
-    node, the size of an order.  Every occupancy is a tuple of
-    Python ints >= 0 (each range runs from max(0, ...) to at most ``left``,
-    and a_{n-3} in its range leaves a_{n-2} in [0, left - a_{n-3}]), so
-    ``core._records`` builds the orders without EconomicOrder's checks.
-    With a ``cap``, more than ``cap`` orders raise CapExceededError while
-    they are listed: the count is checked after each popped entry's orders
-    are kept, and a truncated list is never returned.  A negative ``cap``
-    is a ConfigError, raised before any listing.
+    A kept run of m orders extends each column once: a prefix level by
+    ``repeat(a, m)``, a zipped level by its ``range``.  An order kept alone
+    waits as a row, and the waiting rows (at most ``_ROWS_KEPT``) move into
+    the columns by one ``zip`` transpose before the next run.  So the last
+    two or three levels take no Python call per order, and an entry that
+    has placed every firm is finished at once rather than pushed level by
+    level.  Each entry pushed copies its prefix, O(levels) per node, the
+    size of an order.  Every value is a Python int >= 0 (each range runs
+    from max(0, ...) to at most ``left``, and a_{n-3} in its range leaves
+    a_{n-2} in [0, left - a_{n-3}]), so ``core._records`` makes the orders
+    without EconomicOrder's checks.  With a ``cap``, more than ``cap``
+    orders raise CapExceededError while they are listed: the count, waiting
+    rows included, is checked after each popped entry's orders are kept,
+    and a truncated listing is never returned.  A negative ``cap`` is a
+    ConfigError, raised before any listing.
     """
     if cap is not None and cap < 0:
         raise ConfigError("cap: must be non-negative, got %d" % cap)
@@ -367,19 +445,28 @@ def enumerate_orders(
         h = math.gcd(s, d)
         step, a_down, rest_up = d // h, s // h, (s - d) // h
         inverse = pow(a_down, -1, step)  # of s/h modulo d/h (0 when d/h = 1)
-    occs: list[tuple[int, ...]] = []
+    columns = tuple([] for _ in levels)
+    rows: list[tuple[int, ...]] = []  # orders kept one at a time, not yet in the columns
+    consume = deque(maxlen=0).extend  # runs a map of extends in C
+
+    def keep(pieces) -> None:
+        # the rows go first, transposed by zip, so the columns keep listing order
+        consume(map(list.extend, columns, zip(*rows)))
+        rows.clear()
+        consume(map(list.extend, columns, pieces))
+
     stack = [((), config.n_firms, config.total_revenue)]  # (prefix, left, need)
     while stack:
         prefix, left, need = stack.pop()
         k = len(prefix)
         if not left:
             if not need:  # None without a total, else 0 once the total is met
-                occs.append(prefix + (0,) * (last + 1 - k))
+                rows.append(prefix + (0,) * (last + 1 - k))
         elif k == last:
             if need is None or left * top == need:
-                occs.append(prefix + (left,))
+                rows.append(prefix + (left,))
         elif need is None and k == last - 1:
-            occs.extend(zip(*map(repeat, prefix), range(left + 1), range(left, -1, -1)))
+            keep((*map(repeat, prefix, repeat(left + 1)), range(left + 1), range(left, -1, -1)))
         elif need is None:
             stack.extend((prefix + (a,), left - a, None) for a in range(left, -1, -1))
         else:
@@ -392,19 +479,20 @@ def enumerate_orders(
                 if x % h == 0:
                     j = x // h * inverse % step
                     b = (x - j * s) // d
-                    occs.extend(
-                        zip(
-                            *map(repeat, prefix),
-                            range(lo + j, hi + 1, step),
-                            count(b, -a_down),
-                            count(left - lo - j - b, rest_up),
-                        )
-                    )
+                    c = left - lo - j - b
+                    firsts = range(lo + j, hi + 1, step)
+                    m = len(firsts)
+                    downs = range(b, b - m * a_down, -a_down)
+                    ups = range(c, c + m * rest_up, rest_up)
+                    keep((*map(repeat, prefix, repeat(m)), firsts, downs, ups))
             else:  # pushed high to low, so the values pop low to high
                 stack.extend((prefix + (a,), left - a, need - a * e) for a in range(hi, lo - 1, -1))
-        if len(occs) > limit:
+        if len(rows) >= _ROWS_KEPT:
+            keep(())
+        if len(columns[0]) + len(rows) > limit:
             raise CapExceededError(None, cap, "order list")
-    return _records(EconomicOrder, len(occs), occupancy=occs)
+    keep(())
+    return _Orders(columns)
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -502,31 +590,32 @@ def catalog(
     """Exact catalog of feasible orders with equal-outcome probabilities.
 
     The one table of feasible orders and their multiplicities, kept as the
-    columns of ``OrderCatalog``: the orders ``enumerate_orders`` lists and
-    their counts, in listing order.  With a ``cap``, more than ``cap``
-    orders raise CapExceededError while they are listed, before any
-    multiplicity is computed (a negative ``cap`` is a ConfigError).  No
-    entry record and no probability is made here: ``entries`` makes each
-    when it is read.  ``most_probable``, ``tie_set``, the sampler and every
-    CLI artifact read the columns.
+    columns of ``OrderCatalog``: the orders ``enumerate_orders`` lists, as
+    its view over the level columns, and their counts, in listing order.
+    With a ``cap``, more than ``cap`` orders raise CapExceededError while
+    they are listed, before any multiplicity is computed (a negative
+    ``cap`` is a ConfigError).  No order record other than the most
+    probable one, no entry record and no probability is made here:
+    ``orders`` and ``entries`` make each when it is read.
+    ``most_probable``, ``tie_set``, the sampler and every CLI artifact read
+    the columns.
 
-    The multiplicities come from ``counting._multiplicities``, which builds
-    them level column by level column from small exact tables, with no
-    Python call per order.  The most probable order's count is then
-    recomputed once by the closed-form ``multiplicity`` (a few µs), and a
-    disagreement raises EconOrderError naming the order.  That check serves
-    two ends: the count that ``spontaneous.json`` reports is held to the
-    closed form on every run, and the benchmark's traced layer suite
-    (``bench/suite.py``), which divides by the number of ``multiplicity``
-    calls, sees at least one.
+    The multiplicities come from ``counting._multiplicities``, which takes
+    the listing's columns as they are and builds the counts level column by
+    level column from small exact tables, with no Python call per order.
+    The most probable order's count is then recomputed once by the
+    closed-form ``multiplicity`` (a few µs), and a disagreement raises
+    EconOrderError naming the order.  That check serves two ends: the count
+    that ``spontaneous.json`` reports is held to the closed form on every
+    run, and the benchmark's traced layer suite (``bench/suite.py``), which
+    divides by the number of ``multiplicity`` calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
-    columns = list(zip(*map(attrgetter("occupancy"), orders)))
-    counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
-    cat = OrderCatalog(tuple(orders), counts, sum(counts), grid.degeneracies, config.regime)
-    top, best = cat.most_probable(), max(counts)
+    counts = tuple(_multiplicities(orders.columns, grid.degeneracies, config.regime))
+    cat = OrderCatalog(orders, counts, sum(counts), grid.degeneracies, config.regime)
+    top, best = cat.most_probable(), counts[cat._top]
     exact = multiplicity(top, grid, config.regime)
     if best != exact:
         raise EconOrderError(

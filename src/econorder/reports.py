@@ -18,8 +18,8 @@ from .macro import IdentityReport, MacroParams
 from .maxent import CondensationReport, MultiplierSolution
 
 
-def occupancy_text(order: EconomicOrder) -> str:
-    return " ".join(str(a) for a in order.occupancy)
+def occupancy_text(occupancy: tuple[int, ...]) -> str:
+    return " ".join(map(str, occupancy))
 
 
 def _float_or_none(value):
@@ -36,21 +36,23 @@ def dump_json(path: Path, payload: dict) -> None:
 
 def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
     """One row per order, by decreasing multiplicity (``catalog.entries``'
-    order), written from the catalog's columns: the reduced probability
-    ω / T by one gcd, and its float as ``ω / T``, the correctly rounded
-    quotient that ``float(Fraction(ω, T))`` also gives."""
-    orders, counts, total = catalog.orders, catalog.counts, catalog.total_outcomes
+    order), written from the catalog's columns with no order or entry
+    record: the occupancy gathered from the level columns, the reduced
+    probability ω / T by one gcd, and its float as ``ω / T``, the correctly
+    rounded quotient that ``float(Fraction(ω, T))`` also gives."""
+    positions, total = catalog.entries.positions, catalog.total_outcomes
+    occupancies = zip(*(map(column.__getitem__, positions) for column in catalog.orders.columns))
+    counts = map(catalog.counts.__getitem__, positions)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
         )
-        for i in catalog.entries.positions:
-            count = counts[i]
+        for occupancy, count in zip(occupancies, counts):
             common = math.gcd(count, total)
             writer.writerow(
                 [
-                    occupancy_text(orders[i]),
+                    occupancy_text(occupancy),
                     count,
                     count // common,
                     total // common,
@@ -60,7 +62,7 @@ def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
 
 
 def spontaneous_payload(catalog: OrderCatalog) -> dict:
-    count, total = max(catalog.counts), catalog.total_outcomes
+    count, total = catalog.counts[catalog._top], catalog.total_outcomes
     probability = Fraction(count, total)
     return {
         "order": list(catalog.most_probable().occupancy),
@@ -154,12 +156,13 @@ def write_frequencies_csv(
             ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
         )
         total = catalog.total_outcomes
-        for order, count in zip(catalog.orders, catalog.counts):
-            freq = frequencies.get(order, Fraction(0))
+        by_occupancy = {order.occupancy: freq for order, freq in frequencies.items()}
+        for occupancy, count in zip(zip(*catalog.orders.columns), catalog.counts):
+            freq = by_occupancy.get(occupancy, Fraction(0))
             exact = count / total  # float(Fraction(count, total)), no gcd
             writer.writerow(
                 [
-                    occupancy_text(order),
+                    occupancy_text(occupancy),
                     freq.numerator * draws // freq.denominator,
                     repr(float(freq)),
                     repr(exact),

@@ -39,7 +39,7 @@ from econorder import (
     sample_outcomes,
     validate_order,
 )
-from econorder import enumeration, reports
+from econorder import core, enumeration, reports
 from econorder.errors import WalkDepthError
 from econorder.checks import random_counting_instance
 
@@ -108,6 +108,26 @@ def five_level_catalog(regime):
     return catalog(FIVE_LEVELS, EconomyConfig(30, 90, regime))
 
 
+def brute_force_orders(levels, n_firms, total):
+    """Every occupancy of ``n_firms`` over ``levels`` meeting the total, sorted."""
+    found = []
+    for head in itertools.product(range(n_firms + 1), repeat=len(levels) - 1):
+        occ = head + (n_firms - sum(head),)
+        if occ[-1] >= 0 and (total is None or sum(a * e for a, e in zip(occ, levels)) == total):
+            found.append(occ)
+    return sorted(found)
+
+
+def assert_columns_transpose(orders, expected):
+    """The listing keeps one list of Python ints per level: the transpose
+    of the expected occupancies, empty lists when there are none."""
+    columns = orders.columns
+    assert len(orders) == len(expected)
+    assert type(columns) is tuple and all(type(column) is list for column in columns)
+    assert columns == tuple([occ[k] for occ in expected] for k in range(len(columns)))
+    assert all(type(a) is int for column in columns for a in column)
+
+
 class TestEnumerateOrders:
     def test_revenue_constraint_keeps_only_split(self):
         config = EconomyConfig(2, 3, Regime.MONOPOLISTIC)
@@ -132,7 +152,9 @@ class TestEnumerateOrders:
 
     def test_empty_when_infeasible(self):
         config = EconomyConfig(2, 5, Regime.MONOPOLISTIC)
-        assert enumerate_orders(GRID_2, config) == []
+        orders = enumerate_orders(GRID_2, config)
+        assert len(orders) == 0 and list(orders) == []
+        assert orders.columns == ([], [])
 
     def test_lexicographic_order(self):
         config = EconomyConfig(4, None, Regime.MONOPOLISTIC)
@@ -150,13 +172,10 @@ class TestEnumerateOrders:
         total = data.draw(revenue_totals(levels, n_firms))
         grid = RevenueGrid(tuple(levels), ())
         config = EconomyConfig(n_firms, total, regime)
-        expected = []
-        for head in itertools.product(range(n_firms + 1), repeat=len(levels) - 1):
-            occ = head + (n_firms - sum(head),)
-            if occ[-1] >= 0 and (total is None or sum(a * e for a, e in zip(occ, levels)) == total):
-                expected.append(occ)
-        expected.sort()
-        assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
+        expected = brute_force_orders(levels, n_firms, total)
+        orders = enumerate_orders(grid, config)
+        assert [o.occupancy for o in orders] == expected
+        assert_columns_transpose(orders, expected)
         # the listing checks its cap once per run of orders that share all
         # but the last three levels, so a drawn cap also lands inside a run
         inside = data.draw(st.integers(0, len(expected) + 1))
@@ -167,6 +186,33 @@ class TestEnumerateOrders:
             else:
                 capped = enumerate_orders(grid, config, cap=cap)
                 assert [o.occupancy for o in capped] == expected
+                assert_columns_transpose(capped, expected)
+
+    @pytest.mark.parametrize(
+        "levels, n_firms, total",
+        [
+            ((0,), 4, None),
+            ((0,), 4, 0),
+            ((3,), 2, 6),
+            ((0, 5), 3, None),
+            ((0, 5), 3, 10),
+            ((2, 7), 4, 13),  # infeasible: no columns filled
+            ((0, 4, 9), 5, None),
+            ((0, 4, 9), 5, 18),
+            ((1, 2, 3), 6, 12),
+        ],
+    )
+    def test_columns_are_the_transposed_listing(self, levels, n_firms, total):
+        # one to three levels, level 0 and gaps, with and without a total;
+        # under a cap at the order count the same columns, one below it none
+        grid = RevenueGrid(levels, ())
+        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        expected = brute_force_orders(levels, n_firms, total)
+        assert_columns_transpose(enumerate_orders(grid, config), expected)
+        assert_columns_transpose(enumerate_orders(grid, config, cap=len(expected)), expected)
+        if expected:
+            with pytest.raises(CapExceededError):
+                enumerate_orders(grid, config, cap=len(expected) - 1)
 
     # the revenues of each order's firms, in listing order: lexicographic in
     # the occupancy, so fewer firms on the lowest level come first
@@ -220,6 +266,13 @@ class TestEnumerateOrders:
         )  # every occupancy of one firm, by the definition
         config = EconomyConfig(1, None, Regime.MONOPOLISTIC)
         assert [o.occupancy for o in enumerate_orders(grid, config)] == expected
+        # each order is kept alone, so the listing moves its rows into the
+        # columns in batches; the cap counts the rows still waiting
+        assert_columns_transpose(enumerate_orders(grid, config, cap=n_levels), expected)
+        with pytest.raises(CapExceededError):
+            enumerate_orders(grid, config, cap=n_levels - 1)
+        with pytest.raises(CapExceededError):
+            enumerate_orders(grid, config, cap=enumeration._ROWS_KEPT - 2)
 
 
 class TestEnumerateOutcomes:
@@ -457,7 +510,8 @@ class TestCatalog:
         if not orders:
             return
         cat = catalog(grid, config)
-        assert list(cat.orders) == orders
+        assert list(cat.orders) == list(orders)
+        assert cat.orders == orders
         for order, count in zip(cat.orders, cat.counts):
             assert count == multiplicity(list(order.occupancy), grid, regime)
         assert all(type(c) is int for c in accumulate(cat.counts))
@@ -490,6 +544,25 @@ class TestCatalog:
         assert cat.most_probable() == ties[0] == cat.entries[0].order
         with pytest.raises(IndexError):
             cat.entries[len(ranked)]
+        # the orders view: a read-only sequence of records made from the columns
+        orders, n = cat.orders, len(listing)
+        listed = list(orders)
+        assert [o.occupancy for o in listed] == list(zip(*orders.columns))
+        assert all(type(o) is EconomicOrder for o in listed) and len(orders) == n
+        assert [orders[i] for i in range(-n, n)] == listed + listed
+        cuts = (slice(None), slice(1, None, 2), slice(None, None, -1), slice(n, None), slice(-2, 1))
+        for cut in cuts:
+            assert orders[cut] == tuple(listed[cut])
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                orders[index]
+        again = enumerate_orders(*economy)
+        assert again == orders and hash(again) == hash(orders) and again is not orders
+        assert orders != tuple(listed) and orders != listed  # a view equals only a view
+        copy = pickle.loads(pickle.dumps(orders))
+        assert copy == orders and list(copy) == listed and copy.columns == orders.columns
+        assert pickle.loads(pickle.dumps(cat)) == cat == catalog(*economy)
+        assert hash(cat) == hash(catalog(*economy))
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_queries_never_sort(self, monkeypatch, regime):
@@ -507,6 +580,41 @@ class TestCatalog:
         assert sorts == []
         cat.entries[0], cat.entries[1:], list(cat.entries)
         assert len(sorts) == 1
+
+    @pytest.mark.parametrize(
+        "economy, n_ties",
+        [
+            ((FIVE_LEVELS, EconomyConfig(30, 90, Regime.MONOPOLISTIC)), 1),
+            ((FIVE_LEVELS, EconomyConfig(30, 90, Regime.PERFECT)), 1),
+            ((RevenueGrid((1, 2, 3), (1, 1, 1)), EconomyConfig(2, None, Regime.MONOPOLISTIC)), 3),
+        ],
+        ids=["mon", "per", "three-ties"],
+    )
+    def test_queries_make_records_only_for_the_orders_they_return(
+        self, monkeypatch, economy, n_ties
+    ):
+        # the listing, the counts and the top check make no record per
+        # listed order: catalog makes the top one, for the closed form
+        made = []
+
+        def spy(cls, size, **slots):
+            made.append((cls.__name__, size))
+            return core._records(cls, size, **slots)
+
+        monkeypatch.setattr(enumeration, "_records", spy)
+        cat = catalog(*economy)
+        assert made == [("EconomicOrder", 1)]
+        cat.most_probable()
+        assert made[1:] == [("EconomicOrder", 1)]
+        assert len(cat.tie_set()) == n_ties
+        assert made[2:] == [("EconomicOrder", n_ties)]
+        assert len(cat.orders) > n_ties
+        # a stream makes each drawn order's record once, and its draws share
+        # it; 448 draws fill the 64, 128 and 256-draw batches exactly
+        del made[:]
+        drawn = [o.drawn_order for o in islice(cat.sample(5), 448)]
+        orders_made = sum(size for name, size in made if name == "EconomicOrder")
+        assert orders_made == len(set(drawn)) == len({id(order) for order in drawn})
 
     @given(economy=feasible_economies(max_levels=5))
     @example(economy=(FIVE_LEVELS, EconomyConfig(30, 90, Regime.PERFECT)))
