@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
 from .core import Regime, RevenueGrid
 from .counting import stirling_log_multiplicity
 from .errors import ConfigError
-from .maxent import _closed_form
+from .maxent import ARRAY_MIN_LEVELS, _closed_form_at
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ def macro_from_multipliers(alpha: float, beta: float, lam: float = 1.0) -> Macro
     return MacroParams(mu=-alpha / beta, theta=1.0 / (lam * beta), lam=lam)
 
 
-@np.errstate(over="ignore")
 def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float:
     """Level-wise generating function, ln W = -ln Z.
 
@@ -69,7 +70,7 @@ def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float
     for alpha + beta e_k > 0.  Monopolistic competition is the indicator -> 0
     limit of (1 - I exp(-x))^(g/I), giving -sum_k g_k exp(-(alpha + beta e_k)).
     """
-    return -_closed_form(alpha, beta, *grid.vectors, regime)[1]
+    return -_closed_form_at(alpha, beta, grid, regime)[1]
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class IdentityReport:
     grad_beta: float
 
 
-@np.errstate(over="ignore")
 def entropy_identity_residual(
     alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> IdentityReport:
@@ -97,13 +97,17 @@ def entropy_identity_residual(
     generating-function expression, for both sign conventions.
 
     Evaluated at (alpha, beta) only: the closed form gives the occupancy and
-    the analytic gradient (sum a_k, sum a_k e_k), and one log_W call ln W.
+    the analytic gradient (sum a_k, sum a_k e_k), and one log_W call ln W,
+    each by the evaluator the grid's level count selects.
     """
-    e = grid.vectors[0]
-    occ = _closed_form(alpha, beta, *grid.vectors, regime)[0]
-    entropy = stirling_log_multiplicity(occ.tolist(), grid, regime)
+    occ = _closed_form_at(alpha, beta, grid, regime)[0]
+    entropy = stirling_log_multiplicity(occ, grid, regime)
     lw = log_W(alpha, beta, grid, regime)
-    grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * e))
+    if grid.n < ARRAY_MIN_LEVELS:
+        grad_a, grad_b = reduce(add, occ, 0.0), reduce(add, map(mul, occ, grid.levels), 0.0)
+    else:
+        with np.errstate(over="ignore"):
+            grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * grid.vectors[0]))
     expression = lw - alpha * grad_a - beta * grad_b
     best_sign = 1 if abs(entropy - expression) <= abs(entropy + expression) else -1
     residual = entropy - best_sign * expression

@@ -42,7 +42,7 @@ GOLDEN = {
     },
     # catalog probabilities through check_sampler, beside the counting oracle
     ("check", "condensation.ini"): {
-        "check.json": "0f1bdf5a97c126f71d99a4c3ed74c0ef1828cdac5ee5ce5500c6eb6a53268d07",
+        "check.json": "bcabaee2270d09ef90618828310c25fd1b38d1af42da8921b8e6c62ca6f7376d",
     },
     # a constrained 5-level listing: a 98-bit total, no fraction reduces
     ("enumerate", "five_levels.ini"): {

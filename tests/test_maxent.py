@@ -1,6 +1,8 @@
 """Multiplier solving, closed-form occupancies, and condensation detection."""
 
+import gc
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,8 +29,11 @@ from econorder import (
     solve_multipliers_bisection,
     stirling_log_multiplicity,
 )
+import econorder.counting
+import econorder.maxent
 from econorder.checks import random_solver_instance
 from econorder.configio import load_run_config
+from econorder.maxent import ARRAY_MIN_LEVELS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 GRID_2 = RevenueGrid((1, 2), (1, 1))
@@ -189,6 +194,52 @@ HARD_INSTANCES = [
 ]
 
 
+# Small grids whose line search tries a point past overflow on the float
+# evaluator: one trial x below -709.78 (mon, N = 1.5e305), and x beyond 709.78
+# at the far level of a per grid one revenue unit above its ground state.
+OVERFLOWING_TRIALS = [
+    (
+        RevenueGrid((4, 5, 176, 178, 179, 181), (2, 28, 2, 3, 11, 25)),
+        EconomyConfig(15 * 10**304, 4 * 15 * 10**304 + 10**285, Regime.MONOPOLISTIC),
+    ),
+    (RevenueGrid((1, 2, 2000), (1, 2, 3)), EconomyConfig(10**6, 10**6 + 1, Regime.PERFECT)),
+]
+
+EPS = float(np.finfo(float).eps)
+# The two evaluators compute x = alpha + beta e by the same IEEE operations and
+# differ only in the libm behind exp, expm1, log1p and log (each within an ulp
+# or two) and in summation order (one rounding per term).  So a level's value
+# agrees to 8 eps, a sum of n terms to (8 + 2n) eps of its terms' magnitude,
+# and below the smallest normal float to a few of its subnormal ulps.
+LEVEL_RTOL = 8 * EPS
+TINY = 64 * float(np.finfo(float).tiny)
+# Two solves that both stop within 1e-10 of N and Pi, with one polishing
+# Newton step, agree to the square root of eps.
+SOLVED_RTOL = math.sqrt(EPS)
+
+
+def sum_rtol(n):
+    return (8 + 2 * n) * EPS
+
+
+def assert_solutions_agree(floats, arrays, grid, config):
+    """The float and array solves of one economy agree: the same stopping
+    state, both within 1e-10 of N and Pi, and (alpha, beta) and the
+    occupancy within SOLVED_RTOL."""
+    assert (floats.converged, floats.pinned, floats.method) == (
+        arrays.converged, arrays.pinned, arrays.method
+    )
+    for sol in (floats, arrays):
+        assert abs(sol.residual_n) <= 1e-10 * config.n_firms
+        assert abs(sol.residual_pi) <= 1e-10 * max(1, config.total_revenue)
+    for got, want in zip(floats.occupancy, arrays.occupancy):
+        assert abs(got - want) <= SOLVED_RTOL * config.n_firms
+    # x at the far end of the grid is of size |alpha| + |beta| e_max
+    scale = 1.0 + abs(arrays.alpha) + abs(arrays.beta) * grid.levels[-1]
+    assert abs(floats.alpha - arrays.alpha) <= SOLVED_RTOL * scale
+    assert abs(floats.beta - arrays.beta) * grid.levels[-1] <= SOLVED_RTOL * scale
+
+
 def assert_newton_solves(grid, config):
     """Converged Newton solution whose occupancy meets both constraints to
     1e-10, recomputed here from the returned occupancy."""
@@ -214,6 +265,7 @@ class TestNewtonRobustness:
         "grid, config",
         [(RevenueGrid(levels, degens), EconomyConfig(n, total, regime))
          for levels, degens, n, total, regime in HARD_INSTANCES]
+        + OVERFLOWING_TRIALS
         + [
             # one unit above the ground state: x reaches ~3000 at the top, so
             # expm1 overflows and the top occupancies underflow to zero
@@ -224,10 +276,11 @@ class TestNewtonRobustness:
             for regime in Regime
         ],
     )
-    def test_no_floating_point_warnings(self, grid, config):
+    def test_no_floating_point_warnings(self, grid, config, monkeypatch):
         # exp and expm1 overflow far from the wall (x beyond about 710); every
         # public entry point silences that for its own call and leaves the
-        # floating-point state as it found it; nothing else may warn
+        # floating-point state as it found it; nothing else may warn, and the
+        # float evaluator neither warns nor raises OverflowError
         regime = config.regime
         far = 800.0 if regime is Regime.PERFECT else -800.0  # x = far * e_k
         with warnings.catch_warnings():
@@ -247,6 +300,14 @@ class TestNewtonRobustness:
         # the far point did overflow: every occupancy is 0 (per) or inf (mon)
         far_occ = occupancy(0.0, far, grid, regime)
         assert np.all(far_occ == 0.0) if regime is Regime.PERFECT else np.all(np.isinf(far_occ))
+        # and gave what the array evaluator gives, on either side of the constant
+        with np.errstate(over="ignore"):
+            far_arrays, far_log_z = econorder.maxent._closed_form(0.0, far, *grid.vectors, regime)
+        assert far_occ.tolist() == far_arrays.tolist()
+        assert -log_W(0.0, far, grid, regime) == far_log_z
+        if grid.n < ARRAY_MIN_LEVELS:
+            monkeypatch.setattr(econorder.maxent, "ARRAY_MIN_LEVELS", 0)
+            assert_solutions_agree(sol, solve_multipliers(grid, config), grid, config)
 
     @pytest.mark.parametrize(
         "levels, degens, n_firms, total",
@@ -400,3 +461,217 @@ class TestEntropyOf:
             for o in enumerate_orders(GRID_3, config)
         )
         assert relaxed >= best_feasible - 1e-9
+
+
+def evaluator_grids(min_levels=2):
+    """Grids of min_levels to 6 levels and of ARRAY_MIN_LEVELS - 1, + 0 and
+    + 1 levels, with small and large gaps, starting at level 0 or above it."""
+    sizes = st.one_of(
+        st.integers(min_levels, 6),
+        st.sampled_from([ARRAY_MIN_LEVELS - 1, ARRAY_MIN_LEVELS, ARRAY_MIN_LEVELS + 1]),
+    )
+
+    def build(base, gaps, degens):
+        levels = tuple(base + sum(gaps[:k]) for k in range(len(gaps) + 1))
+        return RevenueGrid(levels, tuple(degens[: len(levels)]))
+
+    return sizes.flatmap(
+        lambda n: st.builds(
+            build,
+            st.sampled_from([0, 1, 37, 200]),
+            st.lists(
+                st.one_of(st.integers(1, 3), st.integers(1, 60)), min_size=n - 1, max_size=n - 1
+            ),
+            st.lists(st.integers(1, 30), min_size=n, max_size=n),
+        )
+    )
+
+
+class TestEvaluatorsAgree:
+    """The float evaluators (below ARRAY_MIN_LEVELS) against the array ones,
+    called directly on the same grid, to the tolerances fixed above."""
+
+    @given(
+        grid=evaluator_grids(min_levels=1),
+        regime=st.sampled_from(list(Regime)),
+        # x at the condensing end: at the wall, near it, or far past overflow
+        gap=st.one_of(st.floats(1e-12, 1e-3), st.floats(-800.0, 800.0)),
+        beta=st.one_of(st.floats(-2.0, 2.0), st.floats(-40.0, 40.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form(self, grid, regime, gap, beta):
+        anchor = grid.levels[0] if beta >= 0 else grid.levels[-1]
+        alpha = gap - beta * anchor
+        e, g = grid.vectors
+        try:
+            floats, log_z = econorder.maxent._closed_form_floats(
+                alpha, beta, grid.levels, grid.degeneracies, regime
+            )
+        except SingularityError as wall:
+            with pytest.raises(SingularityError) as err:
+                econorder.maxent._closed_form(alpha, beta, e, g, regime)
+            assert err.value.level_index == wall.level_index
+            return
+        with np.errstate(over="ignore"):
+            arrays, array_log_z = econorder.maxent._closed_form(alpha, beta, e, g, regime)
+        for got, want in zip(floats, arrays.tolist()):
+            if math.isinf(want) or want == 0.0:
+                assert got == want  # past overflow, as numpy has it
+            else:
+                assert math.isclose(got, want, rel_tol=LEVEL_RTOL, abs_tol=TINY)
+        if math.isinf(array_log_z):
+            assert log_z == array_log_z
+        else:
+            assert math.isclose(log_z, array_log_z, rel_tol=sum_rtol(grid.n), abs_tol=TINY)
+
+    @given(
+        grid=evaluator_grids(min_levels=1),
+        regime=st.sampled_from(list(Regime)),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e6]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stirling(self, grid, regime, scale, data):
+        occ = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=grid.n, max_size=grid.n
+        ))
+        occ = tuple(scale * a for a in occ)
+        floats = econorder.counting._stirling_floats(occ, grid, regime)
+        arrays = econorder.counting._stirling_array(np.array(occ), grid, regime)
+        # the sum of the magnitudes of the terms either evaluator adds
+        if regime is Regime.MONOPOLISTIC:
+            magnitude = math.lgamma(sum(occ) + 1.0) + sum(
+                a * (abs(math.log(g)) + abs(math.log(a)) + 1.0) if a else 0.0
+                for a, g in zip(occ, grid.degeneracies)
+            )
+        else:
+            magnitude = sum(
+                abs(x * math.log(x)) if x else 0.0
+                for a, g in zip(occ, grid.degeneracies)
+                for x in (a + g - 1.0, a, g - 1.0)
+            )
+        assert abs(floats - arrays) <= sum_rtol(3 * grid.n) * magnitude + TINY
+
+    @given(
+        grid=evaluator_grids(),
+        regime=st.sampled_from(list(Regime)),
+        n_firms=st.integers(1, 10**6),
+        end=st.sampled_from(["low", "high", "inside"]),
+        offset=st.integers(1, 50),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_solve(self, grid, regime, n_firms, end, offset, fraction):
+        lo, hi = n_firms * grid.levels[0], n_firms * grid.levels[-1]
+        assume(hi - lo >= 2)
+        total = {
+            "low": lo + min(offset, hi - lo - 1),
+            "high": hi - min(offset, hi - lo - 1),
+            "inside": lo + 1 + int(fraction * (hi - lo - 2)),
+        }[end]
+        config = EconomyConfig(n_firms, total, regime)
+        anchored = econorder.maxent._anchored(grid, config)
+        e0, span = anchored[:2]
+        e, g = grid.vectors
+        floats = econorder.maxent._newton(
+            econorder.maxent._FloatLevels(
+                [(ek - e0) / span for ek in grid.levels], grid.degeneracies, regime
+            ),
+            anchored,
+            config,
+        )
+        with np.errstate(over="ignore"):
+            arrays = econorder.maxent._newton(
+                econorder.maxent._ArrayLevels((e - e0) / span, g, regime), anchored, config
+            )
+        assert floats.converged
+        assert_solutions_agree(floats, arrays, grid, config)
+
+    @pytest.mark.parametrize("grid, config", OVERFLOWING_TRIALS)
+    def test_trial_points_past_overflow(self, grid, config, monkeypatch):
+        overflowed = []
+        inf_on_overflow = econorder.maxent._inf_on_overflow
+
+        def spy(f, x):
+            value = inf_on_overflow(f, x)
+            overflowed.append(math.isinf(value))
+            return value
+
+        monkeypatch.setattr(econorder.maxent, "_inf_on_overflow", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = solve_multipliers(grid, config)
+        assert any(overflowed)
+        monkeypatch.setattr(econorder.maxent, "ARRAY_MIN_LEVELS", 0)
+        arrays = solve_multipliers(grid, config)
+        assert floats.iterations == arrays.iterations
+        assert_solutions_agree(floats, arrays, grid, config)
+
+
+# one level either side of the evaluators' split
+NARROW, WIDE = (
+    RevenueGrid(tuple(range(1, n + 1)), tuple(1 + k % 3 for k in range(n)))
+    for n in (ARRAY_MIN_LEVELS - 1, ARRAY_MIN_LEVELS)
+)
+
+
+@pytest.mark.parametrize("grid", [GRID_2, NARROW, WIDE], ids=["2-levels", "narrow", "wide"])
+@pytest.mark.parametrize("regime", list(Regime))
+class TestNonFiniteInputs:
+    """Refused by name on both sides of ARRAY_MIN_LEVELS, never a NaN result."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(bad, 0.1) for bad in (math.nan, math.inf, -math.inf)]
+        + [(0.5, bad) for bad in (math.nan, math.inf, -math.inf)],
+    )
+    def test_multipliers(self, grid, regime, alpha, beta):
+        for call in (occupancy, log_W, entropy_identity_residual):
+            with pytest.raises(ConfigError, match="finite"):
+                call(alpha, beta, grid, regime)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stirling_occupancy(self, grid, regime, bad):
+        occ = [1.0] * grid.n
+        occ[-1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            stirling_log_multiplicity(occ, grid, regime)
+
+    def test_stirling_negative_occupancy(self, grid, regime):
+        occ = [1.0] * grid.n
+        occ[0] = -1.0
+        with pytest.raises(ConfigError, match="non-negative"):
+            stirling_log_multiplicity(occ, grid, regime)
+
+
+def test_repeated_calls_keep_nothing():
+    # nothing is cached per grid or per call: rounds of solve, identity and
+    # Stirling on a float-path grid and an array-path grid leave net
+    # allocations within a budget that 16 bytes kept per round would exceed
+    rounds, budget = 2000, 16 * 2000
+    cases = [
+        (RevenueGrid((1, 4, 9), (2, 3, 1)), EconomyConfig(50, 190, Regime.PERFECT)),
+        (WIDE, EconomyConfig(50, 300, Regime.MONOPOLISTIC)),
+    ]
+
+    def one_round():
+        for grid, config in cases:
+            sol = solve_multipliers(grid, config)
+            entropy_identity_residual(sol.alpha, sol.beta, grid, config.regime)
+            stirling_log_multiplicity(sol.occupancy, grid, config.regime)
+
+    one_round()  # fills the wide grid's cached vectors
+    tracemalloc.start()
+    try:
+        # a full collection also empties the interpreter's free lists, whose
+        # size varies from round to round
+        one_round()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            one_round()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < budget
