@@ -15,7 +15,8 @@ it N! / prod(a_k!) from its prime exponents (``_multinomial_by_primes``).
 Two log-scale companions exist: an exact log-gamma evaluation for
 occupancies whose multiplicity no longer fits comfortably in memory, and the
 classical Stirling closed forms used by the entropy-maximisation layer,
-which accept real-valued occupancies.
+which accept real-valued occupancies and are summed by maxent's evaluator
+pair, on the member its one selector picks for the grid.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import math
 from functools import partial, reduce
 from itertools import repeat
 from math import comb, lgamma
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Sequence
 
 import numpy as np
 
 from .core import EconomicOrder, Regime, RevenueGrid, _check_lengths, as_occupancy
 from .errors import ConfigError
-from .maxent import ARRAY_MIN_LEVELS
+from .maxent import _evaluator
 
 
 # Chain work s above which ``multiplicity`` takes the prime route.  On a
@@ -236,61 +237,15 @@ def stirling_log_multiplicity(
     Zero arguments contribute nothing (0 ln 0 = 0).  The crude Stirling
     substitution ln m! ~ m ln m - m is only accurate for large entries; the
     relative error against log_multiplicity shrinks like ln(a)/a.  Refuses
-    negative and non-finite occupancies.  A grid below
-    ``maxent.ARRAY_MIN_LEVELS`` levels is summed in a Python loop, left to
-    right; a larger one in numpy.
+    negative and non-finite occupancies, then sums on the evaluator that
+    ``maxent._evaluator`` selects for the grid.
     """
     if isinstance(order, EconomicOrder):
         order = order.occupancy
-    if grid.n < ARRAY_MIN_LEVELS:
-        return _stirling_floats(tuple(map(float, order)), grid, regime)
-    return _stirling_array(np.asarray(order, dtype=float), grid, regime)
-
-
-def _stirling_floats(occ: tuple[float, ...], grid: RevenueGrid, regime: Regime) -> float:
-    """stirling_log_multiplicity on Python floats, for narrow grids."""
+    occ = tuple(map(float, order))
     _check_lengths(occ, grid)
     if not all(map(math.isfinite, occ)):
         raise ConfigError("order: occupancies must be finite")
-    if any(a < 0 for a in occ):
+    if min(occ) < 0:
         raise ConfigError("order: occupancies must be non-negative")
-    if regime is Regime.MONOPOLISTIC:
-        total = lgamma(reduce(add, occ, 0.0) + 1.0)
-        for a, g in zip(occ, grid.degeneracies):
-            if a:
-                total += a * math.log(g)
-                total -= a * math.log(a)
-            total += a
-        return total
-    # x ln x written out per term, with 0 ln 0 = 0
-    total = 0.0
-    for a, g in zip(occ, grid.degeneracies):
-        b, c = a + g - 1.0, g - 1.0
-        total += (
-            (b * math.log(b) if b else 0.0)
-            - (a * math.log(a) if a else 0.0)
-            - (c * math.log(c) if c else 0.0)
-        )
-    return total
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x elementwise, with 0 ln 0 = 0."""
-    return x * np.log(np.maximum(x, 5e-324))
-
-
-@np.errstate(over="ignore")
-def _stirling_array(occ: np.ndarray, grid: RevenueGrid, regime: Regime) -> float:
-    """stirling_log_multiplicity on numpy arrays, for wide grids; like the
-    loop, it overflows to inf without a warning."""
-    _check_lengths(occ, grid)
-    if not np.isfinite(occ).all():
-        raise ConfigError("order: occupancies must be finite")
-    if np.minimum.reduce(occ) < 0:
-        raise ConfigError("order: occupancies must be non-negative")
-    g = grid.vectors[1]
-    if regime is Regime.MONOPOLISTIC:
-        terms = occ * np.log(g) - _xlogx(occ) + occ
-        return lgamma(float(np.add.reduce(occ)) + 1.0) + float(np.add.reduce(terms))
-    # a + g - 1 associated as in _stirling_floats
-    return float(np.add.reduce(_xlogx(occ + g - 1.0) - _xlogx(occ) - _xlogx(g - 1.0)))
+    return _evaluator(grid, regime).stirling(occ)

@@ -22,15 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
-
-import numpy as np
 
 from .core import Regime, RevenueGrid
-from .counting import stirling_log_multiplicity
 from .errors import ConfigError
-from .maxent import ARRAY_MIN_LEVELS, _closed_form_at
+from .maxent import _evaluator, _finite_multipliers
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,8 @@ def log_W(alpha: float, beta: float, grid: RevenueGrid, regime: Regime) -> float
     for alpha + beta e_k > 0.  Monopolistic competition is the indicator -> 0
     limit of (1 - I exp(-x))^(g/I), giving -sum_k g_k exp(-(alpha + beta e_k)).
     """
-    return -_closed_form_at(alpha, beta, grid, regime)[1]
+    _finite_multipliers(alpha, beta)
+    return -_evaluator(grid, regime).closed_form(alpha, beta)[1]
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,22 @@ def entropy_identity_residual(
     """Compare the Stirling entropy of the closed-form occupancy against the
     generating-function expression, for both sign conventions.
 
-    Evaluated at (alpha, beta) only: the closed form gives the occupancy and
-    the analytic gradient (sum a_k, sum a_k e_k), and one log_W call ln W,
-    each by the evaluator the grid's level count selects.
+    Evaluated at (alpha, beta) only, on the evaluator maxent._evaluator
+    selects: its closed form gives the occupancy, its Stirling sum the
+    entropy and its totals the analytic gradient (sum a_k, sum a_k e_k),
+    and one log_W call gives ln W.  Refuses multipliers at which the
+    occupancy overflows, where the entropy is undefined.
     """
-    occ = _closed_form_at(alpha, beta, grid, regime)[0]
-    entropy = stirling_log_multiplicity(occ, grid, regime)
+    _finite_multipliers(alpha, beta)
+    levels = _evaluator(grid, regime)
+    occ, log_z = levels.closed_form(alpha, beta)
+    if math.isinf(log_z):
+        raise ConfigError(
+            "occupancy overflows at alpha = %s, beta = %s: no finite entropy" % (alpha, beta)
+        )
+    entropy = levels.stirling(occ)
     lw = log_W(alpha, beta, grid, regime)
-    if grid.n < ARRAY_MIN_LEVELS:
-        grad_a, grad_b = reduce(add, occ, 0.0), reduce(add, map(mul, occ, grid.levels), 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            grad_a, grad_b = float(np.add.reduce(occ)), float(np.add.reduce(occ * grid.vectors[0]))
+    grad_a, grad_b = levels.totals(occ)
     expression = lw - alpha * grad_a - beta * grad_b
     best_sign = 1 if abs(entropy - expression) <= abs(entropy + expression) else -1
     residual = entropy - best_sign * expression

@@ -25,17 +25,19 @@ Vandenberghe, Convex Optimization, 2004, sec. 9.5), here started from the
 closed form of a two-level grid.  The loop reads only scalar sums from each
 evaluation: sum a, sum a u, ln Z and the Hessian sums.
 
-The closed form has two evaluators, chosen by the grid's level count against
-ARRAY_MIN_LEVELS: below it, Python floats straight from the grid's integer
-levels and degeneracies (_closed_form_floats), where numpy's fixed cost per
-call would outweigh its per-level speed; at or above it, numpy arrays
-(_closed_form).  Every public caller of the closed form (occupancy, the
-solver, macro.log_W and macro.entropy_identity_residual) takes the same
-split, and counting.stirling_log_multiplicity the mirror one.  Float sums run
-left to right, the order numpy's add.reduce takes below eight terms, never
-by builtin sum, which is compensated from Python 3.12.  Far from the
-Bose-Einstein wall exp and expm1 overflow: both evaluators then give an
-infinite (mon) or zero (per) occupancy, without a warning or an exception.
+One evaluator pair holds the closed form, the sums Newton reads and the
+Stirling sum: _FloatLevels on Python floats, read straight from the grid's
+integer levels and degeneracies, and _ArrayLevels on numpy arrays.  One
+selector, _evaluator, picks the member by the grid's level count against
+ARRAY_MIN_LEVELS (below it numpy's fixed cost per call would outweigh its
+per-level speed) and builds it on the grid's levels or on the solver's
+shifted levels u.  occupancy, the solver, macro.log_W,
+macro.entropy_identity_residual and counting.stirling_log_multiplicity all
+go through it.  Float sums run left to right, the order numpy's add.reduce
+takes below eight terms, never by builtin sum, which is compensated from
+Python 3.12.  Far from the Bose-Einstein wall exp and expm1 overflow: both
+evaluators then give an infinite (mon) or zero (per) occupancy, without a
+warning or an exception.
 
 solve_multipliers_bisection is an independent oracle, used only by checks
 and tests, with its own Python-scalar occupancy: the firm count is
@@ -51,6 +53,7 @@ the condensing end of the grid; detect_condensation flags that crisis regime.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -113,28 +116,6 @@ def _wall(k: int, xk: float) -> SingularityError:
     )
 
 
-def _closed_form(
-    alpha: float, beta: float, e: np.ndarray, g: np.ndarray, regime: Regime
-) -> tuple[np.ndarray, float]:
-    """Occupancy and ln Z at x = alpha + beta * e, on numpy arrays.
-
-    e and g are float vectors: a grid's cached RevenueGrid.vectors, or (in
-    solve_multipliers) its shifted levels u with its degeneracies.  Raises
-    SingularityError when some x_k <= 0 under perfect competition.  Its
-    callers, not it, silence the overflow of x beyond about 710, once per
-    public call.  Bose-Einstein ln Z uses 1 / (1 - exp(-x)) = 1 + a / g.
-    """
-    x = alpha + beta * e
-    if regime is Regime.PERFECT:
-        if np.minimum.reduce(x) <= 0.0:
-            k = int(np.argmin(x))
-            raise _wall(k, x[k])
-        occ = g / np.expm1(x)
-        return occ, float(g @ np.log1p(occ / g))
-    occ = g * np.exp(-x)
-    return occ, float(np.add.reduce(occ))
-
-
 def _inf_on_overflow(f, x: float) -> float:
     """f(x) for math.exp or math.expm1, inf where it overflows, as in numpy."""
     try:
@@ -143,111 +124,172 @@ def _inf_on_overflow(f, x: float) -> float:
         return math.inf
 
 
-def _closed_form_floats(
-    alpha: float, beta: float, e, g, regime: Regime
-) -> tuple[list[float], float]:
-    """_closed_form on Python floats, for grids below ARRAY_MIN_LEVELS levels.
-
-    e and g are sequences: a grid's own integer levels and degeneracies, or
-    the solver's shifted levels u.  The same wall, and past overflow the
-    values numpy gives: g e^(-x) = inf (mon), g / expm1(x) = 0.0 (per).
-    """
-    x = [alpha + beta * ek for ek in e]
-    if regime is Regime.PERFECT:
-        low = min(x)
-        if low <= 0.0:
-            raise _wall(x.index(low), low)
-        try:
-            occ = [gk / math.expm1(xk) for gk, xk in zip(g, x)]
-        except OverflowError:
-            occ = [gk / _inf_on_overflow(math.expm1, xk) for gk, xk in zip(g, x)]
-        return occ, reduce(add, [gk * math.log1p(ak / gk) for gk, ak in zip(g, occ)], 0.0)
-    try:
-        occ = [gk * math.exp(-xk) for gk, xk in zip(g, x)]
-    except OverflowError:
-        occ = [gk * _inf_on_overflow(math.exp, -xk) for gk, xk in zip(g, x)]
-    return occ, reduce(add, occ, 0.0)
-
-
-def _closed_form_at(alpha: float, beta: float, grid: RevenueGrid, regime: Regime):
-    """(occupancy, ln Z) at (alpha, beta) on a grid, by the evaluator its
-    level count selects: a list of floats below ARRAY_MIN_LEVELS levels, else
-    an array.  Refuses non-finite multipliers before either evaluator runs."""
+def _finite_multipliers(alpha: float, beta: float) -> None:
+    """Refuse non-finite multipliers before either evaluator runs."""
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ConfigError("multipliers must be finite, got alpha = %s, beta = %s" % (alpha, beta))
+
+
+class _FloatLevels:
+    """Levels e (a grid's own, or the solver's u) and degeneracies g on
+    Python floats, with the closed form, the sums Newton reads and the
+    Stirling sum."""
+
+    __slots__ = ("e", "g", "regime")
+
+    def __init__(self, e, g, regime: Regime):
+        self.e, self.g, self.regime = e, g, regime
+
+    def closed_form(self, alpha: float, beta: float):
+        """(occupancy, ln Z) at x = alpha + beta e.
+
+        Raises SingularityError when some x_k <= 0 under perfect competition.
+        Past overflow it gives the values numpy gives: g e^(-x) = inf (mon),
+        g / expm1(x) = 0.0 (per).  Bose-Einstein ln Z uses
+        1 / (1 - exp(-x)) = 1 + a / g.
+        """
+        g = self.g
+        x = [alpha + beta * ek for ek in self.e]
+        if self.regime is Regime.PERFECT:
+            low = min(x)
+            if low <= 0.0:
+                raise _wall(x.index(low), low)
+            try:
+                occ = [gk / math.expm1(xk) for gk, xk in zip(g, x)]
+            except OverflowError:
+                occ = [gk / _inf_on_overflow(math.expm1, xk) for gk, xk in zip(g, x)]
+            return occ, reduce(add, [gk * math.log1p(ak / gk) for gk, ak in zip(g, occ)], 0.0)
+        try:
+            occ = [gk * math.exp(-xk) for gk, xk in zip(g, x)]
+        except OverflowError:
+            occ = [gk * _inf_on_overflow(math.exp, -xk) for gk, xk in zip(g, x)]
+        return occ, reduce(add, occ, 0.0)
+
+    def totals(self, v) -> tuple[float, float]:
+        """(sum v, sum v e)."""
+        return reduce(add, v, 0.0), reduce(add, map(mul, v, self.e), 0.0)
+
+    def curvature(self, occ) -> tuple[float, float, float]:
+        """(sum w, the w-weighted mean of e, sum w (e - mean)^2), where w is
+        the Hessian weight of each level."""
+        w = occ
+        if self.regime is Regime.PERFECT:
+            w = [ak + ak * (ak / gk) for ak, gk in zip(occ, self.g)]
+        w_sum, w_e = self.totals(w)
+        e_mean = w_e / w_sum
+        spread = reduce(add, [wk * (ek - e_mean) ** 2 for wk, ek in zip(w, self.e)], 0.0)
+        return w_sum, e_mean, spread
+
+    def stirling(self, occ) -> float:
+        """counting.stirling_log_multiplicity of finite, non-negative
+        occupancies, one per level."""
+        if self.regime is Regime.MONOPOLISTIC:
+            total = math.lgamma(reduce(add, occ, 0.0) + 1.0)
+            for a, g in zip(occ, self.g):
+                if a:
+                    total += a * math.log(g)
+                    total -= a * math.log(a)
+                total += a
+            return total
+        # x ln x written out per term, with 0 ln 0 = 0
+        total = 0.0
+        for a, g in zip(occ, self.g):
+            b, c = a + g - 1.0, g - 1.0
+            total += (
+                (b * math.log(b) if b else 0.0)
+                - (a * math.log(a) if a else 0.0)
+                - (c * math.log(c) if c else 0.0)
+            )
+        return total
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 ln 0 = 0."""
+    return x * np.log(np.maximum(x, 5e-324))
+
+
+class _ArrayLevels(_FloatLevels):
+    """_FloatLevels on numpy float vectors, for grids of ARRAY_MIN_LEVELS or
+    more levels.  Each method silences numpy's overflow warning for its own
+    call, so that both evaluators overflow to inf without a warning."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, e: np.ndarray, g: np.ndarray, regime: Regime):
+        super().__init__(e, g, regime)
+        self.basis = np.stack((np.ones_like(e), e))  # basis @ v = (sum v, sum v e)
+
+    @np.errstate(over="ignore")
+    def closed_form(self, alpha: float, beta: float):
+        x = alpha + beta * self.e
+        if self.regime is Regime.PERFECT:
+            if np.minimum.reduce(x) <= 0.0:
+                k = int(np.argmin(x))
+                raise _wall(k, x[k])
+            occ = self.g / np.expm1(x)
+            return occ, float(self.g @ np.log1p(occ / self.g))
+        occ = self.g * np.exp(-x)
+        return occ, float(np.add.reduce(occ))
+
+    @np.errstate(over="ignore")
+    def totals(self, v) -> list[float]:
+        return (self.basis @ v).tolist()
+
+    @np.errstate(over="ignore")
+    def curvature(self, occ) -> tuple[float, float, float]:
+        w = occ + occ * (occ / self.g) if self.regime is Regime.PERFECT else occ
+        w_sum, w_e = self.totals(w)
+        e_mean = w_e / w_sum
+        return w_sum, e_mean, float(w @ (self.e - e_mean) ** 2)
+
+    @np.errstate(over="ignore")
+    def stirling(self, occ) -> float:
+        occ, g = np.asarray(occ, dtype=float), self.g
+        if self.regime is Regime.MONOPOLISTIC:
+            terms = occ * np.log(g) - _xlogx(occ) + occ
+            return math.lgamma(float(np.add.reduce(occ)) + 1.0) + float(np.add.reduce(terms))
+        # a + g - 1 associated as in the float loop
+        return float(np.add.reduce(_xlogx(occ + g - 1.0) - _xlogx(occ) - _xlogx(g - 1.0)))
+
+
+def _evaluator(grid: RevenueGrid, regime: Regime, e0: int = 0, span: int | None = None):
+    """The one reader of ARRAY_MIN_LEVELS: _FloatLevels for a grid with fewer
+    levels, else _ArrayLevels, on the grid's own levels or, given span, on
+    the solver's shifted levels u = (e - e0) / span."""
     if grid.n < ARRAY_MIN_LEVELS:
-        return _closed_form_floats(alpha, beta, grid.levels, grid.degeneracies, regime)
-    with np.errstate(over="ignore"):
-        return _closed_form(alpha, beta, *grid.vectors, regime)
+        e = grid.levels if span is None else [(ek - e0) / span for ek in grid.levels]
+        return _FloatLevels(e, grid.degeneracies, regime)
+    e, g = grid.vectors
+    return _ArrayLevels(e if span is None else (e - e0) / span, g, regime)
 
 
 def occupancy(
     alpha: float, beta: float, grid: RevenueGrid, regime: Regime
 ) -> np.ndarray:
     """Closed-form occupancy a_k = g_k / (exp(alpha + beta e_k) - I)."""
-    return np.asarray(_closed_form_at(alpha, beta, grid, regime)[0])
-
-
-class _FloatLevels:
-    """The anchored problem's shifted levels u and degeneracies g, with the
-    closed form and the sums Newton reads, on Python floats."""
-
-    def __init__(self, u, g, regime: Regime):
-        self.u, self.g, self.regime = u, g, regime
-
-    def closed_form(self, a: float, b: float):
-        return _closed_form_floats(a, b, self.u, self.g, self.regime)
-
-    def totals(self, v) -> tuple[float, float]:
-        """(sum v, sum v u)."""
-        return reduce(add, v, 0.0), reduce(add, map(mul, v, self.u), 0.0)
-
-    def curvature(self, occ) -> tuple[float, float, float]:
-        """(sum w, the w-weighted mean of u, sum w (u - mean)^2), where w is
-        the Hessian weight of each level."""
-        w = occ
-        if self.regime is Regime.PERFECT:
-            w = [ak + ak * (ak / gk) for ak, gk in zip(occ, self.g)]
-        w_sum, w_u = self.totals(w)
-        u_mean = w_u / w_sum
-        spread = reduce(add, [wk * (uk - u_mean) ** 2 for wk, uk in zip(w, self.u)], 0.0)
-        return w_sum, u_mean, spread
-
-
-class _ArrayLevels(_FloatLevels):
-    """_FloatLevels on numpy arrays, for grids of ARRAY_MIN_LEVELS or more levels."""
-
-    def __init__(self, u: np.ndarray, g: np.ndarray, regime: Regime):
-        super().__init__(u, g, regime)
-        self.basis = np.stack((np.ones_like(u), u))  # basis @ v = (sum v, sum v u)
-
-    def closed_form(self, a: float, b: float):
-        return _closed_form(a, b, self.u, self.g, self.regime)
-
-    def totals(self, v) -> list[float]:
-        return (self.basis @ v).tolist()
-
-    def curvature(self, occ) -> tuple[float, float, float]:
-        w = occ + occ * (occ / self.g) if self.regime is Regime.PERFECT else occ
-        w_sum, w_u = self.totals(w)
-        u_mean = w_u / w_sum
-        return w_sum, u_mean, float(w @ (self.u - u_mean) ** 2)
+    _finite_multipliers(alpha, beta)
+    return np.asarray(_evaluator(grid, regime).closed_form(alpha, beta)[0])
 
 
 def _anchored(grid: RevenueGrid, config: EconomyConfig):
     """The problem both solvers solve, anchored at the condensing end.
 
-    Raises on an unsolvable economy and returns the forced occupancy of a
-    boundary-degenerate one.  Otherwise returns (e_0, span, N, pi_u): the
-    anchor e_0 is the end of the grid where x = alpha + beta e is smallest,
-    the lowest level when the mean revenue lies below the
-    degeneracy-weighted grid mean, else the highest; span = e_far - e_0
-    (negative when anchored at the top), so that u = (e - e_0) / span lies
-    in [0, 1], and pi_u = (Pi - N e_0) / span is the target of
-    sum_k a_k u_k.  In x = a + b u the solution has b >= 0.
+    Raises on an unsolvable economy, or one past the floats the solvers
+    work in (N or Pi, or under perfect competition N^2, above the float
+    range), and returns the forced occupancy of a boundary-degenerate one.
+    Otherwise returns (e_0, span, N, pi_u): the anchor e_0 is the end of
+    the grid where x = alpha + beta e is smallest, the lowest level when the
+    mean revenue lies below the degeneracy-weighted grid mean, else the
+    highest; span = e_far - e_0 (negative when anchored at the top), so
+    that u = (e - e_0) / span lies in [0, 1], and pi_u = (Pi - N e_0) / span
+    is the target of sum_k a_k u_k.  In x = a + b u the solution has b >= 0.
     """
     if config.total_revenue is None:
         raise ConfigError("economy.Pi: total revenue is required to solve for multipliers")
+    top = sys.float_info.max
+    for key, value in (("economy.N", config.n_firms), ("economy.Pi", config.total_revenue)):
+        if value > top:
+            raise ConfigError("%s: above the float range (%g) the solvers work in" % (key, top))
     lo_total = config.n_firms * grid.levels[0]
     hi_total = config.n_firms * grid.levels[-1]
     if not (lo_total <= config.total_revenue <= hi_total):
@@ -268,6 +310,12 @@ def _anchored(grid: RevenueGrid, config: EconomyConfig):
             converged=True,
             boundary=True,
             method="degenerate",
+        )
+    if config.regime is Regime.PERFECT and config.n_firms**2 > top:
+        # the Hessian weight a + a^2 / g, with a up to N, would overflow
+        raise ConfigError(
+            "economy.N: perfect competition is solved in floats only up to N = %.3g"
+            % math.sqrt(top)
         )
     e0, e_far = grid.levels[0], grid.levels[-1]
     weighted_sum = sum(map(mul, grid.degeneracies, grid.levels))
@@ -374,19 +422,12 @@ def solve_multipliers(grid: RevenueGrid, config: EconomyConfig) -> MultiplierSol
     residuals are within 1e-10 of N and Pi, one more Newton step is taken to
     settle the last digits.  pinned marks a perfect-competition solve that
     stopped unconverged because no step inside the domain lowered Phi.
-    One loop (_newton) runs on the evaluator that grid.n selects; on numpy
-    arrays, overflow is silenced once for the whole solve.
+    One loop (_newton) runs on the evaluator that _evaluator selects.
     """
     anchored = _anchored(grid, config)
     if isinstance(anchored, MultiplierSolution):
         return anchored
-    e0, span = anchored[:2]
-    if grid.n < ARRAY_MIN_LEVELS:
-        u = [(ek - e0) / span for ek in grid.levels]
-        return _newton(_FloatLevels(u, grid.degeneracies, config.regime), anchored, config)
-    e, g = grid.vectors
-    with np.errstate(over="ignore"):
-        return _newton(_ArrayLevels((e - e0) / span, g, config.regime), anchored, config)
+    return _newton(_evaluator(grid, config.regime, *anchored[:2]), anchored, config)
 
 
 def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> MultiplierSolution:

@@ -246,6 +246,19 @@ class TestSolve:
         assert solution["alpha"] is None
         assert solution["occupancy"] == [10.0, 0.0]
 
+    @pytest.mark.parametrize("command", ["solve", "macro"])
+    def test_economy_past_float_range_is_a_config_error(self, tmp_path, capsys, command):
+        # levels 1 2 3, N = 10^400, Pi = 2 * 10^400: refused by name, no traceback
+        text = CONDENSED.replace("N = 100", "N = %d" % 10**400).replace(
+            "Pi = 105", "Pi = %d" % (2 * 10**400)
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "config"
+        assert "economy.N" in err["message"]
+        assert not out.exists()
+
     def test_regime_override_flag(self, tmp_path):
         config = write_config(tmp_path, TWO_LEVEL_SOLVE)
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import econorder.checks
 import econorder.macro
+import econorder.maxent
 from econorder import (
     ConfigError,
     EconomyConfig,
@@ -231,11 +232,13 @@ class TestMacroCheck:
 
 
 def identity_reference(alpha, beta, grid, regime):
-    """The identity rebuilt from the public pieces, one call per quantity."""
+    """The identity rebuilt from the public pieces, one call per quantity,
+    with the gradient (sum a_k, sum a_k e_k) summed as the evaluator that
+    maxent._evaluator selects sums it."""
     occ = occupancy(alpha, beta, grid, regime)
     entropy = stirling_log_multiplicity(tuple(float(a) for a in occ), grid, regime)
     lw = log_W(alpha, beta, grid, regime)
-    grad_a, grad_b = float(occ.sum()), float((occ * grid.vectors[0]).sum())
+    grad_a, grad_b = econorder.maxent._evaluator(grid, regime).totals(occ)
     expression = lw - alpha * grad_a - beta * grad_b
     positive, negative = entropy - expression, entropy + expression
     sign = 1 if abs(positive) <= abs(negative) else -1

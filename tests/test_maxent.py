@@ -30,6 +30,7 @@ from econorder import (
     stirling_log_multiplicity,
 )
 import econorder.counting
+import econorder.macro
 import econorder.maxent
 from econorder.checks import random_solver_instance
 from econorder.configio import load_run_config
@@ -301,8 +302,9 @@ class TestNewtonRobustness:
         far_occ = occupancy(0.0, far, grid, regime)
         assert np.all(far_occ == 0.0) if regime is Regime.PERFECT else np.all(np.isinf(far_occ))
         # and gave what the array evaluator gives, on either side of the constant
-        with np.errstate(over="ignore"):
-            far_arrays, far_log_z = econorder.maxent._closed_form(0.0, far, *grid.vectors, regime)
+        far_arrays, far_log_z = econorder.maxent._ArrayLevels(*grid.vectors, regime).closed_form(
+            0.0, far
+        )
         assert far_occ.tolist() == far_arrays.tolist()
         assert -log_W(0.0, far, grid, regime) == far_log_z
         if grid.n < ARRAY_MIN_LEVELS:
@@ -487,9 +489,21 @@ def evaluator_grids(min_levels=2):
     )
 
 
+def evaluator_pair(grid, regime, *shift):
+    """The float and array members of the evaluator pair on one grid, as
+    maxent._evaluator builds them with ARRAY_MIN_LEVELS above, then below,
+    the grid's level count."""
+    pair = []
+    for split in (grid.n + 1, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(econorder.maxent, "ARRAY_MIN_LEVELS", split)
+            pair.append(econorder.maxent._evaluator(grid, regime, *shift))
+    return pair
+
+
 class TestEvaluatorsAgree:
-    """The float evaluators (below ARRAY_MIN_LEVELS) against the array ones,
-    called directly on the same grid, to the tolerances fixed above."""
+    """The float member of the evaluator pair against the array member, both
+    built by the selector on the same grid, to the tolerances fixed above."""
 
     @given(
         grid=evaluator_grids(min_levels=1),
@@ -502,18 +516,15 @@ class TestEvaluatorsAgree:
     def test_closed_form(self, grid, regime, gap, beta):
         anchor = grid.levels[0] if beta >= 0 else grid.levels[-1]
         alpha = gap - beta * anchor
-        e, g = grid.vectors
+        floats_at, arrays_at = evaluator_pair(grid, regime)
         try:
-            floats, log_z = econorder.maxent._closed_form_floats(
-                alpha, beta, grid.levels, grid.degeneracies, regime
-            )
+            floats, log_z = floats_at.closed_form(alpha, beta)
         except SingularityError as wall:
             with pytest.raises(SingularityError) as err:
-                econorder.maxent._closed_form(alpha, beta, e, g, regime)
+                arrays_at.closed_form(alpha, beta)
             assert err.value.level_index == wall.level_index
             return
-        with np.errstate(over="ignore"):
-            arrays, array_log_z = econorder.maxent._closed_form(alpha, beta, e, g, regime)
+        arrays, array_log_z = arrays_at.closed_form(alpha, beta)
         for got, want in zip(floats, arrays.tolist()):
             if math.isinf(want) or want == 0.0:
                 assert got == want  # past overflow, as numpy has it
@@ -536,8 +547,8 @@ class TestEvaluatorsAgree:
             st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=grid.n, max_size=grid.n
         ))
         occ = tuple(scale * a for a in occ)
-        floats = econorder.counting._stirling_floats(occ, grid, regime)
-        arrays = econorder.counting._stirling_array(np.array(occ), grid, regime)
+        floats_at, arrays_at = evaluator_pair(grid, regime)
+        floats, arrays = floats_at.stirling(occ), arrays_at.stirling(occ)
         # the sum of the magnitudes of the terms either evaluator adds
         if regime is Regime.MONOPOLISTIC:
             magnitude = math.lgamma(sum(occ) + 1.0) + sum(
@@ -571,19 +582,10 @@ class TestEvaluatorsAgree:
         }[end]
         config = EconomyConfig(n_firms, total, regime)
         anchored = econorder.maxent._anchored(grid, config)
-        e0, span = anchored[:2]
-        e, g = grid.vectors
-        floats = econorder.maxent._newton(
-            econorder.maxent._FloatLevels(
-                [(ek - e0) / span for ek in grid.levels], grid.degeneracies, regime
-            ),
-            anchored,
-            config,
+        floats, arrays = (
+            econorder.maxent._newton(levels, anchored, config)
+            for levels in evaluator_pair(grid, regime, *anchored[:2])
         )
-        with np.errstate(over="ignore"):
-            arrays = econorder.maxent._newton(
-                econorder.maxent._ArrayLevels((e - e0) / span, g, regime), anchored, config
-            )
         assert floats.converged
         assert_solutions_agree(floats, arrays, grid, config)
 
@@ -637,11 +639,88 @@ class TestNonFiniteInputs:
         with pytest.raises(ConfigError, match="finite"):
             stirling_log_multiplicity(occ, grid, regime)
 
+    def test_identity_past_overflow(self, grid, regime):
+        # an infinite occupancy has no Stirling entropy: refused, no warning
+        alpha = 1e-320 if regime is Regime.PERFECT else -800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflows"):
+                entropy_identity_residual(alpha, 0.0, grid, regime)
+
     def test_stirling_negative_occupancy(self, grid, regime):
         occ = [1.0] * grid.n
         occ[0] = -1.0
         with pytest.raises(ConfigError, match="non-negative"):
             stirling_log_multiplicity(occ, grid, regime)
+
+
+@pytest.mark.parametrize("grid", [GRID_3, WIDE], ids=["3-levels", "wide"])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("member", ["_ArrayLevels", "_FloatLevels"])
+def test_every_public_call_takes_the_selected_evaluator(monkeypatch, grid, regime, member):
+    # with ARRAY_MIN_LEVELS moved to either side of the grid's level count,
+    # each public entry point goes through maxent._evaluator, and every
+    # evaluator it builds is the member the constant selects
+    config = EconomyConfig(50, 50 * grid.levels[0] + 40, regime)
+    sol = solve_multipliers(grid, config)
+    select = econorder.maxent._evaluator
+    built = []
+
+    def spy(*args):
+        levels = select(*args)
+        built.append(type(levels).__name__)
+        return levels
+
+    for module in (econorder.maxent, econorder.macro, econorder.counting):
+        monkeypatch.setattr(module, "_evaluator", spy)
+    split = 0 if member == "_ArrayLevels" else grid.n + 1
+    monkeypatch.setattr(econorder.maxent, "ARRAY_MIN_LEVELS", split)
+    calls = {
+        "occupancy": lambda: occupancy(sol.alpha, sol.beta, grid, regime),
+        "log_W": lambda: log_W(sol.alpha, sol.beta, grid, regime),
+        "entropy_identity_residual": lambda: entropy_identity_residual(
+            sol.alpha, sol.beta, grid, regime
+        ),
+        "stirling_log_multiplicity": lambda: stirling_log_multiplicity(
+            sol.occupancy, grid, regime
+        ),
+        "solve_multipliers": lambda: solve_multipliers(grid, config),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert built and set(built) == {member}, name
+
+
+@pytest.mark.parametrize("solve", [solve_multipliers, solve_multipliers_bisection])
+class TestPastFloatRange:
+    """Economies the float solvers cannot represent are refused by name."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize(
+        "grid, n_firms, total, key",
+        [
+            (GRID_3, 10**400, 2 * 10**400, "economy.N"),
+            (RevenueGrid((0, 10**10), (1, 1)), 10**300, 10**309, "economy.Pi"),
+        ],
+        ids=["N", "Pi"],
+    )
+    def test_n_or_pi(self, solve, regime, grid, n_firms, total, key):
+        with pytest.raises(ConfigError, match=key):
+            solve(grid, EconomyConfig(n_firms, total, regime))
+
+    @pytest.mark.parametrize("levels", [3, 20])
+    def test_perfect_competition_past_the_hessian_range(self, solve, levels):
+        # the per Hessian weight a + a^2 / g overflows once N^2 does; mon
+        # solves at the same N have no such weight and still converge
+        grid = RevenueGrid(tuple(range(1, levels + 1)), (1,) * levels)
+        n_firms = 10**160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="economy.N"):
+                solve(grid, EconomyConfig(n_firms, n_firms + n_firms // 3, Regime.PERFECT))
+            sol = solve(grid, EconomyConfig(n_firms, n_firms + n_firms // 3, Regime.MONOPOLISTIC))
+        assert sol.converged
 
 
 def test_repeated_calls_keep_nothing():

@@ -1,0 +1,118 @@
+"""The maxent route chooses between its float and array evaluators in one place.
+
+maxent._evaluator compares a grid's level count against
+maxent.ARRAY_MIN_LEVELS and builds the member of the evaluator pair that the
+count selects.  A second reader of the constant, or a level-count test of its
+own in macro or counting, would let one caller take one evaluator while
+another takes the other, and a patched constant would switch only some of
+them.  This parses each source file with ``ast`` and reports every read of
+the constant outside the selector, and every comparison of ``grid.n``
+against a constant in macro.py and counting.py.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "econorder"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+CONSTANT = "ARRAY_MIN_LEVELS"
+SELECTOR = ("maxent.py", "_evaluator")
+NO_DISPATCH = ("macro.py", "counting.py")
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def readers(tree: ast.Module, name: str = CONSTANT) -> list[str]:
+    """Qualified scopes that read ``name``, in source order: a load of the
+    bare name, an attribute ``x.<name>`` or an import of it.  The module scope
+    is ""; its assignment of the name is the definition, not a read."""
+    found = []
+    stack = [(node, "") for node in reversed(tree.body)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, SCOPES):
+            scope = scope + "." + node.name if scope else node.name
+        if (
+            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] == name)
+        ):
+            found.append(scope)
+        stack.extend((child, scope) for child in reversed(list(ast.iter_child_nodes(node))))
+    return found
+
+
+def definitions(tree: ast.Module, name: str = CONSTANT) -> int:
+    """Module-level assignments of ``name``."""
+    return sum(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+        for node in tree.body
+    )
+
+
+def _is_level_count(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "n"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "grid"
+    )
+
+
+def _is_constant(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return True
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.isupper()
+
+
+def level_count_tests(tree: ast.Module) -> list[int]:
+    """Lines that compare ``grid.n`` against a literal or an UPPER_CASE name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_level_count, operands)) and any(map(_is_constant, operands)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_selector_reads_the_constant():
+    found = [
+        (path.name, scope)
+        for path in SOURCES
+        for scope in readers(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [SELECTOR]
+
+
+def test_the_constant_is_defined_once_in_maxent():
+    counts = {path.name: definitions(ast.parse(path.read_text())) for path in SOURCES}
+    assert {name: n for name, n in counts.items() if n} == {"maxent.py": 1}
+
+
+@pytest.mark.parametrize("name", NO_DISPATCH)
+def test_no_level_count_dispatch(name):
+    path = PACKAGE / name
+    lines = level_count_tests(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "%s compares grid.n against a constant at lines %s" % (name, lines)
+
+
+def test_a_second_reader_and_a_dispatch_are_caught():
+    tree = ast.parse(
+        "from .maxent import ARRAY_MIN_LEVELS\n"
+        "from . import maxent\n"
+        "LIMIT = 16\n"
+        "def total(grid, occ):\n"
+        "    if grid.n < maxent.ARRAY_MIN_LEVELS:\n"
+        "        return sum(occ)\n"
+        "    return 16 <= grid.n\n"
+        "class Levels:\n"
+        "    def wide(self, grid):\n"
+        "        return grid.n >= LIMIT or grid.n > self.n\n"
+    )
+    assert readers(tree) == ["", "total"]
+    assert level_count_tests(tree) == [5, 7, 10]
