@@ -15,11 +15,7 @@ from .core import (
     ValidationReport,
     validate_order,
 )
-from .counting import (
-    log_multiplicity,
-    multiplicity,
-    stirling_log_multiplicity,
-)
+from .counting import log_multiplicity, multiplicity
 from .enumeration import (
     CatalogEntry,
     MicroOutcome,
@@ -66,6 +62,7 @@ from .maxent import (
     occupancy,
     solve_multipliers,
     solve_multipliers_bisection,
+    stirling_log_multiplicity,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import reports
 from .checks import run_checks
 from .configio import RunConfig, load_run_config
-from .counting import stirling_log_multiplicity
 from .enumeration import catalog, empirical_frequencies
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 from .fitting import (
@@ -38,7 +37,7 @@ from .macro import (
     macro_from_multipliers,
     technology,
 )
-from .maxent import detect_condensation, solve_multipliers
+from .maxent import detect_condensation, solve_multipliers, stirling_log_multiplicity
 
 EXIT_OK = 0
 EXIT_ERROR = 1

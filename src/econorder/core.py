@@ -174,11 +174,11 @@ def as_occupancy(order: "EconomicOrder | Sequence[int]") -> tuple[int, ...]:
     return occ
 
 
-def _check_lengths(occ: Sequence, grid: RevenueGrid) -> None:
-    if len(occ) != grid.n:
+def _check_lengths(occ: Sequence, n_levels: int) -> None:
+    if len(occ) != n_levels:
         raise ConfigError(
             "order: occupancy length %d does not match grid with %d levels"
-            % (len(occ), grid.n)
+            % (len(occ), n_levels)
         )
 
 
@@ -202,7 +202,7 @@ def validate_order(
     when the economy is unconstrained in revenue.
     """
     occ = as_occupancy(order)
-    _check_lengths(occ, grid)
+    _check_lengths(occ, grid.n)
     firm_residual = sum(occ) - config.n_firms
     if config.total_revenue is None:
         revenue_residual = None

@@ -1,4 +1,4 @@
-"""Exact and approximate counting of the micro-outcomes behind an occupancy.
+"""Exact counting of the micro-outcomes behind an integer occupancy.
 
 The multiplicity of an occupancy vector a over a grid with degeneracies g is
 
@@ -12,11 +12,8 @@ s = sum_k min(a_k, left_k - a_k), left_k being the firms not yet placed
 before level k: a chain of binomials C(left_k, a_k) while s is at most
 max(``PRIME_ROUTE_MIN_WORK``, N // ``PRIME_ROUTE_SIEVE_RATIO``), and above
 it N! / prod(a_k!) from its prime exponents (``_multinomial_by_primes``).
-Two log-scale companions exist: an exact log-gamma evaluation for
-occupancies whose multiplicity no longer fits comfortably in memory, and the
-classical Stirling closed forms used by the entropy-maximisation layer,
-which accept real-valued occupancies and are summed by maxent's evaluator
-pair, on the member its one selector picks for the grid.
+``log_multiplicity`` gives its logarithm by log-gamma.  The Stirling forms
+for real occupancies are ``maxent.stirling_log_multiplicity``.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import EconomicOrder, Regime, RevenueGrid, _check_lengths, as_occupancy
-from .errors import ConfigError
-from .maxent import _evaluator
 
 
 # Chain work s above which ``multiplicity`` takes the prime route.  On a
@@ -65,7 +60,7 @@ def multiplicity(
     """
     occ = order.occupancy if isinstance(order, EconomicOrder) else as_occupancy(order)
     if len(occ) != len(grid.degeneracies):
-        _check_lengths(occ, grid)
+        _check_lengths(occ, grid.n)
     result = 1
     if regime is Regime.MONOPOLISTIC:
         left = sum(occ)
@@ -209,7 +204,7 @@ def log_multiplicity(
 ) -> float:
     """ln of the multiplicity via log-gamma; exact enough for huge counts."""
     occ = as_occupancy(order)
-    _check_lengths(occ, grid)
+    _check_lengths(occ, grid.n)
     if regime is Regime.MONOPOLISTIC:
         n_firms = sum(occ)
         total = lgamma(n_firms + 1)
@@ -223,29 +218,3 @@ def log_multiplicity(
         total += lgamma(a + g) - lgamma(a + 1) - lgamma(g)
     return total
 
-
-def stirling_log_multiplicity(
-    order: EconomicOrder | Sequence[float], grid: RevenueGrid, regime: Regime
-) -> float:
-    """Stirling-approximate log-multiplicity, defined for real occupancies.
-
-    Boltzmann:      ln N! + sum a_k ln g_k - sum a_k ln a_k + sum a_k,
-                    with the N! term kept exact (log-gamma for real N).
-    Bose-Einstein:  sum (a_k+g_k-1) ln(a_k+g_k-1) - a_k ln a_k
-                    - (g_k-1) ln(g_k-1).
-
-    Zero arguments contribute nothing (0 ln 0 = 0).  The crude Stirling
-    substitution ln m! ~ m ln m - m is only accurate for large entries; the
-    relative error against log_multiplicity shrinks like ln(a)/a.  Refuses
-    negative and non-finite occupancies, then sums on the evaluator that
-    ``maxent._evaluator`` selects for the grid.
-    """
-    if isinstance(order, EconomicOrder):
-        order = order.occupancy
-    occ = tuple(map(float, order))
-    _check_lengths(occ, grid)
-    if not all(map(math.isfinite, occ)):
-        raise ConfigError("order: occupancies must be finite")
-    if min(occ) < 0:
-        raise ConfigError("order: occupancies must be non-negative")
-    return _evaluator(grid, regime).stirling(occ)

@@ -429,8 +429,8 @@ def enumerate_orders(
     from max(0, ...) to at most ``left``, and a_{n-3} in its range leaves
     a_{n-2} in [0, left - a_{n-3}]), so ``core._records`` makes the orders
     without EconomicOrder's checks.  With a ``cap``, more than ``cap``
-    orders raise CapExceededError while they are listed: the count, waiting
-    rows included, is checked after each popped entry's orders are kept,
+    orders raise CapExceededError while they are listed: the count is
+    checked before the waiting rows or a run, of any length, are stored,
     and a truncated listing is never returned.  A negative ``cap`` is a
     ConfigError, raised before any listing.
     """
@@ -449,7 +449,9 @@ def enumerate_orders(
     rows: list[tuple[int, ...]] = []  # orders kept one at a time, not yet in the columns
     consume = deque(maxlen=0).extend  # runs a map of extends in C
 
-    def keep(pieces) -> None:
+    def keep(pieces, m: int = 0) -> None:
+        if len(columns[0]) + len(rows) + m > limit:
+            raise CapExceededError(None, cap, "order list")
         # the rows go first, transposed by zip, so the columns keep listing order
         consume(map(list.extend, columns, zip(*rows)))
         rows.clear()
@@ -466,7 +468,8 @@ def enumerate_orders(
             if need is None or left * top == need:
                 rows.append(prefix + (left,))
         elif need is None and k == last - 1:
-            keep((*map(repeat, prefix, repeat(left + 1)), range(left + 1), range(left, -1, -1)))
+            m = left + 1
+            keep((*map(repeat, prefix, repeat(m)), range(m), range(left, -1, -1)), m)
         elif need is None:
             stack.extend((prefix + (a,), left - a, None) for a in range(left, -1, -1))
         else:
@@ -480,17 +483,16 @@ def enumerate_orders(
                     j = x // h * inverse % step
                     b = (x - j * s) // d
                     c = left - lo - j - b
+                    # len(firsts), overflowing no ssize_t; < 0 only when it is empty
+                    m = (hi - lo - j) // step + 1
                     firsts = range(lo + j, hi + 1, step)
-                    m = len(firsts)
                     downs = range(b, b - m * a_down, -a_down)
                     ups = range(c, c + m * rest_up, rest_up)
-                    keep((*map(repeat, prefix, repeat(m)), firsts, downs, ups))
+                    keep((*map(repeat, prefix, repeat(m)), firsts, downs, ups), m)
             else:  # pushed high to low, so the values pop low to high
                 stack.extend((prefix + (a,), left - a, need - a * e) for a in range(hi, lo - 1, -1))
         if len(rows) >= _ROWS_KEPT:
             keep(())
-        if len(columns[0]) + len(rows) > limit:
-            raise CapExceededError(None, cap, "order list")
     keep(())
     return _Orders(columns)
 

@@ -31,13 +31,14 @@ integer levels and degeneracies, and _ArrayLevels on numpy arrays.  One
 selector, _evaluator, picks the member by the grid's level count against
 ARRAY_MIN_LEVELS (below it numpy's fixed cost per call would outweigh its
 per-level speed) and builds it on the grid's levels or on the solver's
-shifted levels u.  occupancy, the solver, macro.log_W,
-macro.entropy_identity_residual and counting.stirling_log_multiplicity all
-go through it.  Float sums run left to right, the order numpy's add.reduce
-takes below eight terms, never by builtin sum, which is compensated from
-Python 3.12.  Far from the Bose-Einstein wall exp and expm1 overflow: both
-evaluators then give an infinite (mon) or zero (per) occupancy, without a
-warning or an exception.
+shifted levels u.  occupancy, the solver, stirling_log_multiplicity (the
+Stirling form of counting.log_multiplicity for real occupancies, which each
+member checks once in its own representation), macro.log_W and
+macro.entropy_identity_residual all go through it.  Float sums run left to
+right, the order numpy's add.reduce takes below eight terms, never by
+builtin sum, which is compensated from Python 3.12.  Far from the
+Bose-Einstein wall exp and expm1 overflow: both evaluators then give an
+infinite (mon) or zero (per) occupancy, without a warning or an exception.
 
 solve_multipliers_bisection is an independent oracle, used only by checks
 and tests, with its own Python-scalar occupancy: the firm count is
@@ -57,10 +58,11 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
+from typing import Sequence
 
 import numpy as np
 
-from .core import EconomyConfig, Regime, RevenueGrid
+from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _check_lengths
 from .errors import ConfigError, InfeasibleError, SingularityError
 
 _EPS = float(np.finfo(float).eps)
@@ -76,6 +78,8 @@ _ARMIJO = 1e-4
 # n = 16, 6.9 / 4.8 and 12.8 / 7.1 us at n = 32; a whole solve crossed over
 # between 14 and 20 levels in both regimes.
 ARRAY_MIN_LEVELS = 16
+
+_OCCUPANCY_RANGE = "order: occupancies must be finite and non-negative"  # both Stirling checks
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,11 @@ class _FloatLevels:
         return w_sum, e_mean, spread
 
     def stirling(self, occ) -> float:
-        """counting.stirling_log_multiplicity of finite, non-negative
-        occupancies, one per level."""
+        """stirling_log_multiplicity of one checked occupancy per level."""
+        occ = tuple(map(float, occ))
+        _check_lengths(occ, len(self.g))
+        if not all(map(math.isfinite, occ)) or min(occ) < 0.0:
+            raise ConfigError(_OCCUPANCY_RANGE)
         if self.regime is Regime.MONOPOLISTIC:
             total = math.lgamma(reduce(add, occ, 0.0) + 1.0)
             for a, g in zip(occ, self.g):
@@ -245,6 +252,9 @@ class _ArrayLevels(_FloatLevels):
     @np.errstate(over="ignore")
     def stirling(self, occ) -> float:
         occ, g = np.asarray(occ, dtype=float), self.g
+        _check_lengths(occ, len(g))
+        if not (np.isfinite(occ).all() and occ.min() >= 0.0):
+            raise ConfigError(_OCCUPANCY_RANGE)
         if self.regime is Regime.MONOPOLISTIC:
             terms = occ * np.log(g) - _xlogx(occ) + occ
             return math.lgamma(float(np.add.reduce(occ)) + 1.0) + float(np.add.reduce(terms))
@@ -261,6 +271,26 @@ def _evaluator(grid: RevenueGrid, regime: Regime, e0: int = 0, span: int | None 
         return _FloatLevels(e, grid.degeneracies, regime)
     e, g = grid.vectors
     return _ArrayLevels(e if span is None else (e - e0) / span, g, regime)
+
+
+def stirling_log_multiplicity(
+    order: EconomicOrder | Sequence[float], grid: RevenueGrid, regime: Regime
+) -> float:
+    """Stirling-approximate log-multiplicity, defined for real occupancies.
+
+    Boltzmann:      ln N! + sum a_k ln g_k - sum a_k ln a_k + sum a_k,
+                    with the N! term kept exact (log-gamma for real N).
+    Bose-Einstein:  sum (a_k+g_k-1) ln(a_k+g_k-1) - a_k ln a_k
+                    - (g_k-1) ln(g_k-1).
+
+    Zero arguments contribute nothing (0 ln 0 = 0).  The crude Stirling
+    substitution ln m! ~ m ln m - m is only accurate for large entries; the
+    relative error against counting.log_multiplicity shrinks like ln(a)/a.
+    Refuses a wrong length and any entry that is negative or not finite.
+    """
+    if isinstance(order, EconomicOrder):
+        order = order.occupancy
+    return _evaluator(grid, regime).stirling(order)
 
 
 def occupancy(
@@ -328,10 +358,11 @@ def _anchored(grid: RevenueGrid, config: EconomyConfig):
 
 def _bisect(decreasing, lo: float, hi: float) -> float:
     """Root of a decreasing function bracketed by [lo, hi], to within
-    2**-52 of max(1, |root|)."""
+    2**-52 of |root| (relative, as both of the oracle's roots can be as small
+    as 1/N), or once no float lies strictly between the ends."""
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0**-52 * max(1.0, abs(mid)):
+        if hi - lo <= 2.0**-52 * abs(mid) or mid == lo or mid == hi:
             return mid
         if decreasing(mid) > 0.0:
             lo = mid

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,43 @@ def test_twelve_hundred_levels(tmp_path, command, table):
     assert main([command, "--config", str(config), "--out", str(out)]) == 0
     rows = read_rows(out / table)
     assert [r["occupancy"] for r in rows] == [" ".join("1" if k == 6 else "0" for k in range(1200))]
+
+
+def extreme_config(levels, n_firms, total, regime):
+    return "[grid]\nlevels = %s\n\n[economy]\nN = %d\nPi = %d\nregime = %s\n" % (
+        " ".join(map(str, levels)), n_firms, total, regime
+    )
+
+
+HUGE_N = 10**150
+# (config, the exit code of enumerate, solve, sample and macro in turn)
+EXTREME_SHAPES = {
+    # one firm on 2,000 levels
+    "wide-mon": (extreme_config(range(1, 2001), 1, 1000, "mon"), (0, 0, 0, 0)),
+    "wide-per": (extreme_config(range(1, 2001), 1, 1000, "per"), (0, 0, 0, 0)),
+    # gaps and level 0
+    "gaps": (extreme_config((0, 3, 7, 20), 12, 60, "mon"), (0, 0, 0, 0)),
+    # past any listing, which the order cap refuses; the solvers work in floats
+    "huge-n": (extreme_config((1, 2, 3), HUGE_N, HUGE_N + HUGE_N // 3, "per"), (4, 0, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES)
+def test_extreme_shapes_end_in_time_with_a_documented_exit(tmp_path, capsys, shape):
+    # each run ends within a wall-clock budget (about 1.5 s is the slowest,
+    # sample on 2,000 levels); a refusal exits with its code and a JSON error
+    text, codes = EXTREME_SHAPES[shape]
+    config = write_config(tmp_path, text)
+    for command, code in zip(("enumerate", "solve", "sample", "macro"), codes):
+        out = tmp_path / command
+        start = time.perf_counter()
+        assert main([command, "--config", str(config), "--out", str(out)]) == code, command
+        assert time.perf_counter() - start < 20.0, command
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        if code:
+            assert json.loads(last)["error"] == "cap_exceeded" and not out.exists()
+        else:
+            assert last.endswith(str(out))
 
 
 class TestEnumerate:

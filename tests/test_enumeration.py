@@ -9,6 +9,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -273,6 +274,25 @@ class TestEnumerateOrders:
             enumerate_orders(grid, config, cap=n_levels - 1)
         with pytest.raises(CapExceededError):
             enumerate_orders(grid, config, cap=enumeration._ROWS_KEPT - 2)
+
+    @pytest.mark.parametrize(
+        "levels", [(1, 2, 3), (1, 2)], ids=["zipped-three", "zipped-two"]
+    )
+    @pytest.mark.parametrize("n_firms", [10**6, 10**150])
+    def test_a_run_past_the_cap_is_refused_before_it_is_stored(self, levels, n_firms):
+        # the root entry is one zipped run of about N/3 orders (three levels,
+        # Pi = N + N//3) or N + 1 (two levels, no total), refused by its
+        # length before any column grows; at N = 10^150 len(range) overflows
+        total = n_firms + n_firms // 3 if len(levels) == 3 else None
+        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="order list"):
+                enumerate_orders(RevenueGrid(levels, ()), config, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestEnumerateOutcomes:

@@ -42,7 +42,7 @@ GOLDEN = {
     },
     # catalog probabilities through check_sampler, beside the counting oracle
     ("check", "condensation.ini"): {
-        "check.json": "bcabaee2270d09ef90618828310c25fd1b38d1af42da8921b8e6c62ca6f7376d",
+        "check.json": "de420b612c694d7c2c5d89db70d5a909d8110d808e3c75d96e0e2d9daf0ee21a",
     },
     # a constrained 5-level listing: a 98-bit total, no fraction reduces
     ("enumerate", "five_levels.ini"): {

@@ -29,7 +29,6 @@ from econorder import (
     solve_multipliers_bisection,
     stirling_log_multiplicity,
 )
-import econorder.counting
 import econorder.macro
 import econorder.maxent
 from econorder.checks import random_solver_instance
@@ -654,6 +653,32 @@ class TestNonFiniteInputs:
             stirling_log_multiplicity(occ, grid, regime)
 
 
+TWO_THOUSAND_LEVELS = RevenueGrid(tuple(range(1, 2001)), tuple(1 + k % 3 for k in range(2000)))
+
+
+@pytest.mark.parametrize("grid", [GRID_3, TWO_THOUSAND_LEVELS], ids=["3-levels", "2000-levels"])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("container", [tuple, list, np.array])
+def test_both_members_refuse_a_bad_stirling_entry_with_one_message(grid, regime, container):
+    # each member checks its own input once: NaN, +-inf or a negative entry
+    # at the first, a middle or the last level, and a wrong length, are
+    # refused, as is the same input through the public call
+    message = "order: occupancies must be finite and non-negative"
+    members = evaluator_pair(grid, regime)
+    public = lambda occ: stirling_log_multiplicity(occ, grid, regime)
+    for stirling in (members[0].stirling, members[1].stirling, public):
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            for k in (0, grid.n // 2, grid.n - 1):
+                occ = [2.0] * grid.n
+                occ[k] = bad
+                with pytest.raises(ConfigError) as err:
+                    stirling(container(occ))
+                assert str(err.value) == message
+        with pytest.raises(ConfigError, match="does not match grid with %d levels" % grid.n):
+            stirling(container([2.0] * (grid.n + 1)))
+        assert math.isfinite(stirling(container([2.0] * grid.n)))
+
+
 @pytest.mark.parametrize("grid", [GRID_3, WIDE], ids=["3-levels", "wide"])
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("member", ["_ArrayLevels", "_FloatLevels"])
@@ -671,7 +696,7 @@ def test_every_public_call_takes_the_selected_evaluator(monkeypatch, grid, regim
         built.append(type(levels).__name__)
         return levels
 
-    for module in (econorder.maxent, econorder.macro, econorder.counting):
+    for module in (econorder.maxent, econorder.macro):
         monkeypatch.setattr(module, "_evaluator", spy)
     split = 0 if member == "_ArrayLevels" else grid.n + 1
     monkeypatch.setattr(econorder.maxent, "ARRAY_MIN_LEVELS", split)
@@ -690,6 +715,53 @@ def test_every_public_call_takes_the_selected_evaluator(monkeypatch, grid, regim
         built.clear()
         call()
         assert built and set(built) == {member}, name
+
+
+# Log-spaced firm counts on GRID_3 up to each regime's refusal bound (N or Pi
+# past the float range for mon, N^2 past it for per), at an interior total
+# (Pi = N + N//3) and at the grid's mean (Pi = 2N), whose root is b = 0.
+# Both of the oracle's roots scale like 1/N at the interior total under per.
+LADDER_EXPONENTS = {
+    Regime.MONOPOLISTIC: (3, 10, 20, 40, 80, 150, 300, 307),
+    Regime.PERFECT: (3, 10, 20, 40, 80, 150, 154),
+}
+NEWTON_PAST_ITS_DUAL = pytest.mark.xfail(
+    strict=True, reason="Newton's dual a*N overflows past about 10^306 firms"
+)
+
+
+def ladder(newton=False):
+    """(regime, N, Pi) on every rung; with newton, the rung whose Newton
+    solve is known to stop unconverged is a strict xfail."""
+    rungs = []
+    for regime, exponents in LADDER_EXPONENTS.items():
+        for e in exponents:
+            n = 10**e
+            for name, total in (("interior", n + n // 3), ("mean", 2 * n)):
+                past_dual = newton and regime is Regime.MONOPOLISTIC and e >= 306
+                rungs.append(pytest.param(
+                    regime, n, total,
+                    id="%s-1e%d-%s" % (regime.name[:3].lower(), e, name),
+                    marks=[NEWTON_PAST_ITS_DUAL] if past_dual and name == "interior" else [],
+                ))
+    return rungs
+
+
+class TestOracleLadder:
+    """The bisection oracle converges at every N that Newton solves."""
+
+    @pytest.mark.parametrize("regime, n_firms, total", ladder())
+    def test_oracle_converges(self, regime, n_firms, total):
+        assert solve_multipliers_bisection(GRID_3, EconomyConfig(n_firms, total, regime)).converged
+
+    @pytest.mark.parametrize("regime, n_firms, total", ladder(newton=True))
+    def test_oracle_agrees_with_newton(self, regime, n_firms, total):
+        config = EconomyConfig(n_firms, total, regime)
+        sol = solve_multipliers(GRID_3, config)
+        oracle = solve_multipliers_bisection(GRID_3, config)
+        assert sol.converged
+        gap = max(abs(a - b) for a, b in zip(sol.occupancy, oracle.occupancy))
+        assert gap <= 1e-8 * n_firms
 
 
 @pytest.mark.parametrize("solve", [solve_multipliers, solve_multipliers_bisection])
