@@ -388,11 +388,10 @@ def enumerate_orders(
     read (``_Orders``).
 
     The listing of Nijenhuis & Wilf (*Combinatorial Algorithms*, 1978), in
-    closed form, as one loop over an explicit stack of (prefix, left, need)
-    entries: the values a_0..a_{k-1} fixed so far, and the firms and revenue
-    still to place (``need`` is None without a revenue total).  No grid is
-    too deep for it.  The later levels can absorb only revenue between
-    rest*e_{k+1} and rest*e_max for ``rest`` firms, so a_k runs over exactly
+    closed form.  With ``left`` firms and revenue ``need`` still to place
+    after a prefix a_0..a_{k-1}, the later levels can absorb only revenue
+    between rest*e_{k+1} and rest*e_max for ``rest`` firms, so a_k runs over
+    exactly
 
         ceil((left*e_{k+1} - need) / (e_{k+1} - e_k)) <= a_k
             <= floor((left*e_max - need) / (e_max - e_k)),
@@ -400,52 +399,139 @@ def enumerate_orders(
     clipped to [0, left] (0..left without a total).  Every value tried has a
     real completion, so on consecutive integer levels the listing costs O(1)
     per order for a fixed number of levels; gaps between levels can still
-    leave branches with no integer completion.  A popped entry takes one of
-    five cases:
+    leave branches with no integer completion.  Without a total the last two
+    levels are zipped: a_{n-2} over 0..left, a_{n-1} over left..0.  With a
+    total the last three are zipped.  The numerator of a_{n-2} falls by
+    s = e_{n-1} - e_{n-3} per unit of a_{n-3}, so the a_{n-3} whose division
+    by d = e_{n-1} - e_{n-2} is exact form one progression of step
+    d / gcd(s, d), started by a modular inverse; along it a_{n-2} falls by
+    s / gcd(s, d) and a_{n-1} rises by (s - d) / gcd(s, d).  So the last two
+    or three levels take no Python call per order.  Every value is a Python
+    int >= 0 (each range runs from max(0, ...) to at most ``left``, and
+    a_{n-3} in its range leaves a_{n-2} in [0, left - a_{n-3}]), so
+    ``core._records`` makes the orders without EconomicOrder's checks.
+
+    Two members list the same columns, and one selector, ``_listing``, picks
+    the member for the grid: ``_stack_columns``, one loop over an explicit
+    stack of prefixes that lists any grid, and ``_level_columns``, which
+    expands a total's listing one level at a time over numpy int64 frontiers
+    and pays no Python call per prefix.  The selector reads one bound,
+
+        B = C(q + n - 2, n - 2),   q = min(N, (Pi - N*e_0) // (e_1 - e_0)),
+
+    in O(levels).  Each firm above level 0 adds at least e_1 - e_0 to the
+    revenue above N*e_0, so an order, or a prefix with a real completion,
+    places at most q firms above level 0.  An order is fixed by
+    a_1..a_{n-2}, and a prefix of k <= n - 2 levels by a_1..a_{k-1} and its
+    ``left``; both are at most n - 2 values summing to at most q, so B bounds
+    the number of orders and the rows of every frontier.  The array member
+    runs only with a total on ``LISTING_MIN_LEVELS`` (4) or more levels,
+    where B reaches ``LISTING_MIN_ROWS`` per level (below that numpy's fixed
+    cost of some 25 us per level outweighs the pops it saves), where the n*B
+    int64 values of the worst case fit in ``LISTING_MAX_VALUES``, and where
+    N*e_max and Pi (so every int64 intermediate) stay exact.  Everything
+    else, among it the few-order grids of the samplers, deep grids with few
+    firms, grids past the memory budget and N past int64, is listed by the
+    stack member.
+
+    With a ``cap``, more than ``cap`` orders raise CapExceededError while
+    they are listed, before the columns hold them, and a truncated listing
+    is never returned; both members raise the same error.  A negative
+    ``cap`` is a ConfigError, raised before any listing.
+    """
+    if cap is not None and cap < 0:
+        raise ConfigError("cap: must be non-negative, got %d" % cap)
+    return _Orders(_listing(grid, config)(grid, config, cap))
+
+
+# enumerate_orders' array member runs on grids of LISTING_MIN_LEVELS or more
+# levels (it needs three; on three the stack member's one entry is one zipped
+# run, with no pop to save), where the bound B reaches LISTING_MIN_ROWS per
+# level, and where the worst case's n*B int64 values (as many again for their
+# parents) stay within LISTING_MAX_VALUES, 32 MB of each.  Best of 9 on a
+# 2-core Xeon (Python 3.11.7, numpy 2.4.6), stack against array member:
+# 38 / 93 us at B/n = 16 (levels 1..4, N = 10), 100 / 104 us at 124 (N = 30),
+# 323 / 172 us at 1,288 (N = 100); 60 / 96 us at 23 (levels 0 3 7 20,
+# N = 12), 259 / 145 us at 58 (levels 1..8, N = 5).
+LISTING_MIN_LEVELS = 4
+LISTING_MIN_ROWS = 128
+LISTING_MAX_VALUES = 1 << 22
+# N*e_max, Pi and e_max**2 below this keep every int64 intermediate exact
+_INT64_ROOM = 1 << 61
+
+
+def _listing(grid: RevenueGrid, config: EconomyConfig):
+    """The one reader of LISTING_MIN_LEVELS, LISTING_MIN_ROWS,
+    LISTING_MAX_VALUES and _INT64_ROOM: the member of enumerate_orders that
+    lists this grid, _level_columns where a total is given and B (see
+    enumerate_orders) pays for its level passes and fits, else
+    _stack_columns."""
+    levels, total = grid.levels, config.total_revenue
+    n = len(levels)
+    if total is None or n < LISTING_MIN_LEVELS:
+        return _stack_columns
+    n_firms = config.n_firms
+    q = min(n_firms, (total - n_firms * levels[0]) // (levels[1] - levels[0]))
+    # B >= C(2m, m) >= 2**m for m = min(q, n - 2), so past the budget's bit
+    # length B is out of budget without forming it
+    if min(q, n - 2) >= LISTING_MAX_VALUES.bit_length():
+        return _stack_columns
+    bound = math.comb(q + n - 2, n - 2) if q >= 0 else 0
+    if (
+        LISTING_MIN_ROWS * n <= bound <= LISTING_MAX_VALUES // n
+        and max(n_firms * levels[-1], total, levels[-1] ** 2) < _INT64_ROOM
+    ):
+        return _level_columns
+    return _stack_columns
+
+
+def _last_three(levels: tuple[int, ...]) -> tuple[int, ...]:
+    """The constants of the last-three zip (see enumerate_orders): s, d,
+    h = gcd(s, d), the step d/h of a_{n-3}, the fall s/h of a_{n-2}, the
+    rise (s - d)/h of a_{n-1}, and the inverse of s/h modulo d/h (0 when
+    d/h = 1)."""
+    top = levels[-1]
+    s, d = top - levels[-3], top - levels[-2]
+    h = math.gcd(s, d)
+    step, a_down = d // h, s // h
+    return s, d, h, step, a_down, (s - d) // h, pow(a_down, -1, step)
+
+
+def _stack_columns(
+    grid: RevenueGrid, config: EconomyConfig, cap: int | None
+) -> tuple[list[int], ...]:
+    """enumerate_orders' stack member, for any grid.
+
+    One loop over an explicit stack of (prefix, left, need) entries: the
+    values a_0..a_{k-1} fixed so far, and the firms and revenue still to
+    place (``need`` is None without a revenue total).  No grid is too deep
+    for it.  A popped entry takes one of five cases:
 
     - with no firms left, its one completion, zeros to the end, is kept when
       no revenue is left to place (or there is no total);
     - at the last level (one- and two-level grids only), (prefix, left) is
       kept when the revenue matches;
-    - without a total, at level n-2, the last two levels are zipped:
-      a_{n-2} over 0..left, a_{n-1} over left..0;
-    - with a total, at level n-3, the last three levels are zipped.  The
-      numerator of a_{n-2} falls by s = e_{n-1} - e_{n-3} per unit of
-      a_{n-3}, so the a_{n-3} whose division by d = e_{n-1} - e_{n-2} is
-      exact form one progression of step d / gcd(s, d), started by a modular
-      inverse; along it a_{n-2} falls by s / gcd(s, d) and a_{n-1} rises by
-      (s - d) / gcd(s, d);
+    - without a total, at level n-2, the last two levels are zipped;
+    - with a total, at level n-3, the last three levels are zipped;
     - otherwise the level's range is pushed high to low, so it pops low to
       high.
 
     A kept run of m orders extends each column once: a prefix level by
     ``repeat(a, m)``, a zipped level by its ``range``.  An order kept alone
     waits as a row, and the waiting rows (at most ``_ROWS_KEPT``) move into
-    the columns by one ``zip`` transpose before the next run.  So the last
-    two or three levels take no Python call per order, and an entry that
+    the columns by one ``zip`` transpose before the next run.  An entry that
     has placed every firm is finished at once rather than pushed level by
     level.  Each entry pushed copies its prefix, O(levels) per node, the
-    size of an order.  Every value is a Python int >= 0 (each range runs
-    from max(0, ...) to at most ``left``, and a_{n-3} in its range leaves
-    a_{n-2} in [0, left - a_{n-3}]), so ``core._records`` makes the orders
-    without EconomicOrder's checks.  With a ``cap``, more than ``cap``
-    orders raise CapExceededError while they are listed: the count is
-    checked before the waiting rows or a run, of any length, are stored,
-    and a truncated listing is never returned.  A negative ``cap`` is a
-    ConfigError, raised before any listing.
+    size of an order.  The cap is checked before the waiting rows or a run,
+    of any length, are stored, from the run's length in arithmetic.
     """
-    if cap is not None and cap < 0:
-        raise ConfigError("cap: must be non-negative, got %d" % cap)
     levels = grid.levels
-    last = grid.n - 1
+    last = len(levels) - 1
     top = levels[-1]
     limit = math.inf if cap is None else cap
     if last >= 2:
-        s, d = top - levels[-3], top - levels[-2]
-        h = math.gcd(s, d)
-        step, a_down, rest_up = d // h, s // h, (s - d) // h
-        inverse = pow(a_down, -1, step)  # of s/h modulo d/h (0 when d/h = 1)
-    columns = tuple([] for _ in levels)
+        s, d, h, step, a_down, rest_up, inverse = _last_three(levels)
+    columns = tuple([[] for _ in levels])
     rows: list[tuple[int, ...]] = []  # orders kept one at a time, not yet in the columns
     consume = deque(maxlen=0).extend  # runs a map of extends in C
 
@@ -493,8 +579,65 @@ def enumerate_orders(
                 stack.extend((prefix + (a,), left - a, need - a * e) for a in range(hi, lo - 1, -1))
         if len(rows) >= _ROWS_KEPT:
             keep(())
-    keep(())
-    return _Orders(columns)
+    if rows:
+        keep(())
+    return columns
+
+
+def _level_columns(
+    grid: RevenueGrid, config: EconomyConfig, cap: int | None
+) -> tuple[list[int], ...]:
+    """enumerate_orders' array member, for a total on three or more levels.
+
+    The frontier holds the ``left`` and ``need`` of every prefix as int64
+    vectors, in listing order, starting from the one empty prefix.  Each
+    level before the last three expands every row over its range of a_k in
+    one pass: ``np.repeat`` of the row indices by the range lengths gives
+    each child's parent, and a_k is the parent's low end plus the child's
+    place in its run.  A row's children are contiguous and ascending, so the
+    frontier stays in listing order.  The level keeps its values and parents.
+    The last three levels are then zipped for every row at once, by the
+    stack member's progressions, modular inverse and run lengths.  The
+    summed run lengths are the order count, checked against the cap before
+    any column is built.  The prefix columns are gathered once, walking the
+    parents back from the last level: O(levels * orders).  Each column
+    leaves numpy by ``tolist``, so every value is a Python int.
+    """
+    levels, top = grid.levels, grid.levels[-1]
+    s, d, h, step, a_down, rest_up, inverse = _last_three(levels)
+    left = np.array([config.n_firms], dtype=np.int64)
+    need = np.array([config.total_revenue], dtype=np.int64)
+    values, parents = [], []
+    for e, nxt in zip(levels[:-3], levels[1:-2]):
+        lo = np.maximum(0, -((need - left * nxt) // (nxt - e)))
+        m = np.maximum(np.minimum(left, (left * top - need) // (top - e)) - lo + 1, 0)
+        parent = np.repeat(np.arange(len(m)), m)
+        a = np.arange(len(parent)) + np.repeat(lo - (np.cumsum(m) - m), m)
+        left, need = left[parent] - a, need[parent] - a * e
+        values.append(a)
+        parents.append(parent)
+    e, nxt = levels[-3], levels[-2]
+    # only an infeasible root row has lo past left + 1; clipped, its range
+    # stays empty and lo * s stays within int64
+    lo = np.minimum(np.maximum(0, -((need - left * nxt) // (nxt - e))), left + 1)
+    hi = np.minimum(left, (left * top - need) // (top - e))
+    x = left * top - need - lo * s
+    j = x // h % step * inverse % step
+    b = (x - j * s) // d
+    m = np.maximum((hi - lo - j) // step + 1, 0) * (x % h == 0)
+    count = int(m.sum())
+    if cap is not None and count > cap:
+        raise CapExceededError(None, cap, "order list")
+    parent = np.repeat(np.arange(len(m)), m)
+    i = np.arange(count) - np.repeat(np.cumsum(m) - m, m)
+    firsts = (lo + j)[parent] + step * i
+    downs = b[parent] - a_down * i
+    ups = (left - lo - j - b)[parent] + rest_up * i
+    prefix = []
+    for value, up in zip(reversed(values), reversed(parents)):
+        prefix.append(value[parent])
+        parent = up[parent]
+    return tuple(column.tolist() for column in (*reversed(prefix), firsts, downs, ups))
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -594,6 +737,13 @@ def catalog(
     The one table of feasible orders and their multiplicities, kept as the
     columns of ``OrderCatalog``: the orders ``enumerate_orders`` lists, as
     its view over the level columns, and their counts, in listing order.
+    The listing comes from whichever of enumerate_orders' two members its
+    selector ``_listing`` picks by the bound B on the orders: the array
+    member (level-by-level numpy frontiers) for a total on four or more
+    levels where B reaches ``LISTING_MIN_ROWS`` per level and n*B int64
+    values fit ``LISTING_MAX_VALUES``, else the stack member.  Both give
+    the same columns of Python ints and refuse the same caps, so nothing
+    below depends on the choice.
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
     they are listed, before any multiplicity is computed (a negative
     ``cap`` is a ConfigError).  No order record other than the most

@@ -356,13 +356,14 @@ def _anchored(grid: RevenueGrid, config: EconomyConfig):
     return e0, span, float(config.n_firms), pi_u
 
 
-def _bisect(decreasing, lo: float, hi: float) -> float:
+def _bisect(decreasing, lo: float, hi: float, floor: float = 0.0) -> float:
     """Root of a decreasing function bracketed by [lo, hi], to within
     2**-52 of |root| (relative, as both of the oracle's roots can be as small
-    as 1/N), or once no float lies strictly between the ends."""
+    as 1/N), once the whole bracket lies within ``floor`` of 0, or once no
+    float lies strictly between the ends."""
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0**-52 * abs(mid) or mid == lo or mid == hi:
+        if hi - lo <= 2.0**-52 * abs(mid) or max(-lo, hi) <= floor or mid == lo or mid == hi:
             return mid
         if decreasing(mid) > 0.0:
             lo = mid
@@ -419,7 +420,9 @@ def solve_multipliers_bisection(grid: RevenueGrid, config: EconomyConfig) -> Mul
     hi = 1.0
     while mean_excess(hi) > 0.0:
         hi *= 2.0
-    b = _bisect(mean_excess, 0.0, hi)
+    # a bracket of b within an ulp of a moves no x = a + b u (u <= 1) by more
+    # than a rounding, so a root at b = 0 stops there, not in the subnormals
+    b = _bisect(mean_excess, 0.0, hi, 2.0**-52 * abs(firm_root(0.0)))
     a = firm_root(b)
     occ = occupancy_at(a, b)
     res_n = math.fsum([*occ, -n_firms])
@@ -477,8 +480,13 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
         # the firm-count constraint has a closed-form root in a at fixed b:
         # N = sum_k g_k e^(-a - b u_k), and sum_k g_k e^(-b u_k) is ln Z at (0, b)
         a = math.log(levels.closed_form(0.0, b)[1] / n_firms)
+    # Phi, its slope and its slack are held times 2**-960 from 2**960 firms
+    # on, where a*N (a ~ -ln N) would overflow; a power of two scales every
+    # product and sum exactly, so the Armijo test decides as unscaled
+    scale = 2.0**-960 if n_firms >= 2.0**960 else 1.0
+    n_scaled, pi_scaled = n_firms * scale, pi_u * scale
     occ, log_z = levels.closed_form(a, b)
-    phi = a * n_firms + b * pi_u + log_z
+    phi = a * n_scaled + b * pi_scaled + log_z * scale
     steps = 0
     polishing = converged = pinned = False
     while True:
@@ -495,8 +503,8 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
         grad_a, grad_b = -res_n, pi_u - s_u  # gradient of Phi
         step_b = -(grad_b - u_mean * grad_a) / spread
         step_a = -grad_a / w_sum - u_mean * step_b
-        slope = grad_a * step_a + grad_b * step_b
-        slack = 4 * _EPS * (abs(a) * n_firms + abs(b * pi_u) + abs(log_z))
+        slope = grad_a * scale * step_a + grad_b * scale * step_b
+        slack = 4 * _EPS * (abs(a) * n_scaled + abs(b * pi_scaled) + abs(log_z * scale))
         t = 1.0
         while t >= _MIN_STEP:
             try:
@@ -504,7 +512,7 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
             except SingularityError:
                 t *= 0.5
                 continue
-            phi_t = (a + t * step_a) * n_firms + (b + t * step_b) * pi_u + log_z_t
+            phi_t = (a + t * step_a) * n_scaled + (b + t * step_b) * pi_scaled + log_z_t * scale
             if phi_t <= phi + _ARMIJO * t * slope + slack:
                 break
             t *= 0.5

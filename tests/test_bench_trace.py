@@ -10,7 +10,9 @@ inside ``entropy_identity_residual``, so an identity that stopped calling
 ``log_W`` fails here too.  The exact-orders deck's big counts (N = 10^4
 and 2 * 10^4, both regimes) also run here through the deck's own ``run``
 and ``gate``, so that a count the benchmark would reject as incorrect
-fails tier-1 first.
+fails tier-1 first, and so do the deck's catalogs (five levels, N = 30 to
+60, Pi = 3N, both regimes), which enumerate_orders lists by its array
+member.
 """
 
 import importlib
@@ -19,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from econorder import enumeration
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,3 +58,14 @@ def test_exact_orders_big_counts_pass_the_deck_gate(workloads, tmp_path):
     assert sizes == sorted((n, regime.value) for n in deck.BIG for regime in workloads.REGIMES)
     for op in big:
         assert deck.gate(op, deck.run(op)), op.args[0]
+
+
+def test_exact_orders_catalogs_pass_the_deck_gate(workloads, tmp_path):
+    deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
+    catalogs = [op for op in deck.ops if op.kind == "catalog"]
+    sizes = sorted((op.args[1].n_firms, op.args[1].regime.value) for op in catalogs)
+    expected = [(n, regime.value) for n in deck.LADDER for regime in workloads.REGIMES]
+    assert sizes == sorted(expected * deck.DRAWS)
+    for op in catalogs:
+        assert enumeration._listing(*op.args) is enumeration._level_columns, op.args
+        assert deck.gate(op, deck.run(op)), op.args

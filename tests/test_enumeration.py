@@ -295,6 +295,88 @@ class TestEnumerateOrders:
         assert peak < 1_000_000
 
 
+# enumerate_orders' selector constants that force each member on any grid
+# with a total and three or more levels
+STACK_MEMBER = {"LISTING_MIN_ROWS": 2**62}
+ARRAY_MEMBER = {"LISTING_MIN_LEVELS": 3, "LISTING_MIN_ROWS": 0, "LISTING_MAX_VALUES": 2**62}
+
+
+def listed_by(constants, grid, config, cap=None):
+    """enumerate_orders' columns with the selector's constants patched, or
+    the CapExceededError it raised as (message, count, cap); and the member
+    that listed them."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(enumeration, name, value)
+        member = enumeration._listing(grid, config)
+        try:
+            return enumeration.enumerate_orders(grid, config, cap=cap).columns, member
+        except CapExceededError as refusal:
+            return (str(refusal), refusal.count, refusal.cap), member
+
+
+class TestListingMembers:
+    """The stack and array members of enumerate_orders list the same columns
+    and refuse the same caps, each forced by the selector's constants."""
+
+    @given(
+        levels=st.lists(st.integers(0, 12), min_size=3, max_size=6, unique=True).map(sorted),
+        n_firms=st.integers(1, 9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_members_agree(self, levels, n_firms, data):
+        # gaps, level 0, and totals realisable, arbitrary or past either end
+        total = data.draw(
+            st.one_of(
+                st.lists(st.sampled_from(levels), min_size=n_firms, max_size=n_firms).map(sum),
+                st.integers(0, n_firms * levels[-1] + 2),
+            )
+        )
+        grid = RevenueGrid(tuple(levels), ())
+        config = EconomyConfig(n_firms, total, Regime.PERFECT)
+        columns, stack = listed_by(STACK_MEMBER, grid, config)
+        assert stack is enumeration._stack_columns
+        assert listed_by(ARRAY_MEMBER, grid, config) == (columns, enumeration._level_columns)
+        assert_columns_transpose(
+            enumeration.enumerate_orders(grid, config), brute_force_orders(levels, n_firms, total)
+        )
+        count = len(columns[0])
+        # B of enumerate_orders bounds the orders
+        q = min(n_firms, (total - n_firms * levels[0]) // (levels[1] - levels[0]))
+        assert count <= (math.comb(q + len(levels) - 2, len(levels) - 2) if q >= 0 else 0)
+        inside = data.draw(st.integers(0, count))
+        for cap in {0, count - 1, count, count + 1, inside} - {-1}:
+            refused = listed_by(STACK_MEMBER, grid, config, cap)[0]
+            assert listed_by(ARRAY_MEMBER, grid, config, cap)[0] == refused
+            if cap < count:
+                message = "order list has more than %d elements, exceeding the cap of %d"
+                assert refused == (message % (cap, cap), None, cap)
+            else:
+                assert refused == columns
+
+    @pytest.mark.parametrize(
+        "levels, n_firms, total, member",
+        [
+            ((1, 2, 3, 4, 5), 30, 90, "_level_columns"),  # the exact-orders deck's smallest catalog
+            ((1, 3, 4, 9, 10), 40, 200, "_level_columns"),
+            ((1, 2, 3, 4), 100, 250, "_level_columns"),
+            ((1, 2, 3), 1000, 2000, "_stack_columns"),  # one zipped run: no pop to save
+            ((1, 2, 3), 12, 20, "_stack_columns"),  # the uniform sampling grids
+            ((1, 2, 3, 4, 5), 20, 23, "_stack_columns"),  # the chain sampling grids
+            ((0, 3, 7, 20), 12, 60, "_stack_columns"),
+            (tuple(range(1, 2001)), 1, 1000, "_stack_columns"),  # B per level is 1
+            (tuple(range(1, 1201)), 3, 12, "_stack_columns"),  # n*B is 3.5e11
+            ((1, 2, 3, 4, 5), 10**6, 3 * 10**6, "_stack_columns"),  # n*B is 8.3e17
+            ((1, 2, 3, 4, 5), 10**150, 3 * 10**150, "_stack_columns"),  # past int64
+            ((1, 2, 3, 4, 5), 30, None, "_stack_columns"),
+        ],
+    )
+    def test_selector(self, levels, n_firms, total, member):
+        config = EconomyConfig(n_firms, total, Regime.MONOPOLISTIC)
+        assert enumeration._listing(RevenueGrid(levels, ()), config).__name__ == member
+
+
 class TestEnumerateOutcomes:
     def test_two_firm_unconstrained_monopolistic(self):
         config = EconomyConfig(2, None, Regime.MONOPOLISTIC)

@@ -725,26 +725,16 @@ LADDER_EXPONENTS = {
     Regime.MONOPOLISTIC: (3, 10, 20, 40, 80, 150, 300, 307),
     Regime.PERFECT: (3, 10, 20, 40, 80, 150, 154),
 }
-NEWTON_PAST_ITS_DUAL = pytest.mark.xfail(
-    strict=True, reason="Newton's dual a*N overflows past about 10^306 firms"
-)
 
 
-def ladder(newton=False):
-    """(regime, N, Pi) on every rung; with newton, the rung whose Newton
-    solve is known to stop unconverged is a strict xfail."""
-    rungs = []
-    for regime, exponents in LADDER_EXPONENTS.items():
-        for e in exponents:
-            n = 10**e
-            for name, total in (("interior", n + n // 3), ("mean", 2 * n)):
-                past_dual = newton and regime is Regime.MONOPOLISTIC and e >= 306
-                rungs.append(pytest.param(
-                    regime, n, total,
-                    id="%s-1e%d-%s" % (regime.name[:3].lower(), e, name),
-                    marks=[NEWTON_PAST_ITS_DUAL] if past_dual and name == "interior" else [],
-                ))
-    return rungs
+def ladder():
+    """(regime, N, Pi) on every rung."""
+    return [
+        pytest.param(regime, 10**e, total, id="%s-1e%d-%s" % (regime.name[:3].lower(), e, name))
+        for regime, exponents in LADDER_EXPONENTS.items()
+        for e in exponents
+        for name, total in (("interior", 10**e + 10**e // 3), ("mean", 2 * 10**e))
+    ]
 
 
 class TestOracleLadder:
@@ -754,7 +744,7 @@ class TestOracleLadder:
     def test_oracle_converges(self, regime, n_firms, total):
         assert solve_multipliers_bisection(GRID_3, EconomyConfig(n_firms, total, regime)).converged
 
-    @pytest.mark.parametrize("regime, n_firms, total", ladder(newton=True))
+    @pytest.mark.parametrize("regime, n_firms, total", ladder())
     def test_oracle_agrees_with_newton(self, regime, n_firms, total):
         config = EconomyConfig(n_firms, total, regime)
         sol = solve_multipliers(GRID_3, config)
@@ -762,6 +752,41 @@ class TestOracleLadder:
         assert sol.converged
         gap = max(abs(a - b) for a, b in zip(sol.occupancy, oracle.occupancy))
         assert gap <= 1e-8 * n_firms
+
+    @pytest.mark.parametrize(
+        "n_firms, evaluations", [(10**6, 73), (10**87, 341)], ids=["1e6", "1e87"]
+    )
+    def test_a_root_at_zero_stops_within_an_ulp_of_a(self, n_firms, evaluations):
+        # per at the grid's mean: b = 0, and mean_excess stays <= 0 for b > 0
+        # but for rounding, so halving by the relative width alone would run
+        # b down to the subnormals; the bracket stops within an ulp of a,
+        # after about 52 + log2(1/a) halvings
+        config = EconomyConfig(n_firms, 2 * n_firms, Regime.PERFECT)
+        oracle = solve_multipliers_bisection(GRID_3, config)
+        assert oracle.converged
+        assert oracle.iterations == evaluations
+
+
+# Monopolistic economies where a*N, with a ~ -ln(N/3), passes the float range
+# from about 10^306 firms: Newton holds its dual scaled by a power of two
+# there.  A high total (Pi = 3N - N//3) at 10^308 is past the float range
+# itself and refused by name (TestPastFloatRange).
+@pytest.mark.parametrize(
+    "exponent, share",
+    [(305, "interior"), (306, "interior"), (308, "interior"), (306, "high"), (307, "high")],
+)
+def test_newton_converges_where_its_dual_overflows(exponent, share):
+    n_firms = 10**exponent
+    total = n_firms + n_firms // 3 if share == "interior" else 3 * n_firms - n_firms // 3
+    config = EconomyConfig(n_firms, total, Regime.MONOPOLISTIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_multipliers(GRID_3, config)
+    oracle = solve_multipliers_bisection(GRID_3, config)
+    assert sol.converged and sol.iterations > 0
+    assert all(math.isfinite(a) for a in sol.occupancy)
+    gap = max(abs(a - b) for a, b in zip(sol.occupancy, oracle.occupancy))
+    assert gap <= 1e-8 * n_firms
 
 
 @pytest.mark.parametrize("solve", [solve_multipliers, solve_multipliers_bisection])

@@ -1,13 +1,15 @@
-"""The maxent route chooses between its float and array evaluators in one place.
+"""Each size-selected pair of members is chosen in one place.
 
 maxent._evaluator compares a grid's level count against
 maxent.ARRAY_MIN_LEVELS and builds the member of the evaluator pair that the
-count selects.  A second reader of the constant, or a level-count test of its
-own in macro or counting, would let one caller take one evaluator while
-another takes the other, and a patched constant would switch only some of
-them.  This parses each source file with ``ast`` and reports every read of
-the constant outside the selector, and every comparison of ``grid.n``
-against a constant in macro.py and counting.py.
+count selects.  enumeration._listing likewise reads the listing constants
+(LISTING_MIN_LEVELS, LISTING_MIN_ROWS, LISTING_MAX_VALUES and the int64
+room) and picks enumerate_orders' stack or array member.  A second reader of
+a constant, or a level-count test of its own in macro or counting, would let
+one caller take one member while another takes the other, and a patched
+constant would switch only some of them.  This parses each source file with
+``ast`` and reports every read of a constant outside its selector, and every
+comparison of ``grid.n`` against a constant in macro.py and counting.py.
 """
 
 import ast
@@ -18,7 +20,14 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "econorder"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CONSTANT = "ARRAY_MIN_LEVELS"
-SELECTOR = ("maxent.py", "_evaluator")
+# each constant: its one selector (file, function), which also defines it
+SELECTORS = {
+    CONSTANT: ("maxent.py", "_evaluator"),
+    "LISTING_MIN_LEVELS": ("enumeration.py", "_listing"),
+    "LISTING_MIN_ROWS": ("enumeration.py", "_listing"),
+    "LISTING_MAX_VALUES": ("enumeration.py", "_listing"),
+    "_INT64_ROOM": ("enumeration.py", "_listing"),
+}
 NO_DISPATCH = ("macro.py", "counting.py")
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -80,18 +89,20 @@ def level_count_tests(tree: ast.Module) -> list[int]:
     return lines
 
 
-def test_only_the_selector_reads_the_constant():
-    found = [
+@pytest.mark.parametrize("name", SELECTORS)
+def test_only_the_selector_reads_the_constant(name):
+    found = {
         (path.name, scope)
         for path in SOURCES
-        for scope in readers(ast.parse(path.read_text(), filename=str(path)))
-    ]
-    assert found == [SELECTOR]
+        for scope in readers(ast.parse(path.read_text(), filename=str(path)), name)
+    }
+    assert found == {SELECTORS[name]}
 
 
-def test_the_constant_is_defined_once_in_maxent():
-    counts = {path.name: definitions(ast.parse(path.read_text())) for path in SOURCES}
-    assert {name: n for name, n in counts.items() if n} == {"maxent.py": 1}
+@pytest.mark.parametrize("name", SELECTORS)
+def test_the_constant_is_defined_once_beside_its_selector(name):
+    counts = {path.name: definitions(ast.parse(path.read_text()), name) for path in SOURCES}
+    assert {source: n for source, n in counts.items() if n} == {SELECTORS[name][0]: 1}
 
 
 @pytest.mark.parametrize("name", NO_DISPATCH)
