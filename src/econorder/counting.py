@@ -6,12 +6,18 @@ The multiplicity of an occupancy vector a over a grid with degeneracies g is
     indistinguishable firms (Bose-Einstein): prod C(a_k + g_k - 1, a_k)
 
 computed in exact integer arithmetic, one order at a time (``multiplicity``)
-or for a whole listing at once (``_multiplicities``).  ``multiplicity`` takes
-the distinguishable count by one of two routes, chosen by the chain's work
-s = sum_k min(a_k, left_k - a_k), left_k being the firms not yet placed
-before level k: a chain of binomials C(left_k, a_k) while s is at most
-max(``PRIME_ROUTE_MIN_WORK``, N // ``PRIME_ROUTE_SIEVE_RATIO``), and above
-it N! / prod(a_k!) from its prime exponents (``_multinomial_by_primes``).
+or for a whole listing at once (``_multiplicities``).  A listing is counted
+in Python ints one level column at a time, except where every count is
+known to fit int64: an indistinguishable-firm listing that arrives as int64
+columns (``enumerate_orders``' array member), and whose levels' largest
+factors multiply to less than 2**63, is counted by numpy int64 products
+(``_bose_einstein_int64``) and handed back as Python ints.
+``multiplicity`` takes the distinguishable count by one of two routes,
+chosen by the chain's work s = sum_k min(a_k, left_k - a_k), left_k being
+the firms not yet placed before level k: a chain of binomials
+C(left_k, a_k) while s is at most max(``PRIME_ROUTE_MIN_WORK``,
+N // ``PRIME_ROUTE_SIEVE_RATIO``), and above it N! / prod(a_k!) from its
+prime exponents (``_multinomial_by_primes``).
 ``log_multiplicity`` gives its logarithm by log-gamma.  The Stirling forms
 for real occupancies are ``maxent.stirling_log_multiplicity``.
 """
@@ -158,24 +164,39 @@ def _multiplicities(
     """Exact multiplicity of every order of a listing, given level by level.
 
     ``columns[k]`` holds a_k of every order, as ``enumerate_orders`` lists
-    them (its view's ``columns``, one list per level); the orders share one
-    firm count N.  The counts are ``multiplicity``'s products, built one
-    level column at a time with no Python call per order: each level's
-    factors are mapped over its column in C and chained
-    into the running products by ``map(mul, ...)``, and a table of a level's
-    factors is built only over the distinct values of its column, so a short
-    listing at large N builds no O(N) table.
+    them: one list per level (its view's ``columns``), or one int64 array
+    per level (the array member's ``arrays``); the orders share one firm
+    count N.  The counts are ``multiplicity``'s products, built one level
+    column at a time with no Python call per order, by one of two routes.
 
-    - Distinguishable firms: left_0 = N for every order, so level 0's
-      C(N, a_0) * g_0**a_0 is one table.  At each later level but the last,
-      C(left_k, a_k) by ``map(comb, ...)`` over the running column of firms
-      still to place, times a table of g_k**a_k; the last level's
-      C(left, left) = 1 is skipped.
-    - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
+    - int64: indistinguishable firms on int64 columns, where the product
+      over the levels of each level's largest factor,
+      C(max a_k + g_k - 1, max a_k), is at most 2**63 - 1 (the width of
+      int64, not a tunable).  Every count is at most that product and every
+      factor at least 1, so no running product overflows;
+      ``_bose_einstein_int64`` multiplies the columns' table lookups in
+      numpy and returns the counts by one ``tolist``.
+    - Python ints, for every other listing (int64 columns are turned into
+      lists first): each level's factors are mapped over its column in C
+      and chained into the running products by ``map(mul, ...)``, and a
+      table of a level's factors is built only over the distinct values of
+      its column, so a short listing at large N builds no O(N) table.
 
-    Other levels with g_k = 1 take no table.  Every count is an exact
-    Python int.
+      - Distinguishable firms: left_0 = N for every order, so level 0's
+        C(N, a_0) * g_0**a_0 is one table.  At each later level but the
+        last, C(left_k, a_k) by ``map(comb, ...)`` over the running column
+        of firms still to place, times a table of g_k**a_k; the last
+        level's C(left, left) = 1 is skipped.
+      - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
+
+    Levels with g_k = 1 take no table, except level 0 of distinguishable
+    firms.  On both routes every count is an exact Python int.
     """
+    if isinstance(columns[0], np.ndarray):
+        tabled = [(column, g) for column, g in zip(columns, degeneracies) if g != 1]
+        if regime is Regime.PERFECT and _largest_count(tabled) < 1 << 63:
+            return _bose_einstein_int64(tabled, len(columns[0]))
+        columns = [column.tolist() for column in columns]
     mon = regime is Regime.MONOPOLISTIC
     factors = []  # one lazy column of factors per level and kind
     if mon:
@@ -197,6 +218,31 @@ def _multiplicities(
         return [1] * len(columns[0])
     # map(mul, map(mul, f0, f1), f2)...: every product taken in C
     return list(reduce(partial(map, mul), factors))
+
+
+def _largest_count(tabled: list[tuple[np.ndarray, int]]) -> int:
+    """prod_k C(max a_k + g_k - 1, max a_k) over int64 columns and their
+    degeneracies: an exact bound on every Bose-Einstein count of the listing."""
+    tops = [(int(column.max(initial=0)), g) for column, g in tabled]
+    return math.prod(comb(a + g - 1, a) for a, g in tops)
+
+
+def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> list[int]:
+    """Bose-Einstein counts of ``size`` orders as int64 products, given the
+    int64 column and degeneracy of every level with g_k > 1; the caller has
+    bounded every count below 2**63 (``_largest_count``).  Each level's
+    C(a + g_k - 1, a) is tabled over its column's range min..max, exact in
+    Python ints, and gathered by the column.  On an array-member listing
+    that range holds at most q + 1 values (q of ``enumerate_orders``' bound
+    B, below B itself), since a_0 >= N - q and a_k <= q above level 0."""
+    if not (tabled and size):
+        return [1] * size
+    counts = np.ones(size, dtype=np.int64)
+    for column, g in tabled:
+        low = int(column.min())
+        table = [comb(a + g - 1, a) for a in range(low, int(column.max()) + 1)]
+        counts *= np.array(table, dtype=np.int64)[column - low]
+    return counts.tolist()
 
 
 def log_multiplicity(

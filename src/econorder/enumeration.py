@@ -91,13 +91,18 @@ class _Orders(Sequence):
     ``core._records`` only when it is read: one for an index, and for
     iteration, a slice or ``take`` one C-level pass over the zipped
     columns; a slice is a tuple.  Views with equal columns are equal and
-    hash alike.
+    hash alike.  ``arrays`` holds the int64 columns that enumerate_orders'
+    array member listed, the same values as ``columns``, or None after the
+    stack member; ``catalog`` counts from them and then drops them.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "arrays")
 
-    def __init__(self, columns: tuple[list[int], ...]):
+    def __init__(
+        self, columns: tuple[list[int], ...], arrays: tuple[np.ndarray, ...] | None = None
+    ):
         self.columns = columns
+        self.arrays = arrays
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -385,7 +390,8 @@ def enumerate_orders(
     Returned as a read-only ``Sequence[EconomicOrder]`` view over one list
     per level (``columns``, a_k of every order in listing order): its length
     is the number of orders, and each ``EconomicOrder`` is made when it is
-    read (``_Orders``).
+    read (``_Orders``).  The array member's int64 columns become those lists
+    by one ``tolist`` each and ride along as the view's ``arrays``.
 
     The listing of Nijenhuis & Wilf (*Combinatorial Algorithms*, 1978), in
     closed form.  With ``left`` firms and revenue ``need`` still to place
@@ -441,7 +447,10 @@ def enumerate_orders(
     """
     if cap is not None and cap < 0:
         raise ConfigError("cap: must be non-negative, got %d" % cap)
-    return _Orders(_listing(grid, config)(grid, config, cap))
+    columns = _listing(grid, config)(grid, config, cap)
+    if isinstance(columns[0], np.ndarray):
+        return _Orders(tuple(column.tolist() for column in columns), columns)
+    return _Orders(columns)
 
 
 # enumerate_orders' array member runs on grids of LISTING_MIN_LEVELS or more
@@ -586,7 +595,7 @@ def _stack_columns(
 
 def _level_columns(
     grid: RevenueGrid, config: EconomyConfig, cap: int | None
-) -> tuple[list[int], ...]:
+) -> tuple[np.ndarray, ...]:
     """enumerate_orders' array member, for a total on three or more levels.
 
     The frontier holds the ``left`` and ``need`` of every prefix as int64
@@ -600,8 +609,9 @@ def _level_columns(
     stack member's progressions, modular inverse and run lengths.  The
     summed run lengths are the order count, checked against the cap before
     any column is built.  The prefix columns are gathered once, walking the
-    parents back from the last level: O(levels * orders).  Each column
-    leaves numpy by ``tolist``, so every value is a Python int.
+    parents back from the last level: O(levels * orders).  The columns are
+    returned as int64 arrays; ``enumerate_orders`` gives each to its view as
+    a list of Python ints and keeps the arrays for ``catalog``'s count.
     """
     levels, top = grid.levels, grid.levels[-1]
     s, d, h, step, a_down, rest_up, inverse = _last_three(levels)
@@ -637,7 +647,7 @@ def _level_columns(
     for value, up in zip(reversed(values), reversed(parents)):
         prefix.append(value[parent])
         parent = up[parent]
-    return tuple(column.tolist() for column in (*reversed(prefix), firsts, downs, ups))
+    return (*reversed(prefix), firsts, downs, ups)
 
 
 def feasible_outcome_count(grid: RevenueGrid, config: EconomyConfig) -> int:
@@ -752,20 +762,30 @@ def catalog(
     ``most_probable``, ``tie_set``, the sampler and every CLI artifact read
     the columns.
 
-    The multiplicities come from ``counting._multiplicities``, which takes
-    the listing's columns as they are and builds the counts level column by
-    level column from small exact tables, with no Python call per order.
-    The most probable order's count is then recomputed once by the
-    closed-form ``multiplicity`` (a few µs), and a disagreement raises
-    EconOrderError naming the order.  That check serves two ends: the count
-    that ``spontaneous.json`` reports is held to the closed form on every
-    run, and the benchmark's traced layer suite (``bench/suite.py``), which
-    divides by the number of ``multiplicity`` calls, sees at least one.
+    The multiplicities come from ``counting._multiplicities``, which builds
+    the counts level column by level column from small exact tables, with
+    no Python call per order.  Under perfect competition a listing by the
+    array member is counted on that member's int64 columns (``arrays``),
+    where ``_multiplicities`` multiplies in int64 whenever the product of
+    the levels' largest factors is below 2**63, so no count can overflow;
+    every other listing, and every distinguishable-firm one, is counted on
+    the lists in Python ints.  The arrays are dropped once counted, so the
+    catalog's ``orders.columns`` are lists of Python ints alone, and so are
+    its ``counts``.  The most probable order's count is then recomputed
+    once by the closed-form ``multiplicity`` (a few µs), and a disagreement
+    raises EconOrderError naming the order.  That check serves two ends:
+    the count that ``spontaneous.json`` reports is held to the closed form
+    on every run, and the benchmark's traced layer suite
+    (``bench/suite.py``), which divides by the number of ``multiplicity``
+    calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
-    counts = tuple(_multiplicities(orders.columns, grid.degeneracies, config.regime))
+    arrays, orders.arrays = orders.arrays, None
+    per = config.regime is Regime.PERFECT
+    columns = arrays if per and arrays is not None else orders.columns
+    counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
     cat = OrderCatalog(orders, counts, sum(counts), grid.degeneracies, config.regime)
     top, best = cat.most_probable(), counts[cat._top]
     exact = multiplicity(top, grid, config.regime)

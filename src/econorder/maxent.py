@@ -80,6 +80,8 @@ _ARMIJO = 1e-4
 ARRAY_MIN_LEVELS = 16
 
 _OCCUPANCY_RANGE = "order: occupancies must be finite and non-negative"  # both Stirling checks
+# both Boltzmann Stirling sums: ln N! by lgamma overflows from N = 2.56e305 on
+_FACTORIAL_RANGE = "order: ln N! at N = %g is past the float range; N must stay below 2.56e305"
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,11 @@ class _FloatLevels:
         if not all(map(math.isfinite, occ)) or min(occ) < 0.0:
             raise ConfigError(_OCCUPANCY_RANGE)
         if self.regime is Regime.MONOPOLISTIC:
-            total = math.lgamma(reduce(add, occ, 0.0) + 1.0)
+            n = reduce(add, occ, 0.0)
+            try:
+                total = math.lgamma(n + 1.0)
+            except OverflowError:
+                raise ConfigError(_FACTORIAL_RANGE % n) from None
             for a, g in zip(occ, self.g):
                 if a:
                     total += a * math.log(g)
@@ -257,7 +263,12 @@ class _ArrayLevels(_FloatLevels):
             raise ConfigError(_OCCUPANCY_RANGE)
         if self.regime is Regime.MONOPOLISTIC:
             terms = occ * np.log(g) - _xlogx(occ) + occ
-            return math.lgamma(float(np.add.reduce(occ)) + 1.0) + float(np.add.reduce(terms))
+            n = float(np.add.reduce(occ))
+            try:
+                total = math.lgamma(n + 1.0)
+            except OverflowError:
+                raise ConfigError(_FACTORIAL_RANGE % n) from None
+            return total + float(np.add.reduce(terms))
         # a + g - 1 associated as in the float loop
         return float(np.add.reduce(_xlogx(occ + g - 1.0) - _xlogx(occ) - _xlogx(g - 1.0)))
 
@@ -286,7 +297,8 @@ def stirling_log_multiplicity(
     Zero arguments contribute nothing (0 ln 0 = 0).  The crude Stirling
     substitution ln m! ~ m ln m - m is only accurate for large entries; the
     relative error against counting.log_multiplicity shrinks like ln(a)/a.
-    Refuses a wrong length and any entry that is negative or not finite.
+    Refuses a wrong length, any entry that is negative or not finite, and
+    a Boltzmann N of 2.56e305 or more, whose ln N! is past the float range.
     """
     if isinstance(order, EconomicOrder):
         order = order.occupancy

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import sys
 import time
 import tracemalloc
 
@@ -152,10 +154,18 @@ def test_twelve_hundred_levels(tmp_path, command, table):
     assert [r["occupancy"] for r in rows] == [" ".join("1" if k == 6 else "0" for k in range(1200))]
 
 
-def extreme_config(levels, n_firms, total, regime):
-    return "[grid]\nlevels = %s\n\n[economy]\nN = %d\nPi = %d\nregime = %s\n" % (
-        " ".join(map(str, levels)), n_firms, total, regime
+def extreme_config(levels, n_firms, total, regime, degeneracies=None):
+    grid = "levels = %s\n" % " ".join(map(str, levels))
+    if degeneracies is not None:
+        grid += "degeneracies = %s\n" % " ".join(map(str, degeneracies))
+    return "[grid]\n%s\n[economy]\nN = %d\nPi = %d\nregime = %s\n" % (
+        grid, n_firms, total, regime
     )
+
+
+def all_g1_config(levels, n_firms, total, regime):
+    """extreme_config with every degeneracy written out as 1."""
+    return extreme_config(levels, n_firms, total, regime, [1] * len(levels))
 
 
 HUGE_N = 10**150
@@ -168,6 +178,9 @@ EXTREME_SHAPES = {
     "gaps": (extreme_config((0, 3, 7, 20), 12, 60, "mon"), (0, 0, 0, 0)),
     # past any listing, which the order cap refuses; the solvers work in floats
     "huge-n": (extreme_config((1, 2, 3), HUGE_N, HUGE_N + HUGE_N // 3, "per"), (4, 0, 4, 0)),
+    # every degeneracy 1: under perfect competition every order counts 1 and ties
+    "all-g1-mon": (all_g1_config((1, 2, 3, 4, 5), 30, 60, "mon"), (0, 0, 0, 0)),
+    "all-g1-per": (all_g1_config((1, 2, 3, 4, 5), 30, 60, "per"), (0, 0, 0, 0)),
 }
 
 
@@ -187,6 +200,51 @@ def test_extreme_shapes_end_in_time_with_a_documented_exit(tmp_path, capsys, sha
             assert json.loads(last)["error"] == "cap_exceeded" and not out.exists()
         else:
             assert last.endswith(str(out))
+
+
+FLOAT_MAX = int(sys.float_info.max)  # the solvers refuse N or Pi above it
+PER_MAX = math.isqrt(FLOAT_MAX)  # perfect competition refuses N above it (N^2 overflows)
+LN_N_FACTORIAL_MAX = 256 * 10**303  # ln N! overflows a float from N = 2.56e305 on
+BELOW = 25 * 10**304
+# (levels, N, Pi, regime, the exit code of solve and macro, the start of the
+# error message or None): each shape lies just at or past one bound, on a
+# grid with every g = 1 and Pi off the grid's mean, so that macro is defined
+FLOAT_EDGES = {
+    "mon-ln-n-factorial-below": ((1, 2, 3), BELOW, BELOW * 4 // 3, "mon", 0, None),
+    "mon-ln-n-factorial-above": (
+        (1, 2, 3), LN_N_FACTORIAL_MAX, LN_N_FACTORIAL_MAX * 4 // 3, "mon", 1, "order: ln N!"
+    ),
+    "mon-n-at-float-max": ((0, 1, 3), FLOAT_MAX, FLOAT_MAX, "mon", 1, "order: ln N!"),
+    "mon-n-above": ((0, 1, 3), FLOAT_MAX + 1, FLOAT_MAX, "mon", 1, "economy.N: above"),
+    "mon-pi-at-float-max": ((1, 2, 1000), BELOW, FLOAT_MAX, "mon", 0, None),
+    "mon-pi-above": ((1, 2, 1000), BELOW, FLOAT_MAX + 1, "mon", 1, "economy.Pi: above"),
+    "per-n-at-max": ((1, 2, 3), PER_MAX, PER_MAX * 4 // 3, "per", 0, None),
+    "per-n-above": (
+        (1, 2, 3), PER_MAX + 1, (PER_MAX + 1) * 4 // 3, "per", 1, "economy.N: perfect"
+    ),
+    "per-pi-at-float-max": ((1, 2, 10**155), PER_MAX, FLOAT_MAX, "per", 0, None),
+    "per-pi-above": ((1, 2, 10**155), PER_MAX, FLOAT_MAX + 1, "per", 1, "economy.Pi: above"),
+}
+
+
+@pytest.mark.parametrize("shape", FLOAT_EDGES)
+@pytest.mark.parametrize("command", ["solve", "macro"])
+def test_float_range_edges_finish_or_refuse_by_name(tmp_path, capsys, command, shape):
+    # exit 0, or exit 1 with a JSON config error naming the bound and no
+    # --out directory; never a traceback, and each run well within a second
+    *economy, code, message = FLOAT_EDGES[shape]
+    config = write_config(tmp_path, all_g1_config(*economy))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, "--config", str(config), "--out", str(out)]) == code
+    assert time.perf_counter() - start < 5.0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    if code:
+        err = json.loads(last)
+        assert err["error"] == "config" and err["message"].startswith(message)
+        assert not out.exists()
+    else:
+        assert last.endswith(str(out))
 
 
 class TestEnumerate:

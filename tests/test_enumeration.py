@@ -3,17 +3,20 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import inspect
 import itertools
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +43,11 @@ from econorder import (
     sample_outcomes,
     validate_order,
 )
-from econorder import core, enumeration, reports
+from econorder import core, counting, enumeration, reports
 from econorder.errors import WalkDepthError
 from econorder.checks import random_counting_instance
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 GRID_2 = RevenueGrid((1, 2), (1, 1))
 GRID_3 = RevenueGrid((1, 2, 3), (1, 1, 1))
@@ -375,6 +380,43 @@ class TestListingMembers:
     def test_selector(self, levels, n_firms, total, member):
         config = EconomyConfig(n_firms, total, Regime.MONOPOLISTIC)
         assert enumeration._listing(RevenueGrid(levels, ()), config).__name__ == member
+
+    def test_int64_counts_run_on_the_benchmark_per_catalogs_only(self, monkeypatch, tmp_path):
+        # the benchmark's decks, as bench/workloads.py builds them: each
+        # exact-orders per catalog is counted by the int64 route, and no mon
+        # catalog, no sampling grid and no per grid past the bound is
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.delitem(sys.modules, "workloads", raising=False)
+        workloads = importlib.import_module("workloads")
+        routed = []
+        int64_route = counting._bose_einstein_int64
+
+        def spy(tabled, size):
+            routed.append(size)
+            return int64_route(tabled, size)
+
+        monkeypatch.setattr(counting, "_bose_einstein_int64", spy)
+        deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
+        for op in (op for op in deck.ops if op.kind == "catalog"):
+            before = len(routed)
+            cat = catalog(*op.args)
+            grid, config = op.args
+            assert config.total_revenue == 3 * config.n_firms and grid.levels == (1, 2, 3, 4, 5)
+            per = config.regime is Regime.PERFECT
+            assert routed[before:] == ([len(cat.counts)] if per else []), op.args
+        assert len(routed) == deck.DRAWS * len(deck.LADDER)
+        routed.clear()
+        sampling = workloads.Sampling(seed=0, workdir=tmp_path)  # draws its grids by catalogs
+        for op in sampling.ops:
+            catalog(*op.args[:2])
+        # a deck grid, listed by the array member, whose last level has 10^6
+        # slots: C(a_4 + 10^6 - 1, a_4) is far past 2**63
+        grid = RevenueGrid((1, 2, 3, 4, 5), (3, 1, 3, 2, 10**6))
+        config = EconomyConfig(60, 180, Regime.PERFECT)
+        assert enumeration._listing(grid, config) is enumeration._level_columns
+        cat = catalog(grid, config)
+        assert routed == []
+        assert cat.counts[-1] == multiplicity(cat.orders[-1], grid, Regime.PERFECT) > 2**63
 
 
 class TestEnumerateOutcomes:
@@ -850,15 +892,32 @@ class TestCatalogEntry:
         cat = five_level_catalog(regime)
         assert calls == [cat.entries[0].order]
 
+    # once as the selector picks the listing member, once with the array
+    # member forced wherever a total lies on three or more levels, so that
+    # per catalogs are counted on its int64 columns
+    @pytest.mark.parametrize("constants", [{}, ARRAY_MEMBER], ids=["selected", "array-member"])
     @given(economy=feasible_economies(max_levels=5, max_degeneracy=4))
     @example(economy=(RevenueGrid((0,), (4,)), EconomyConfig(12, 0, Regime.MONOPOLISTIC)))
     @example(economy=(RevenueGrid((0, 3, 4, 9, 12), (4, 1, 3, 1, 2)), EconomyConfig(12, None, Regime.PERFECT)))
+    # 10^4 firms, a_2 <= 6: the order (9994, 0, 6) counts C(g_2 + 5, 6), the
+    # int64 route's bound, 0.99865 * 2**63 at g_2 = 4332 and 1.00003 * 2**63
+    # at g_2 = 4333, one past the bound
+    @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 4332)), EconomyConfig(10**4, 10**4 + 12, Regime.PERFECT)))
+    @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 4333)), EconomyConfig(10**4, 10**4 + 12, Regime.PERFECT)))
+    # a_0 = a_2 <= 6: each level's factors fit int64, their products do not
+    @example(economy=(RevenueGrid((1, 2, 3), (4332, 1, 4332)), EconomyConfig(12, 24, Regime.PERFECT)))
     @settings(max_examples=200, deadline=None)
-    def test_column_counts_equal_multiplicity(self, economy):
+    def test_column_counts_equal_multiplicity(self, constants, economy):
         grid, config = economy
-        cat = catalog(grid, config)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(enumeration, name, value)
+            cat = catalog(grid, config)
         for order, count in zip(cat.orders, cat.counts):
-            assert count == multiplicity(order, grid, config.regime)
+            # a Python int, so that no artifact sees a numpy integer
+            assert type(count) is int and count == multiplicity(order, grid, config.regime)
+        assert all(type(a) is int for column in cat.orders.columns for a in column)
+        assert cat.orders.arrays is None
         assert cat.total_outcomes == feasible_outcome_count(grid, config)
 
 
