@@ -7,11 +7,16 @@ The multiplicity of an occupancy vector a over a grid with degeneracies g is
 
 computed in exact integer arithmetic, one order at a time (``multiplicity``)
 or for a whole listing at once (``_multiplicities``).  A listing is counted
-in Python ints one level column at a time, except where every count is
-known to fit int64: an indistinguishable-firm listing that arrives as int64
-columns (``enumerate_orders``' array member), and whose levels' largest
-factors multiply to less than 2**63, is counted by numpy int64 products
-(``_bose_einstein_int64``) and handed back as Python ints.
+in Python ints one level column at a time (the chain), except where every
+count is known to fit int64: an indistinguishable-firm listing that arrives
+as int64 columns (``enumerate_orders``' array member), and whose levels'
+largest factors multiply to less than 2**63, is counted by numpy int64
+products (``_bose_einstein_int64``) and handed back as Python ints.  A
+distinguishable-firm listing of the array member is counted along its runs
+(``_walked_multiplicities``): each row whose last three levels moved by the
+listing's fixed steps from the row before takes that row's count times an
+exact ratio of small falling factorials (``_ratio_walk``), and the chain
+counts only the rows that start a run.
 ``multiplicity`` takes the distinguishable count by one of two routes,
 chosen by the chain's work s = sum_k min(a_k, left_k - a_k), left_k being
 the firms not yet placed before level k: a chain of binomials
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from itertools import repeat
-from math import comb, lgamma
+from math import comb, lgamma, perm
 from operator import mul, sub
 from typing import Sequence
 
@@ -177,10 +182,11 @@ def _multiplicities(
       ``_bose_einstein_int64`` multiplies the columns' table lookups in
       numpy and returns the counts by one ``tolist``.
     - Python ints, for every other listing (int64 columns are turned into
-      lists first): each level's factors are mapped over its column in C
-      and chained into the running products by ``map(mul, ...)``, and a
-      table of a level's factors is built only over the distinct values of
-      its column, so a short listing at large N builds no O(N) table.
+      lists first), the chain: each level's factors are mapped over its
+      column in C and chained into the running products by
+      ``map(mul, ...)``, and a table of a level's factors is built only
+      over the distinct values of its column, so a short listing at large
+      N builds no O(N) table.
 
       - Distinguishable firms: left_0 = N for every order, so level 0's
         C(N, a_0) * g_0**a_0 is one table.  At each later level but the
@@ -190,7 +196,9 @@ def _multiplicities(
       - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
 
     Levels with g_k = 1 take no table, except level 0 of distinguishable
-    firms.  On both routes every count is an exact Python int.
+    firms.  On both routes every count is an exact Python int.  The
+    distinguishable-firm listings of the array member reach this chain only
+    through ``_ratio_walk``, for the rows that start a run.
     """
     if isinstance(columns[0], np.ndarray):
         tabled = [(column, g) for column, g in zip(columns, degeneracies) if g != 1]
@@ -243,6 +251,95 @@ def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> lis
         table = [comb(a + g - 1, a) for a in range(low, int(column.max()) + 1)]
         counts *= np.array(table, dtype=np.int64)[column - low]
     return counts.tolist()
+
+
+def _walked_multiplicities(
+    columns: Sequence[np.ndarray],
+    degeneracies: tuple[int, ...],
+    deltas: tuple[int, int, int],
+) -> list[int]:
+    """Distinguishable-firm counts of a listing of int64 ``columns``, by
+    ``_ratio_walk``.
+
+    ``deltas`` are (step, a_down, rest_up) of ``enumeration._last_three``.
+    Row p continues row p - 1 when a_0..a_{n-4} are equal in both and the
+    last three levels moved by (+step, -a_down, +rest_up).
+    """
+    *prefix, x, y, z = columns
+    step, a_down, rest_up = deltas
+    continues = x[1:] - x[:-1] == step
+    continues &= y[:-1] - y[1:] == a_down
+    continues &= z[1:] - z[:-1] == rest_up
+    for column in prefix:
+        continues &= column[1:] == column[:-1]
+    return _ratio_walk(columns, degeneracies, deltas, continues)
+
+
+def _ratio_walk(
+    columns: Sequence[np.ndarray],
+    degeneracies: tuple[int, ...],
+    deltas: tuple[int, int, int],
+    continues: np.ndarray,
+) -> list[int]:
+    """N! / prod(a_k!) * prod(g_k^a_k) of every row of an int64 listing,
+    each continuing row's from its predecessor's by an exact ratio.
+
+    ``continues[p - 1]`` says that row p continues row p - 1
+    (``_walked_multiplicities``); every other row starts a run, and the run
+    starts are counted by the chain (``_multiplicities``).  With (x, y, z)
+    the last three levels and (step, a_down, rest_up) their moves, row p's
+    count is
+
+        w_p = w_{p-1} * U_p // D_p,
+        U_p = perm(y_{p-1}, a_down) * g_x**step * g_z**rest_up,
+        D_p = perm(x_p, step) * perm(z_p, rest_up) * g_y**a_down,
+
+    since w_p * D_p = w_{p-1} * U_p for any such pair, so the division is
+    exact.  U and D come from tables of Python ints over the range of the
+    values they are read at, gathered as object arrays.  The walk is
+    offset-major: the runs are ranked longest first, so the runs still
+    going at step k are a prefix of those going at step k - 1, and step k
+    updates the k-th row of every such run by two numpy calls on slices.
+    The numpy calls grow with the longest run, not with the rows.
+    """
+    *_, x, y, z = columns
+    step, a_down, rest_up = deltas
+    g_x, g_y, g_z = degeneracies[-3:]
+    starts = np.flatnonzero(np.concatenate(([True], ~continues)))
+    first = _multiplicities(
+        [column[starts] for column in columns], degeneracies, Regime.MONOPOLISTIC
+    )
+    lengths = np.append(starts[1:], len(x)) - starts
+    # going[k - 1]: the runs longer than k, for k = 1 .. longest - 1
+    going = (len(starts) - np.cumsum(np.bincount(lengths)))[1:-1]
+    if not going.size:
+        return first
+    order = np.argsort(-lengths, kind="stable")
+    ends = np.cumsum(going)
+    # the k-th row of each of the going[k - 1] runs, step by step
+    rank = np.arange(ends[-1]) - np.repeat(ends - going, going)
+    rows = starts[order][rank] + np.repeat(np.arange(1, going.size + 1), going)
+    ups = _falling(y[rows - 1], a_down, g_x**step * g_z**rest_up)
+    downs = _falling(x[rows], step, 1) * _falling(z[rows], rest_up, g_y**a_down)
+    counts = np.empty(len(x), dtype=object)
+    counts[starts] = first
+    walked = np.empty(len(rows), dtype=object)
+    before, low = counts[starts[order]], 0
+    for high, n in zip(ends.tolist(), going.tolist()):
+        here = walked[low:high]
+        np.multiply(before[:n], ups[low:high], out=here)
+        np.floor_divide(here, downs[low:high], out=here)
+        before, low = here, high
+    counts[rows] = walked
+    return counts.tolist()
+
+
+def _falling(values: np.ndarray, k: int, factor: int) -> np.ndarray:
+    """perm(a, k) * factor for each a of the int64 ``values``, as Python
+    ints in an object array, from one table over min(values)..max(values)."""
+    low = int(values.min())
+    table = [perm(a, k) * factor for a in range(low, int(values.max()) + 1)]
+    return np.array(table, dtype=object)[values - low]
 
 
 def log_multiplicity(

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _records
-from .counting import _multiplicities, multiplicity
+from .counting import _multiplicities, _walked_multiplicities, multiplicity
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError, WalkDepthError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
@@ -764,15 +764,19 @@ def catalog(
 
     The multiplicities come from ``counting._multiplicities``, which builds
     the counts level column by level column from small exact tables, with
-    no Python call per order.  Under perfect competition a listing by the
-    array member is counted on that member's int64 columns (``arrays``),
-    where ``_multiplicities`` multiplies in int64 whenever the product of
-    the levels' largest factors is below 2**63, so no count can overflow;
-    every other listing, and every distinguishable-firm one, is counted on
-    the lists in Python ints.  The arrays are dropped once counted, so the
-    catalog's ``orders.columns`` are lists of Python ints alone, and so are
-    its ``counts``.  The most probable order's count is then recomputed
-    once by the closed-form ``multiplicity`` (a few µs), and a disagreement
+    no Python call per order.  A listing by the array member is counted on
+    that member's int64 columns (``arrays``).  Under perfect competition
+    ``_multiplicities`` multiplies them in int64 whenever the product of the
+    levels' largest factors is below 2**63, so no count can overflow.
+    Under monopolistic competition ``counting._walked_multiplicities``
+    walks the listing's runs: along a run the last three levels move by the
+    fixed (step, -a_down, +rest_up) of ``_last_three``, so each order's count
+    is its predecessor's times an exact ratio of small falling factorials,
+    and only the run starts are counted by the column tables.  Every
+    stack-member listing is counted on the lists in Python ints.  The
+    arrays are dropped once counted, so the catalog's ``orders.columns`` are
+    lists of Python ints alone, and so are its ``counts``.  The most
+    probable order's count is then recomputed once by the closed-form ``multiplicity`` (a few µs), and a disagreement
     raises EconOrderError naming the order.  That check serves two ends:
     the count that ``spontaneous.json`` reports is held to the closed form
     on every run, and the benchmark's traced layer suite
@@ -783,9 +787,12 @@ def catalog(
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     arrays, orders.arrays = orders.arrays, None
-    per = config.regime is Regime.PERFECT
-    columns = arrays if per and arrays is not None else orders.columns
-    counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
+    if arrays is not None and config.regime is Regime.MONOPOLISTIC:
+        deltas = _last_three(grid.levels)[3:6]
+        counts = tuple(_walked_multiplicities(arrays, grid.degeneracies, deltas))
+    else:
+        columns = orders.columns if arrays is None else arrays
+        counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
     cat = OrderCatalog(orders, counts, sum(counts), grid.degeneracies, config.regime)
     top, best = cat.most_probable(), counts[cat._top]
     exact = multiplicity(top, grid, config.regime)

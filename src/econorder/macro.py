@@ -41,6 +41,11 @@ class MacroParams:
             raise ConfigError("macro.lambda: must be positive and finite")
         if self.theta == 0:
             raise ConfigError("macro.theta: must be nonzero for invertibility")
+        # an infinite or NaN theta or mu has no JSON form
+        if not math.isfinite(self.theta):
+            raise ConfigError("macro.theta: must be finite, got %s" % self.theta)
+        if not math.isfinite(self.mu):
+            raise ConfigError("macro.mu: must be finite, got %s" % self.mu)
 
 
 def multipliers_from_macro(params: MacroParams) -> tuple[float, float]:

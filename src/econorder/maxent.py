@@ -80,8 +80,9 @@ _ARMIJO = 1e-4
 ARRAY_MIN_LEVELS = 16
 
 _OCCUPANCY_RANGE = "order: occupancies must be finite and non-negative"  # both Stirling checks
-# both Boltzmann Stirling sums: ln N! by lgamma overflows from N = 2.56e305 on
-_FACTORIAL_RANGE = "order: ln N! at N = %g is past the float range; N must stay below 2.56e305"
+# both Boltzmann Stirling sums: ln N! by lgamma overflows from N = 2.56e305
+# on, and a little below that an a_k ln a_k can overflow while ln N! does not
+_STIRLING_RANGE = "order: the Stirling sum at N = %g is past the float range"
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,14 @@ class _FloatLevels:
             try:
                 total = math.lgamma(n + 1.0)
             except OverflowError:
-                raise ConfigError(_FACTORIAL_RANGE % n) from None
+                raise ConfigError(_STIRLING_RANGE % n) from None
             for a, g in zip(occ, self.g):
                 if a:
                     total += a * math.log(g)
                     total -= a * math.log(a)
                 total += a
+            if not math.isfinite(total):
+                raise ConfigError(_STIRLING_RANGE % n)
             return total
         # x ln x written out per term, with 0 ln 0 = 0
         total = 0.0
@@ -267,8 +270,11 @@ class _ArrayLevels(_FloatLevels):
             try:
                 total = math.lgamma(n + 1.0)
             except OverflowError:
-                raise ConfigError(_FACTORIAL_RANGE % n) from None
-            return total + float(np.add.reduce(terms))
+                raise ConfigError(_STIRLING_RANGE % n) from None
+            total += float(np.add.reduce(terms))
+            if not math.isfinite(total):
+                raise ConfigError(_STIRLING_RANGE % n)
+            return total
         # a + g - 1 associated as in the float loop
         return float(np.add.reduce(_xlogx(occ + g - 1.0) - _xlogx(occ) - _xlogx(g - 1.0)))
 
@@ -298,7 +304,8 @@ def stirling_log_multiplicity(
     substitution ln m! ~ m ln m - m is only accurate for large entries; the
     relative error against counting.log_multiplicity shrinks like ln(a)/a.
     Refuses a wrong length, any entry that is negative or not finite, and
-    a Boltzmann N of 2.56e305 or more, whose ln N! is past the float range.
+    a Boltzmann occupancy whose sum is past the float range: from
+    N = 2.56e305 on ln N! is, and a little below it a_k ln a_k can be.
     """
     if isinstance(order, EconomicOrder):
         order = order.occupancy

@@ -206,15 +206,24 @@ FLOAT_MAX = int(sys.float_info.max)  # the solvers refuse N or Pi above it
 PER_MAX = math.isqrt(FLOAT_MAX)  # perfect competition refuses N above it (N^2 overflows)
 LN_N_FACTORIAL_MAX = 256 * 10**303  # ln N! overflows a float from N = 2.56e305 on
 BELOW = 25 * 10**304
+STIRLING_N = 25599 * 10**301  # ln N! is finite, a ln a of a_0 ~ N is not
 # (levels, N, Pi, regime, the exit code of solve and macro, the start of the
 # error message or None): each shape lies just at or past one bound, on a
 # grid with every g = 1 and Pi off the grid's mean, so that macro is defined
 FLOAT_EDGES = {
     "mon-ln-n-factorial-below": ((1, 2, 3), BELOW, BELOW * 4 // 3, "mon", 0, None),
     "mon-ln-n-factorial-above": (
-        (1, 2, 3), LN_N_FACTORIAL_MAX, LN_N_FACTORIAL_MAX * 4 // 3, "mon", 1, "order: ln N!"
+        (1, 2, 3),
+        LN_N_FACTORIAL_MAX,
+        LN_N_FACTORIAL_MAX * 4 // 3,
+        "mon",
+        1,
+        "order: the Stirling sum",
     ),
-    "mon-n-at-float-max": ((0, 1, 3), FLOAT_MAX, FLOAT_MAX, "mon", 1, "order: ln N!"),
+    "mon-n-at-float-max": ((0, 1, 3), FLOAT_MAX, FLOAT_MAX, "mon", 1, "order: the Stirling sum"),
+    "mon-stirling-sum-above": (
+        (1, 2, 3), STIRLING_N, STIRLING_N + 10**290, "mon", 1, "order: the Stirling sum"
+    ),
     "mon-n-above": ((0, 1, 3), FLOAT_MAX + 1, FLOAT_MAX, "mon", 1, "economy.N: above"),
     "mon-pi-at-float-max": ((1, 2, 1000), BELOW, FLOAT_MAX, "mon", 0, None),
     "mon-pi-above": ((1, 2, 1000), BELOW, FLOAT_MAX + 1, "mon", 1, "economy.Pi: above"),
@@ -222,7 +231,8 @@ FLOAT_EDGES = {
     "per-n-above": (
         (1, 2, 3), PER_MAX + 1, (PER_MAX + 1) * 4 // 3, "per", 1, "economy.N: perfect"
     ),
-    "per-pi-at-float-max": ((1, 2, 10**155), PER_MAX, FLOAT_MAX, "per", 0, None),
+    # theta = 1 / beta overflows: refused, not written as Infinity
+    "per-pi-at-float-max": ((1, 2, 10**155), PER_MAX, FLOAT_MAX, "per", 1, "macro.theta"),
     "per-pi-above": ((1, 2, 10**155), PER_MAX, FLOAT_MAX + 1, "per", 1, "economy.Pi: above"),
 }
 
@@ -302,6 +312,7 @@ class TestEnumerate:
         # N = 12 firms over two levels: 13 orders, one more than the cap,
         # which stops the listing before any order is counted
         counted = count_calls(monkeypatch, "_multiplicities")
+        walked = count_calls(monkeypatch, "_walked_multiplicities")
         checked = count_calls(monkeypatch, "multiplicity")
         text = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 12\n"
         config = write_config(tmp_path, text)
@@ -309,7 +320,7 @@ class TestEnumerate:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "cap_exceeded"
         assert "order list" in err["message"]
-        assert counted == checked == []
+        assert counted == walked == checked == []
 
 
 class TestSolve:

@@ -352,15 +352,20 @@ class TestStirling:
     @pytest.mark.parametrize("n_levels", [3, 20], ids=["floats", "arrays"])
     def test_ln_n_factorial_past_the_float_range_is_a_config_error(self, n_levels):
         # ln N! is finite up to N = 2.5599e305 and past the float range from
-        # 2.56e305 on; both evaluators refuse it by name
+        # 2.56e305 on; both evaluators refuse the sum by name
         grid = RevenueGrid(tuple(range(1, n_levels + 1)), ())
         below = (1.27995e305, 1.27995e305) + (0.0,) * (n_levels - 2)
         assert math.isfinite(stirling_log_multiplicity(below, grid, Regime.MONOPOLISTIC))
         above = (1.28e305, 1.28e305) + (0.0,) * (n_levels - 2)
-        with pytest.raises(ConfigError, match=r"ln N! at N = 2.56e\+305 is past the float range"):
+        with pytest.raises(ConfigError, match=r"Stirling sum at N = 2.56e\+305 is past the float range"):
             stirling_log_multiplicity(above, grid, Regime.MONOPOLISTIC)
         # Bose-Einstein has no N! term
         assert math.isfinite(stirling_log_multiplicity(above, grid, Regime.PERFECT))
+        # all on one level, ln N! is finite but a ln a = 1.80019e308 is not:
+        # the sum is refused by name, not returned as -inf
+        one_level = (2.5599e305,) + (0.0,) * (n_levels - 1)
+        with pytest.raises(ConfigError, match=r"Stirling sum at N = 2.5599e\+305 is past the float"):
+            stirling_log_multiplicity(one_level, grid, Regime.MONOPOLISTIC)
 
     def test_real_valued_occupancy_accepted(self):
         grid = RevenueGrid((1, 2), (1, 1))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -380,6 +380,34 @@ class TestListingMembers:
     def test_selector(self, levels, n_firms, total, member):
         config = EconomyConfig(n_firms, total, Regime.MONOPOLISTIC)
         assert enumeration._listing(RevenueGrid(levels, ()), config).__name__ == member
+
+    def test_the_walk_runs_on_the_benchmark_mon_catalogs_only(self, monkeypatch, tmp_path):
+        # the benchmark's decks, as bench/workloads.py builds them: each
+        # exact-orders mon catalog is counted by the ratio walk, and no per
+        # catalog and no sampling grid is
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.delitem(sys.modules, "workloads", raising=False)
+        workloads = importlib.import_module("workloads")
+        walked = []
+        walk = counting._ratio_walk
+
+        def spy(columns, degeneracies, deltas, continues):
+            walked.append(len(columns[0]))
+            return walk(columns, degeneracies, deltas, continues)
+
+        monkeypatch.setattr(counting, "_ratio_walk", spy)
+        deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
+        for op in (op for op in deck.ops if op.kind == "catalog"):
+            before = len(walked)
+            cat = catalog(*op.args)
+            mon = op.args[1].regime is Regime.MONOPOLISTIC
+            assert walked[before:] == ([len(cat.counts)] if mon else []), op.args
+        assert len(walked) == deck.DRAWS * len(deck.LADDER)
+        walked.clear()
+        sampling = workloads.Sampling(seed=0, workdir=tmp_path)  # draws its grids by catalogs
+        for op in sampling.ops:
+            catalog(*op.args[:2])
+        assert walked == []
 
     def test_int64_counts_run_on_the_benchmark_per_catalogs_only(self, monkeypatch, tmp_path):
         # the benchmark's decks, as bench/workloads.py builds them: each
@@ -894,9 +922,19 @@ class TestCatalogEntry:
 
     # once as the selector picks the listing member, once with the array
     # member forced wherever a total lies on three or more levels, so that
-    # per catalogs are counted on its int64 columns
+    # per catalogs are counted on its int64 columns and mon catalogs by the
+    # ratio walk
     @pytest.mark.parametrize("constants", [{}, ARRAY_MEMBER], ids=["selected", "array-member"])
     @given(economy=feasible_economies(max_levels=5, max_degeneracy=4))
+    # a gapped tail: on levels 3 7 20, step, a_down and rest_up are 13, 17
+    # and 4; 11 orders, two of which continue a run
+    @example(economy=(RevenueGrid((0, 3, 7, 20), (2, 3, 4, 2)), EconomyConfig(21, 139, Regime.MONOPOLISTIC)))
+    # three levels: the listing is one run
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(12, 24, Regime.MONOPOLISTIC)))
+    # every row starts a run: 10 orders, none continuing
+    @example(economy=(RevenueGrid((0, 3, 7, 20), (2, 1, 3, 2)), EconomyConfig(20, 100, Regime.MONOPOLISTIC)))
+    # long runs: 884 orders in 67 runs, the longest 26 rows
+    @example(economy=(RevenueGrid((1, 2, 3, 4), (2, 1, 3, 2)), EconomyConfig(200, 300, Regime.MONOPOLISTIC)))
     @example(economy=(RevenueGrid((0,), (4,)), EconomyConfig(12, 0, Regime.MONOPOLISTIC)))
     @example(economy=(RevenueGrid((0, 3, 4, 9, 12), (4, 1, 3, 1, 2)), EconomyConfig(12, None, Regime.PERFECT)))
     # 10^4 firms, a_2 <= 6: the order (9994, 0, 6) counts C(g_2 + 5, 6), the
@@ -919,6 +957,24 @@ class TestCatalogEntry:
         assert all(type(a) is int for column in cat.orders.columns for a in column)
         assert cat.orders.arrays is None
         assert cat.total_outcomes == feasible_outcome_count(grid, config)
+
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=4), reverse=st.booleans())
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, None, Regime.MONOPOLISTIC)), reverse=False)
+    @settings(max_examples=100, deadline=None)
+    def test_the_walk_steps_only_rows_that_move_by_its_deltas(self, economy, reverse):
+        # any listing of one N, as int64 columns, in listing or reversed
+        # order: without a total, rows of one prefix move their last three
+        # levels by (0, 1, -1) and the like, never by the walk's deltas, so
+        # the walk must start a run there rather than step
+        grid, config = economy
+        assume(grid.n >= 3)
+        columns = enumeration.enumerate_orders(grid, config).columns
+        if reverse:
+            columns = [column[::-1] for column in columns]
+        arrays = [np.array(column, dtype=np.int64) for column in columns]
+        deltas = enumeration._last_three(grid.levels)[3:6]
+        counts = counting._walked_multiplicities(arrays, grid.degeneracies, deltas)
+        assert counts == counting._multiplicities(columns, grid.degeneracies, Regime.MONOPOLISTIC)
 
 
 class TestSpontaneousOrder:

@@ -89,6 +89,13 @@ class TestMapping:
         with pytest.raises(ConfigError):
             MacroParams(mu=1.0, theta=1.0, lam=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mu", "theta"])
+    def test_non_finite_mu_or_theta_is_named(self, field, value):
+        # neither has a JSON form; each used to pass and be written as Infinity
+        with pytest.raises(ConfigError, match="macro.%s: must be finite" % field):
+            MacroParams(**{"mu": 1.0, "theta": 1.0, field: value})
+
 
 class TestOccupancyFromMacro:
     def test_flat_limit(self):
