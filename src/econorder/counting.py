@@ -6,17 +6,16 @@ The multiplicity of an occupancy vector a over a grid with degeneracies g is
     indistinguishable firms (Bose-Einstein): prod C(a_k + g_k - 1, a_k)
 
 computed in exact integer arithmetic, one order at a time (``multiplicity``)
-or for a whole listing at once (``_multiplicities``).  A listing is counted
-in Python ints one level column at a time (the chain), except where every
-count is known to fit int64: an indistinguishable-firm listing that arrives
-as int64 columns (``enumerate_orders``' array member), and whose levels'
-largest factors multiply to less than 2**63, is counted by numpy int64
-products (``_bose_einstein_int64``) and handed back as Python ints.  A
-distinguishable-firm listing of the array member is counted along its runs
-(``_walked_multiplicities``): each row whose last three levels moved by the
-listing's fixed steps from the row before takes that row's count times an
-exact ratio of small falling factorials (``_ratio_walk``), and the chain
-counts only the rows that start a run.
+or for a whole listing at once (``_multiplicities``).  ``_multiplicities``
+alone picks how a listing is counted, from the columns it is handed:
+distinguishable firms on int64 columns (``enumerate_orders``' array member)
+are walked along the listing's runs, each row's count its predecessor's
+times an exact ratio of small falling factorials (``_ratio_walk``);
+indistinguishable firms on int64 columns are multiplied in numpy int64
+(``_bose_einstein_int64``) while the levels' largest factors multiply to
+less than 2**63; every other listing is counted in Python ints one level
+column at a time (the chain, ``_chain``), which also counts the walk's run
+starts.
 ``multiplicity`` takes the distinguishable count by one of two routes,
 chosen by the chain's work s = sum_k min(a_k, left_k - a_k), left_k being
 the firms not yet placed before level k: a chain of binomials
@@ -171,40 +170,50 @@ def _multiplicities(
     ``columns[k]`` holds a_k of every order, as ``enumerate_orders`` lists
     them: one list per level (its view's ``columns``), or one int64 array
     per level (the array member's ``arrays``); the orders share one firm
-    count N.  The counts are ``multiplicity``'s products, built one level
-    column at a time with no Python call per order, by one of two routes.
+    count N.  The counts are ``multiplicity``'s, as Python ints, with no
+    Python call per order.  This is the one place that picks the route,
+    from the columns and the regime alone:
 
-    - int64: indistinguishable firms on int64 columns, where the product
-      over the levels of each level's largest factor,
-      C(max a_k + g_k - 1, max a_k), is at most 2**63 - 1 (the width of
-      int64, not a tunable).  Every count is at most that product and every
-      factor at least 1, so no running product overflows;
-      ``_bose_einstein_int64`` multiplies the columns' table lookups in
-      numpy and returns the counts by one ``tolist``.
-    - Python ints, for every other listing (int64 columns are turned into
-      lists first), the chain: each level's factors are mapped over its
-      column in C and chained into the running products by
-      ``map(mul, ...)``, and a table of a level's factors is built only
-      over the distinct values of its column, so a short listing at large
-      N builds no O(N) table.
-
-      - Distinguishable firms: left_0 = N for every order, so level 0's
-        C(N, a_0) * g_0**a_0 is one table.  At each later level but the
-        last, C(left_k, a_k) by ``map(comb, ...)`` over the running column
-        of firms still to place, times a table of g_k**a_k; the last
-        level's C(left, left) = 1 is skipped.
-      - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
-
-    Levels with g_k = 1 take no table, except level 0 of distinguishable
-    firms.  On both routes every count is an exact Python int.  The
-    distinguishable-firm listings of the array member reach this chain only
-    through ``_ratio_walk``, for the rows that start a run.
+    - int64 columns of distinguishable firms: ``_ratio_walk`` along the
+      listing's runs, which counts only the rows that start a run by the
+      chain.
+    - int64 columns of indistinguishable firms, while the product over the
+      levels of each level's largest factor, C(max a_k + g_k - 1, max a_k),
+      is below 2**63 (the width of int64, not a tunable):
+      ``_bose_einstein_int64``.  Every count is at most that product and
+      every factor at least 1, so no running product overflows.
+    - Every other listing, int64 columns turned into lists first: the chain
+      (``_chain``).
     """
     if isinstance(columns[0], np.ndarray):
+        if regime is Regime.MONOPOLISTIC:
+            return _ratio_walk(columns, degeneracies)
         tabled = [(column, g) for column, g in zip(columns, degeneracies) if g != 1]
-        if regime is Regime.PERFECT and _largest_count(tabled) < 1 << 63:
+        if _largest_count(tabled) < 1 << 63:
             return _bose_einstein_int64(tabled, len(columns[0]))
         columns = [column.tolist() for column in columns]
+    return _chain(columns, degeneracies, regime)
+
+
+def _chain(
+    columns: Sequence[list[int]], degeneracies: tuple[int, ...], regime: Regime
+) -> list[int]:
+    """``_multiplicities`` on lists of Python ints: each level's factors are
+    mapped over its column in C and chained into the running products by
+    ``map(mul, ...)``, and a table of a level's factors is built only over
+    the distinct values of its column, so a short listing at large N builds
+    no O(N) table.
+
+    - Distinguishable firms: left_0 = N for every order, so level 0's
+      C(N, a_0) * g_0**a_0 is one table.  At each later level but the last,
+      C(left_k, a_k) by ``map(comb, ...)`` over the running column of firms
+      still to place, times a table of g_k**a_k; the last level's
+      C(left, left) = 1 is skipped.
+    - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
+
+    Levels with g_k = 1 take no table, except level 0 of distinguishable
+    firms.
+    """
     mon = regime is Regime.MONOPOLISTIC
     factors = []  # one lazy column of factors per level and kind
     if mon:
@@ -253,42 +262,17 @@ def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> lis
     return counts.tolist()
 
 
-def _walked_multiplicities(
-    columns: Sequence[np.ndarray],
-    degeneracies: tuple[int, ...],
-    deltas: tuple[int, int, int],
-) -> list[int]:
-    """Distinguishable-firm counts of a listing of int64 ``columns``, by
-    ``_ratio_walk``.
+def _ratio_walk(columns: Sequence[np.ndarray], degeneracies: tuple[int, ...]) -> list[int]:
+    """N! / prod(a_k!) * prod(g_k^a_k) of every row of a listing of int64
+    ``columns`` by ``enumerate_orders``' array member, each row that
+    continues a run from its predecessor's count by an exact ratio.
 
-    ``deltas`` are (step, a_down, rest_up) of ``enumeration._last_three``.
-    Row p continues row p - 1 when a_0..a_{n-4} are equal in both and the
-    last three levels moved by (+step, -a_down, +rest_up).
-    """
-    *prefix, x, y, z = columns
-    step, a_down, rest_up = deltas
-    continues = x[1:] - x[:-1] == step
-    continues &= y[:-1] - y[1:] == a_down
-    continues &= z[1:] - z[:-1] == rest_up
-    for column in prefix:
-        continues &= column[1:] == column[:-1]
-    return _ratio_walk(columns, degeneracies, deltas, continues)
-
-
-def _ratio_walk(
-    columns: Sequence[np.ndarray],
-    degeneracies: tuple[int, ...],
-    deltas: tuple[int, int, int],
-    continues: np.ndarray,
-) -> list[int]:
-    """N! / prod(a_k!) * prod(g_k^a_k) of every row of an int64 listing,
-    each continuing row's from its predecessor's by an exact ratio.
-
-    ``continues[p - 1]`` says that row p continues row p - 1
-    (``_walked_multiplicities``); every other row starts a run, and the run
-    starts are counted by the chain (``_multiplicities``).  With (x, y, z)
-    the last three levels and (step, a_down, rest_up) their moves, row p's
-    count is
+    A run is one prefix a_0..a_{n-4}: a row starts a run where one of those
+    columns changes, so a three-level listing is one run.  Along a run the
+    member zips the last three levels (x, y, z) from one progression, so
+    every continuing row moves them by the same (+step, -a_down, +rest_up),
+    read from the first continuing pair.  The run starts are counted by the
+    chain (``_chain``), and row p of a run by
 
         w_p = w_{p-1} * U_p // D_p,
         U_p = perm(y_{p-1}, a_down) * g_x**step * g_z**rest_up,
@@ -302,18 +286,23 @@ def _ratio_walk(
     updates the k-th row of every such run by two numpy calls on slices.
     The numpy calls grow with the longest run, not with the rows.
     """
-    *_, x, y, z = columns
-    step, a_down, rest_up = deltas
+    *prefix, x, y, z = columns
     g_x, g_y, g_z = degeneracies[-3:]
-    starts = np.flatnonzero(np.concatenate(([True], ~continues)))
-    first = _multiplicities(
-        [column[starts] for column in columns], degeneracies, Regime.MONOPOLISTIC
+    fresh = np.zeros(len(x), dtype=bool)  # the rows that start a run
+    fresh[0] = True
+    for column in prefix:
+        fresh[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(fresh)
+    first = _chain(
+        [column[starts].tolist() for column in columns], degeneracies, Regime.MONOPOLISTIC
     )
     lengths = np.append(starts[1:], len(x)) - starts
     # going[k - 1]: the runs longer than k, for k = 1 .. longest - 1
     going = (len(starts) - np.cumsum(np.bincount(lengths)))[1:-1]
     if not going.size:
         return first
+    p = int(np.argmin(fresh))  # the first row that continues its predecessor
+    step, a_down, rest_up = int(x[p] - x[p - 1]), int(y[p - 1] - y[p]), int(z[p] - z[p - 1])
     order = np.argsort(-lengths, kind="stable")
     ends = np.cumsum(going)
     # the k-th row of each of the going[k - 1] runs, step by step

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _records
-from .counting import _multiplicities, _walked_multiplicities, multiplicity
+from .counting import _multiplicities, multiplicity
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError, WalkDepthError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
@@ -91,9 +91,9 @@ class _Orders(Sequence):
     ``core._records`` only when it is read: one for an index, and for
     iteration, a slice or ``take`` one C-level pass over the zipped
     columns; a slice is a tuple.  Views with equal columns are equal and
-    hash alike.  ``arrays`` holds the int64 columns that enumerate_orders'
-    array member listed, the same values as ``columns``, or None after the
-    stack member; ``catalog`` counts from them and then drops them.
+    hash alike.  ``arrays`` holds the array member's int64 columns, the
+    same values as ``columns``, or None after the stack member; ``catalog``
+    hands them to the count and then drops them.
     """
 
     __slots__ = ("columns", "arrays")
@@ -391,7 +391,8 @@ def enumerate_orders(
     per level (``columns``, a_k of every order in listing order): its length
     is the number of orders, and each ``EconomicOrder`` is made when it is
     read (``_Orders``).  The array member's int64 columns become those lists
-    by one ``tolist`` each and ride along as the view's ``arrays``.
+    by one ``tolist`` each and ride along as the view's ``arrays``, for
+    ``catalog``'s count.
 
     The listing of Nijenhuis & Wilf (*Combinatorial Algorithms*, 1978), in
     closed form.  With ``left`` firms and revenue ``need`` still to place
@@ -431,14 +432,14 @@ def enumerate_orders(
     a_1..a_{n-2}, and a prefix of k <= n - 2 levels by a_1..a_{k-1} and its
     ``left``; both are at most n - 2 values summing to at most q, so B bounds
     the number of orders and the rows of every frontier.  The array member
-    runs only with a total on ``LISTING_MIN_LEVELS`` (4) or more levels,
-    where B reaches ``LISTING_MIN_ROWS`` per level (below that numpy's fixed
-    cost of some 25 us per level outweighs the pops it saves), where the n*B
-    int64 values of the worst case fit in ``LISTING_MAX_VALUES``, and where
-    N*e_max and Pi (so every int64 intermediate) stay exact.  Everything
-    else, among it the few-order grids of the samplers, deep grids with few
-    firms, grids past the memory budget and N past int64, is listed by the
-    stack member.
+    runs only with a total on three or more levels (it zips the last
+    three), where B reaches ``LISTING_MIN_ROWS`` per level (below that
+    numpy's fixed cost of some 25 us per level outweighs the pops it
+    saves), where the n*B int64 values of the worst case fit in
+    ``LISTING_MAX_VALUES``, and where N*e_max and Pi (so every int64
+    intermediate) stay exact.  Everything else, among it the few-order
+    grids of the samplers, deep grids with few firms, grids past the memory
+    budget and N past int64, is listed by the stack member.
 
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
     they are listed, before the columns hold them, and a truncated listing
@@ -453,16 +454,20 @@ def enumerate_orders(
     return _Orders(columns)
 
 
-# enumerate_orders' array member runs on grids of LISTING_MIN_LEVELS or more
-# levels (it needs three; on three the stack member's one entry is one zipped
-# run, with no pop to save), where the bound B reaches LISTING_MIN_ROWS per
-# level, and where the worst case's n*B int64 values (as many again for their
-# parents) stay within LISTING_MAX_VALUES, 32 MB of each.  Best of 9 on a
-# 2-core Xeon (Python 3.11.7, numpy 2.4.6), stack against array member:
-# 38 / 93 us at B/n = 16 (levels 1..4, N = 10), 100 / 104 us at 124 (N = 30),
-# 323 / 172 us at 1,288 (N = 100); 60 / 96 us at 23 (levels 0 3 7 20,
-# N = 12), 259 / 145 us at 58 (levels 1..8, N = 5).
-LISTING_MIN_LEVELS = 4
+# enumerate_orders' array member runs on grids of three or more levels where
+# the bound B reaches LISTING_MIN_ROWS per level, and where the worst case's
+# n*B int64 values (as many again for their parents) stay within
+# LISTING_MAX_VALUES, 32 MB of each.  Best of 9 on a 2-core Xeon (Python
+# 3.11.7, numpy 2.4.6), listing alone, stack against array member: 38 / 93 us
+# at B/n = 16 (levels 1..4, N = 10), 100 / 104 us at 124 (N = 30), 323 / 172
+# us at 1,288 (N = 100); 60 / 96 us at 23 (levels 0 3 7 20, N = 12), 259 /
+# 145 us at 58 (levels 1..8, N = 5).  On three levels the stack member's one
+# entry is one zipped run, so the array member lists more slowly (9 / 41 us
+# at levels 1 2 3, N = 400, Pi = 800), but its int64 columns let the catalog
+# walk a mon listing: with g 1 2 3, 1.9-2.5 -> 0.9-1.5 ms for that catalog
+# and 400 -> 10-13 ms at N = 3,000, while the per catalog pays the listing,
+# 0.15 -> 0.16-0.28 ms.  Three levels take it at B >= 384 (every sampling
+# grid has B <= 25).
 LISTING_MIN_ROWS = 128
 LISTING_MAX_VALUES = 1 << 22
 # N*e_max, Pi and e_max**2 below this keep every int64 intermediate exact
@@ -470,14 +475,15 @@ _INT64_ROOM = 1 << 61
 
 
 def _listing(grid: RevenueGrid, config: EconomyConfig):
-    """The one reader of LISTING_MIN_LEVELS, LISTING_MIN_ROWS,
-    LISTING_MAX_VALUES and _INT64_ROOM: the member of enumerate_orders that
-    lists this grid, _level_columns where a total is given and B (see
-    enumerate_orders) pays for its level passes and fits, else
+    """The one reader of LISTING_MIN_ROWS, LISTING_MAX_VALUES and
+    _INT64_ROOM: the member of enumerate_orders that lists this grid,
+    _level_columns where a total is given on three or more levels and B
+    (see enumerate_orders) pays for its level passes and fits, else
     _stack_columns."""
     levels, total = grid.levels, config.total_revenue
     n = len(levels)
-    if total is None or n < LISTING_MIN_LEVELS:
+    # structural, not a tunable: the array member zips the last three levels
+    if total is None or n < 3:
         return _stack_columns
     n_firms = config.n_firms
     q = min(n_firms, (total - n_firms * levels[0]) // (levels[1] - levels[0]))
@@ -745,54 +751,33 @@ def catalog(
     """Exact catalog of feasible orders with equal-outcome probabilities.
 
     The one table of feasible orders and their multiplicities, kept as the
-    columns of ``OrderCatalog``: the orders ``enumerate_orders`` lists, as
-    its view over the level columns, and their counts, in listing order.
-    The listing comes from whichever of enumerate_orders' two members its
-    selector ``_listing`` picks by the bound B on the orders: the array
-    member (level-by-level numpy frontiers) for a total on four or more
-    levels where B reaches ``LISTING_MIN_ROWS`` per level and n*B int64
-    values fit ``LISTING_MAX_VALUES``, else the stack member.  Both give
-    the same columns of Python ints and refuse the same caps, so nothing
-    below depends on the choice.
-    With a ``cap``, more than ``cap`` orders raise CapExceededError while
-    they are listed, before any multiplicity is computed (a negative
+    columns of ``OrderCatalog``: the orders of one ``enumerate_orders``
+    call, as its view over the level columns, and their counts, in listing
+    order.  With a ``cap``, more than ``cap`` orders raise CapExceededError
+    while they are listed, before any multiplicity is computed (a negative
     ``cap`` is a ConfigError).  No order record other than the most
     probable one, no entry record and no probability is made here:
     ``orders`` and ``entries`` make each when it is read.
     ``most_probable``, ``tie_set``, the sampler and every CLI artifact read
     the columns.
 
-    The multiplicities come from ``counting._multiplicities``, which builds
-    the counts level column by level column from small exact tables, with
-    no Python call per order.  A listing by the array member is counted on
-    that member's int64 columns (``arrays``).  Under perfect competition
-    ``_multiplicities`` multiplies them in int64 whenever the product of the
-    levels' largest factors is below 2**63, so no count can overflow.
-    Under monopolistic competition ``counting._walked_multiplicities``
-    walks the listing's runs: along a run the last three levels move by the
-    fixed (step, -a_down, +rest_up) of ``_last_three``, so each order's count
-    is its predecessor's times an exact ratio of small falling factorials,
-    and only the run starts are counted by the column tables.  Every
-    stack-member listing is counted on the lists in Python ints.  The
-    arrays are dropped once counted, so the catalog's ``orders.columns`` are
-    lists of Python ints alone, and so are its ``counts``.  The most
-    probable order's count is then recomputed once by the closed-form ``multiplicity`` (a few µs), and a disagreement
-    raises EconOrderError naming the order.  That check serves two ends:
-    the count that ``spontaneous.json`` reports is held to the closed form
-    on every run, and the benchmark's traced layer suite
-    (``bench/suite.py``), which divides by the number of ``multiplicity``
-    calls, sees at least one.
+    The counts come from ``counting._multiplicities``, handed the listing's
+    int64 columns (``arrays``) where the array member listed it, else its
+    lists; that function picks how they are counted.  The arrays are
+    dropped once counted, so the catalog's ``orders.columns`` are lists of
+    Python ints alone, and so are its ``counts``.  The most probable order's
+    count is then recomputed once by the closed-form ``multiplicity`` (a few
+    µs), and a disagreement raises EconOrderError naming the order.  That
+    check serves two ends: the count that ``spontaneous.json`` reports is
+    held to the closed form on every run, and the benchmark's traced layer
+    suite (``bench/suite.py``), which divides by the number of
+    ``multiplicity`` calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     arrays, orders.arrays = orders.arrays, None
-    if arrays is not None and config.regime is Regime.MONOPOLISTIC:
-        deltas = _last_three(grid.levels)[3:6]
-        counts = tuple(_walked_multiplicities(arrays, grid.degeneracies, deltas))
-    else:
-        columns = orders.columns if arrays is None else arrays
-        counts = tuple(_multiplicities(columns, grid.degeneracies, config.regime))
+    counts = tuple(_multiplicities(arrays or orders.columns, grid.degeneracies, config.regime))
     cat = OrderCatalog(orders, counts, sum(counts), grid.degeneracies, config.regime)
     top, best = cat.most_probable(), counts[cat._top]
     exact = multiplicity(top, grid, config.regime)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, enumeration
+from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, counting, enumeration
 from econorder.checks import check_sampler
 from econorder.cli import main
 
@@ -71,16 +71,17 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
-def count_calls(monkeypatch, name):
-    """Record each call of ``econorder.enumeration.<name>``; returns the log."""
+def count_calls(monkeypatch, name, module=enumeration):
+    """Record each call of ``<module>.<name>``, by default a name in
+    ``econorder.enumeration``; returns the log."""
     calls = []
-    original = getattr(enumeration, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -312,7 +313,7 @@ class TestEnumerate:
         # N = 12 firms over two levels: 13 orders, one more than the cap,
         # which stops the listing before any order is counted
         counted = count_calls(monkeypatch, "_multiplicities")
-        walked = count_calls(monkeypatch, "_walked_multiplicities")
+        walked = count_calls(monkeypatch, "_ratio_walk", counting)
         checked = count_calls(monkeypatch, "multiplicity")
         text = EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 12") + "\n[caps]\nmax_outcomes = 12\n"
         config = write_config(tmp_path, text)

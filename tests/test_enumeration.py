@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -303,7 +303,7 @@ class TestEnumerateOrders:
 # enumerate_orders' selector constants that force each member on any grid
 # with a total and three or more levels
 STACK_MEMBER = {"LISTING_MIN_ROWS": 2**62}
-ARRAY_MEMBER = {"LISTING_MIN_LEVELS": 3, "LISTING_MIN_ROWS": 0, "LISTING_MAX_VALUES": 2**62}
+ARRAY_MEMBER = {"LISTING_MIN_ROWS": 0, "LISTING_MAX_VALUES": 2**62}
 
 
 def listed_by(constants, grid, config, cap=None):
@@ -366,7 +366,8 @@ class TestListingMembers:
             ((1, 2, 3, 4, 5), 30, 90, "_level_columns"),  # the exact-orders deck's smallest catalog
             ((1, 3, 4, 9, 10), 40, 200, "_level_columns"),
             ((1, 2, 3, 4), 100, 250, "_level_columns"),
-            ((1, 2, 3), 1000, 2000, "_stack_columns"),  # one zipped run: no pop to save
+            ((1, 2, 3), 1000, 2000, "_level_columns"),  # B = 1001: one run of 501 orders
+            ((1, 2, 3), 300, 450, "_stack_columns"),  # B = 151, below 3 * LISTING_MIN_ROWS
             ((1, 2, 3), 12, 20, "_stack_columns"),  # the uniform sampling grids
             ((1, 2, 3, 4, 5), 20, 23, "_stack_columns"),  # the chain sampling grids
             ((0, 3, 7, 20), 12, 60, "_stack_columns"),
@@ -391,9 +392,9 @@ class TestListingMembers:
         walked = []
         walk = counting._ratio_walk
 
-        def spy(columns, degeneracies, deltas, continues):
+        def spy(columns, degeneracies):
             walked.append(len(columns[0]))
-            return walk(columns, degeneracies, deltas, continues)
+            return walk(columns, degeneracies)
 
         monkeypatch.setattr(counting, "_ratio_walk", spy)
         deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
@@ -944,6 +945,13 @@ class TestCatalogEntry:
     @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 4333)), EconomyConfig(10**4, 10**4 + 12, Regime.PERFECT)))
     # a_0 = a_2 <= 6: each level's factors fit int64, their products do not
     @example(economy=(RevenueGrid((1, 2, 3), (4332, 1, 4332)), EconomyConfig(12, 24, Regime.PERFECT)))
+    # what the selector itself hands to the array member on three levels:
+    # B = 1001, one run of 501 orders; and B = 401 with a gap and level 0
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(1000, 2000, Regime.MONOPOLISTIC)))
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(1000, 2000, Regime.PERFECT)))
+    @example(economy=(RevenueGrid((0, 3, 7), (2, 3, 2)), EconomyConfig(400, 1400, Regime.MONOPOLISTIC)))
+    # one order, (0, 0, 400), yet B = 401: a run with no continuing row
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(400, 1200, Regime.MONOPOLISTIC)))
     @settings(max_examples=200, deadline=None)
     def test_column_counts_equal_multiplicity(self, constants, economy):
         grid, config = economy
@@ -957,24 +965,6 @@ class TestCatalogEntry:
         assert all(type(a) is int for column in cat.orders.columns for a in column)
         assert cat.orders.arrays is None
         assert cat.total_outcomes == feasible_outcome_count(grid, config)
-
-    @given(economy=feasible_economies(max_levels=5, max_degeneracy=4), reverse=st.booleans())
-    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(4, None, Regime.MONOPOLISTIC)), reverse=False)
-    @settings(max_examples=100, deadline=None)
-    def test_the_walk_steps_only_rows_that_move_by_its_deltas(self, economy, reverse):
-        # any listing of one N, as int64 columns, in listing or reversed
-        # order: without a total, rows of one prefix move their last three
-        # levels by (0, 1, -1) and the like, never by the walk's deltas, so
-        # the walk must start a run there rather than step
-        grid, config = economy
-        assume(grid.n >= 3)
-        columns = enumeration.enumerate_orders(grid, config).columns
-        if reverse:
-            columns = [column[::-1] for column in columns]
-        arrays = [np.array(column, dtype=np.int64) for column in columns]
-        deltas = enumeration._last_three(grid.levels)[3:6]
-        counts = counting._walked_multiplicities(arrays, grid.degeneracies, deltas)
-        assert counts == counting._multiplicities(columns, grid.degeneracies, Regime.MONOPOLISTIC)
 
 
 class TestSpontaneousOrder:

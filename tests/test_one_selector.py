@@ -3,12 +3,15 @@
 maxent._evaluator compares a grid's level count against
 maxent.ARRAY_MIN_LEVELS and builds the member of the evaluator pair that the
 count selects.  enumeration._listing likewise reads the listing constants
-(LISTING_MIN_LEVELS, LISTING_MIN_ROWS, LISTING_MAX_VALUES and the int64
-room) and picks enumerate_orders' stack or array member.  A second reader of
-a constant, or a level-count test of its own in macro or counting, would let
-one caller take one member while another takes the other, and a patched
-constant would switch only some of them.  This parses each source file with
-``ast`` and reports every read of a constant outside its selector, and every
+(LISTING_MIN_ROWS, LISTING_MAX_VALUES and the int64 room) and picks
+enumerate_orders' stack or array member, and counting._multiplicities picks
+how a listing is counted: the ratio walk, int64 products or the chain.  A
+second reader of a constant, a second caller of a counting route, or a
+level-count test of its own in macro or counting, would let one caller take
+one member while another takes the other, and a patched constant would
+switch only some of them.  This parses each source file with ``ast`` and
+reports every read of a constant outside its selector, every reference to a
+counting route outside the functions allowed to take it, and every
 comparison of ``grid.n`` against a constant in macro.py and counting.py.
 """
 
@@ -23,12 +26,17 @@ CONSTANT = "ARRAY_MIN_LEVELS"
 # each constant: its one selector (file, function), which also defines it
 SELECTORS = {
     CONSTANT: ("maxent.py", "_evaluator"),
-    "LISTING_MIN_LEVELS": ("enumeration.py", "_listing"),
     "LISTING_MIN_ROWS": ("enumeration.py", "_listing"),
     "LISTING_MAX_VALUES": ("enumeration.py", "_listing"),
     "_INT64_ROOM": ("enumeration.py", "_listing"),
 }
 NO_DISPATCH = ("macro.py", "counting.py")
+# each counting route: the functions of counting.py that may call it
+ROUTES = {
+    "_ratio_walk": {"_multiplicities"},
+    "_bose_einstein_int64": {"_multiplicities"},
+    "_chain": {"_multiplicities", "_ratio_walk"},
+}
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -51,6 +59,17 @@ def readers(tree: ast.Module, name: str = CONSTANT) -> list[str]:
             found.append(scope)
         stack.extend((child, scope) for child in reversed(list(ast.iter_child_nodes(node))))
     return found
+
+
+def imported_from(tree: ast.Module, module: str) -> set[str]:
+    """Names imported from the package's ``module`` (``from .module import
+    ...``), and ``module`` itself where it is imported whole."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            names.update(a.name for a in node.names if module in (source, a.name))
+    return names
 
 
 def definitions(tree: ast.Module, name: str = CONSTANT) -> int:
@@ -105,6 +124,22 @@ def test_the_constant_is_defined_once_beside_its_selector(name):
     assert {source: n for source, n in counts.items() if n} == {SELECTORS[name][0]: 1}
 
 
+def test_the_catalog_counts_only_through_the_dispatcher():
+    path = PACKAGE / "enumeration.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert imported_from(tree, "counting") == {"_multiplicities", "multiplicity"}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_only_the_dispatcher_takes_a_counting_route(route):
+    found = {
+        (path.name, scope)
+        for path in SOURCES
+        for scope in readers(ast.parse(path.read_text(), filename=str(path)), route)
+    }
+    assert found == {("counting.py", caller) for caller in ROUTES[route]}
+
+
 @pytest.mark.parametrize("name", NO_DISPATCH)
 def test_no_level_count_dispatch(name):
     path = PACKAGE / name
@@ -127,3 +162,15 @@ def test_a_second_reader_and_a_dispatch_are_caught():
     )
     assert readers(tree) == ["", "total"]
     assert level_count_tests(tree) == [5, 7, 10]
+
+
+def test_a_route_taken_around_the_dispatcher_is_caught():
+    tree = ast.parse(
+        "from .counting import _multiplicities, _ratio_walk as walk\n"
+        "from . import counting\n"
+        "def catalog(columns, g):\n"
+        "    return counting._bose_einstein_int64(columns, len(g))\n"
+    )
+    assert imported_from(tree, "counting") == {"_multiplicities", "_ratio_walk", "counting"}
+    assert readers(tree, "_ratio_walk") == [""]
+    assert readers(tree, "_bose_einstein_int64") == ["catalog"]
