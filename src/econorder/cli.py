@@ -124,8 +124,8 @@ def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
-    out = _out_dir(args, run)
     outcomes = islice(cat.sample(run.seed), draws)
+    out = _out_dir(args, run)
     if args.log_outcomes:  # each row is written as the tally reads it
         with (out / "outcomes.csv").open("w", newline="") as handle:
             handle.write("step,assignment\n")

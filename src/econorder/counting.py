@@ -12,10 +12,10 @@ distinguishable firms on int64 columns (``enumerate_orders``' array member)
 are walked along the listing's runs, each row's count its predecessor's
 times an exact ratio of small falling factorials (``_ratio_walk``);
 indistinguishable firms on int64 columns are multiplied in numpy int64
-(``_bose_einstein_int64``) while the levels' largest factors multiply to
-less than 2**63; every other listing is counted in Python ints one level
-column at a time (the chain, ``_chain``), which also counts the walk's run
-starts.
+(``_bose_einstein_int64``, handed back as the int64 array) while the
+levels' largest factors multiply to less than 2**63; every other listing
+is counted in Python ints one level column at a time (the chain,
+``_chain``), which also counts the walk's run starts.
 ``multiplicity`` takes the distinguishable count by one of two routes,
 chosen by the chain's work s = sum_k min(a_k, left_k - a_k), left_k being
 the firms not yet placed before level k: a chain of binomials
@@ -164,26 +164,27 @@ def _product(values: list[int]) -> int:
 
 def _multiplicities(
     columns: Sequence[Sequence[int]], degeneracies: tuple[int, ...], regime: Regime
-) -> list[int]:
+) -> list[int] | np.ndarray:
     """Exact multiplicity of every order of a listing, given level by level.
 
     ``columns[k]`` holds a_k of every order, as ``enumerate_orders`` lists
     them: one list per level (its view's ``columns``), or one int64 array
     per level (the array member's ``arrays``); the orders share one firm
-    count N.  The counts are ``multiplicity``'s, as Python ints, with no
+    count N.  The counts are ``multiplicity``'s, in listing order, with no
     Python call per order.  This is the one place that picks the route,
     from the columns and the regime alone:
 
     - int64 columns of distinguishable firms: ``_ratio_walk`` along the
       listing's runs, which counts only the rows that start a run by the
-      chain.
+      chain; a list of Python ints.
     - int64 columns of indistinguishable firms, while the product over the
       levels of each level's largest factor, C(max a_k + g_k - 1, max a_k),
       is below 2**63 (the width of int64, not a tunable):
-      ``_bose_einstein_int64``.  Every count is at most that product and
-      every factor at least 1, so no running product overflows.
+      ``_bose_einstein_int64``, an int64 array, which the caller turns into
+      Python ints.  Every count is at most that product and every factor at
+      least 1, so no running product overflows.
     - Every other listing, int64 columns turned into lists first: the chain
-      (``_chain``).
+      (``_chain``); a list of Python ints.
     """
     if isinstance(columns[0], np.ndarray):
         if regime is Regime.MONOPOLISTIC:
@@ -244,22 +245,23 @@ def _largest_count(tabled: list[tuple[np.ndarray, int]]) -> int:
     return math.prod(comb(a + g - 1, a) for a, g in tops)
 
 
-def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> list[int]:
-    """Bose-Einstein counts of ``size`` orders as int64 products, given the
-    int64 column and degeneracy of every level with g_k > 1; the caller has
-    bounded every count below 2**63 (``_largest_count``).  Each level's
-    C(a + g_k - 1, a) is tabled over its column's range min..max, exact in
-    Python ints, and gathered by the column.  On an array-member listing
-    that range holds at most q + 1 values (q of ``enumerate_orders``' bound
-    B, below B itself), since a_0 >= N - q and a_k <= q above level 0."""
-    if not (tabled and size):
-        return [1] * size
+def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> np.ndarray:
+    """Bose-Einstein counts of ``size`` orders as one int64 array of
+    products, given the int64 column and degeneracy of every level with
+    g_k > 1; the caller has bounded every count below 2**63
+    (``_largest_count``).  The array is returned as it is, so that the
+    catalog finds its top count and ties in numpy before one ``tolist``.
+    Each level's C(a + g_k - 1, a) is tabled over its column's range
+    min..max, exact in Python ints, and gathered by the column.  On an
+    array-member listing that range holds at most q + 1 values (q of
+    ``enumerate_orders``' bound B, below B itself), since a_0 >= N - q and
+    a_k <= q above level 0."""
     counts = np.ones(size, dtype=np.int64)
     for column, g in tabled:
         low = int(column.min())
         table = [comb(a + g - 1, a) for a in range(low, int(column.max()) + 1)]
         counts *= np.array(table, dtype=np.int64)[column - low]
-    return counts.tolist()
+    return counts
 
 
 def _ratio_walk(columns: Sequence[np.ndarray], degeneracies: tuple[int, ...]) -> list[int]:

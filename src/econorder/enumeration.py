@@ -203,8 +203,12 @@ class OrderCatalog:
     rule.  ``entries`` sorts the first time it is indexed or iterated, once
     per catalog, and ``entries.positions`` then holds the listing index of
     each entry; its length, ``most_probable``, ``tie_set`` and ``sample``
-    read the columns and never sort.  The top count is found once per
-    catalog; ``most_probable`` makes one record and ``tie_set`` one per tie.
+    read the columns and never sort.  The listing indices of the orders
+    with the top count are found once per catalog: by ``catalog`` on the
+    int64 counts it was handed, else on first use by one ``max`` pass and
+    one C-level pass comparing every count with it.  ``most_probable`` is
+    the first of them and makes one record; ``tie_set`` gathers one record
+    per tie from the columns by ``orders.take``.
     ``entries`` may also be given, as any sequence of entries
     (``dataclasses.replace(cat, entries=...)``); no method of the catalog
     reads it.
@@ -223,18 +227,22 @@ class OrderCatalog:
             object.__setattr__(self, "entries", entries)
 
     @cached_property
+    def _ties(self) -> list[int]:
+        """Listing indices of the orders with the largest count, ascending."""
+        counts = self.counts
+        return list(compress(range(len(counts)), map(eq, counts, repeat(max(counts)))))
+
+    @property
     def _top(self) -> int:
         """Listing index of the first order with the largest count."""
         # the listing is lexicographic, so the first top count is the smallest tie
-        return self.counts.index(max(self.counts))
+        return self._ties[0]
 
     def most_probable(self) -> EconomicOrder:
         return self.orders[self._top]
 
     def tie_set(self) -> tuple[EconomicOrder, ...]:
-        best = self.counts[self._top]
-        ties = compress(zip(*self.orders.columns), map(eq, self.counts, repeat(best)))
-        return tuple(_records(EconomicOrder, self.counts.count(best), occupancy=ties))
+        return tuple(self.orders.take(self._ties))
 
     def sample(self, seed: int) -> Iterator[MicroOutcome]:
         """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
@@ -248,10 +256,12 @@ class OrderCatalog:
         batch of picked orders is then placed by exact integer draws of a
         numpy Generator seeded from that same ``random.Random``, so one seed
         drives the whole stream and the first k draws do not depend on how
-        many are taken.  The stream builds one occupancy matrix from the
-        order columns when it starts, and a batch gathers its picked rows by
-        index; an order's record is made from the columns the first time it
-        is drawn, and later draws of it share that record.
+        many are taken.  A catalog of N >= 2**63 firms is refused with a
+        ConfigError when ``sample`` is called, before the stream starts.
+        The stream builds one int64 occupancy matrix from the order columns
+        when it starts, and a batch gathers its picked rows by index.  An
+        order's record is made from the columns the first time it is drawn,
+        and later draws of it share that record.
 
         - Distinguishable firms: each order's level labels are shuffled over
           the firms, and each firm gets a uniform slot of its level.
@@ -273,6 +283,16 @@ class OrderCatalog:
         other than the drawn ones is ever built.  Every entry of an
         assignment is a Python int.
         """
+        n_firms = sum(column[0] for column in self.orders.columns)
+        if n_firms >= 1 << 63:
+            raise ConfigError(
+                "sample: N = %d firms is past int64 (2**63 - 1), the bound on the "
+                "occupancies the sampler places" % n_firms
+            )
+        return self._stream(seed, n_firms)
+
+    def _stream(self, seed: int, n_firms: int) -> Iterator[MicroOutcome]:
+        """``sample``'s stream, for a catalog of ``n_firms`` < 2**63 firms."""
         from numpy.random import default_rng  # numpy.random loads only when sampling
 
         cumulative, total = tuple(accumulate(self.counts)), self.total_outcomes
@@ -285,7 +305,7 @@ class OrderCatalog:
         )
         occupancies = np.array(self.orders.columns).T  # one row per listed order
         made: dict[int, EconomicOrder] = {}  # the record of each order drawn so far
-        width = sum(column[0] for column in self.orders.columns) + sum(self.degeneracies)
+        width = n_firms + sum(self.degeneracies)
         size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
         while True:
             # randrange(total)'s own rejection loop, run over the whole batch
@@ -763,22 +783,32 @@ def catalog(
 
     The counts come from ``counting._multiplicities``, handed the listing's
     int64 columns (``arrays``) where the array member listed it, else its
-    lists; that function picks how they are counted.  The arrays are
-    dropped once counted, so the catalog's ``orders.columns`` are lists of
-    Python ints alone, and so are its ``counts``.  The most probable order's
-    count is then recomputed once by the closed-form ``multiplicity`` (a few
-    µs), and a disagreement raises EconOrderError naming the order.  That
-    check serves two ends: the count that ``spontaneous.json`` reports is
-    held to the closed form on every run, and the benchmark's traced layer
-    suite (``bench/suite.py``), which divides by the number of
-    ``multiplicity`` calls, sees at least one.
+    lists; that function picks how they are counted.  Where it hands back
+    an int64 array (indistinguishable firms on int64 columns), the listing
+    indices of the top count's ties are taken on that array by one
+    ``flatnonzero`` before its one ``tolist``, and the catalog keeps them;
+    any other catalog finds them on first use (``OrderCatalog``).  The
+    arrays are dropped once counted, so the catalog's ``orders.columns``
+    are lists of Python ints alone, and so are its ``counts``.  The most
+    probable order's count is then recomputed once by the closed-form
+    ``multiplicity`` (a few µs), and a disagreement raises EconOrderError
+    naming the order.  That check serves two ends: the count that
+    ``spontaneous.json`` reports is held to the closed form on every run,
+    and the benchmark's traced layer suite (``bench/suite.py``), which
+    divides by the number of ``multiplicity`` calls, sees at least one.
     """
     orders = enumerate_orders(grid, config, cap=cap)
     if not orders:
         raise InfeasibleError("infeasible economy: no occupancy satisfies the constraints")
     arrays, orders.arrays = orders.arrays, None
-    counts = tuple(_multiplicities(arrays or orders.columns, grid.degeneracies, config.regime))
-    cat = OrderCatalog(orders, counts, sum(counts), grid.degeneracies, config.regime)
+    counts = _multiplicities(arrays or orders.columns, grid.degeneracies, config.regime)
+    ties = None
+    if isinstance(counts, np.ndarray):
+        ties = np.flatnonzero(counts == counts.max()).tolist()
+        counts = counts.tolist()
+    cat = OrderCatalog(orders, tuple(counts), sum(counts), grid.degeneracies, config.regime)
+    if ties is not None:
+        object.__setattr__(cat, "_ties", ties)  # what the lazy pass would find
     top, best = cat.most_probable(), counts[cat._top]
     exact = multiplicity(top, grid, config.regime)
     if best != exact:
@@ -799,8 +829,8 @@ def sample_outcomes(
     """Seeded stream of uniform feasible micro-outcomes: ``OrderCatalog.sample``.
 
     The catalog is built before this returns, so an infeasible economy raises
-    InfeasibleError here, and more than ``cap`` orders raise CapExceededError
-    while they are being listed.
+    InfeasibleError here, more than ``cap`` orders raise CapExceededError
+    while they are being listed, and N >= 2**63 firms raise ConfigError.
     """
     return catalog(grid, config, cap=cap).sample(seed)
 

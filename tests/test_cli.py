@@ -459,6 +459,29 @@ class TestSample:
         with (tmp_path / "out" / "outcomes.csv").open() as handle:
             assert sum(1 for _ in handle) == 60_001
 
+    @pytest.mark.parametrize("extra", [[], ["--log-outcomes"]], ids=["tally", "log"])
+    def test_occupancies_past_int64_are_refused_by_name(self, tmp_path, capsys, extra):
+        # one feasible order, (0, N, 0) with N = isqrt(float max) ~ 1.34e154,
+        # which enumerate lists; the sampler refuses it before its stream
+        # builds an int64 occupancy matrix and before --out is made, with no
+        # traceback
+        config = write_config(
+            tmp_path, all_g1_config((1, 2, 10**155), PER_MAX, FLOAT_MAX, "per")
+        )
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["sample", "--config", str(config), "--out", str(out), *extra]) == 1
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        err = json.loads(captured.out.strip().splitlines()[-1])
+        assert err["error"] == "config"
+        assert err["message"] == (
+            "sample: N = %d firms is past int64 (2**63 - 1), the bound on the "
+            "occupancies the sampler places" % PER_MAX
+        )
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
     def test_outcome_log_opt_in(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 20\n")
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib
 import io
@@ -446,6 +447,56 @@ class TestListingMembers:
         cat = catalog(grid, config)
         assert routed == []
         assert cat.counts[-1] == multiplicity(cat.orders[-1], grid, Regime.PERFECT) > 2**63
+
+    def test_ties_are_taken_on_the_int64_counts_of_the_benchmark_per_catalogs_only(
+        self, monkeypatch, tmp_path
+    ):
+        # the benchmark's decks, as bench/workloads.py builds them: each
+        # exact-orders per catalog finds its ties on the int64 array the count
+        # hands back, before that array becomes a list, and never by the
+        # catalog's lazy pass over the counts; each mon catalog and each
+        # sampling grid finds them by the lazy pass once
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.delitem(sys.modules, "workloads", raising=False)
+        workloads = importlib.import_module("workloads")
+        on_array, lazy = [], []
+
+        class Watched(np.ndarray):
+            def max(self, *args, **kwargs):
+                on_array.append(len(self))
+                return np.asarray(self).max(*args, **kwargs)
+
+        int64_route = counting._bose_einstein_int64
+        monkeypatch.setattr(
+            counting, "_bose_einstein_int64", lambda *args: int64_route(*args).view(Watched)
+        )
+        lazy_pass = enumeration.OrderCatalog._ties
+
+        def spy(cat):
+            lazy.append(len(cat.counts))
+            return lazy_pass.func(cat)
+
+        spied = functools.cached_property(spy)
+        spied.__set_name__(enumeration.OrderCatalog, "_ties")
+        monkeypatch.setattr(enumeration.OrderCatalog, "_ties", spied)
+        deck = workloads.ExactOrders(seed=0, workdir=tmp_path)
+        for op in (op for op in deck.ops if op.kind == "catalog"):
+            before = len(on_array), len(lazy)
+            cat = catalog(*op.args)
+            ties = cat.tie_set()
+            per = op.args[1].regime is Regime.PERFECT
+            n = len(cat.counts)
+            assert on_array[before[0] :] == ([n] if per else []), op.args
+            assert lazy[before[1] :] == ([] if per else [n]), op.args
+            best = max(cat.counts)
+            assert ties == tuple(o for o, c in zip(cat.orders, cat.counts) if c == best)
+        assert len(on_array) == deck.DRAWS * len(deck.LADDER)
+        on_array.clear()
+        sampling = workloads.Sampling(seed=0, workdir=tmp_path)  # draws its grids by catalogs
+        lazy.clear()
+        for op in sampling.ops:
+            catalog(*op.args[:2])
+        assert on_array == [] and len(lazy) == len(sampling.ops)
 
 
 class TestEnumerateOutcomes:
@@ -990,6 +1041,34 @@ class TestSpontaneousOrder:
         cat = catalog(*economy)
         top = max(e.multiplicity for e in cat.entries)
         assert cat.tie_set() == tuple(e.order for e in cat.entries if e.multiplicity == top)
+
+    # each listing member forced wherever a total lies on three or more
+    # levels, so that per catalogs take their ties on the int64 counts of
+    # the array member and on the chain's Python ints of the stack member
+    @pytest.mark.parametrize("constants", [STACK_MEMBER, ARRAY_MEMBER], ids=["stack", "array"])
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=4))
+    # many ties on the int64 route: a per count is a_4 + 1, so every order
+    # with the largest a_4 ties
+    @example(economy=(RevenueGrid((1, 2, 3, 4, 5), (1, 1, 1, 1, 2)), EconomyConfig(30, 90, Regime.PERFECT)))
+    # every order counts 1 and ties: 956 orders
+    @example(economy=(RevenueGrid((1, 2, 3, 4, 5), (1, 1, 1, 1, 1)), EconomyConfig(30, 90, Regime.PERFECT)))
+    @example(economy=(RevenueGrid((0, 3, 4, 9, 12), (1, 1, 1, 1, 1)), EconomyConfig(12, None, Regime.PERFECT)))
+    @settings(max_examples=150, deadline=None)
+    def test_top_and_ties_are_the_first_and_every_order_at_the_largest_count(
+        self, constants, economy
+    ):
+        grid, config = economy
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(enumeration, name, value)
+            cat = catalog(grid, config)
+        best = max(cat.counts)
+        ties = tuple(order for order, count in zip(cat.orders, cat.counts) if count == best)
+        fields = (cat.orders, cat.counts, cat.total_outcomes, cat.degeneracies, cat.regime)
+        for built in (cat, enumeration.OrderCatalog(*fields)):
+            assert built.most_probable() == ties[0]
+            assert built.tie_set() == ties
+            assert built._top == cat.counts.index(best)
 
     def test_constrained_argmax_against_direct_comparison(self):
         grid = GRID_3
