@@ -25,11 +25,9 @@ import numpy as np
 
 from .core import EconomicOrder, EconomyConfig, Regime, RevenueGrid, _records
 from .counting import _multiplicities, multiplicity
-from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError, WalkDepthError
+from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 
 DEFAULT_OUTCOME_CAP = 10_000_000
-
-MAX_WALK_FIRMS = 500  # enumerate_outcomes' frames: one per firm, under CPython's 1,000
 
 @dataclass(frozen=True, slots=True)
 class MicroOutcome:
@@ -463,8 +461,10 @@ def enumerate_orders(
 
     With a ``cap``, more than ``cap`` orders raise CapExceededError while
     they are listed, before the columns hold them, and a truncated listing
-    is never returned; both members raise the same error.  A negative
-    ``cap`` is a ConfigError, raised before any listing.
+    is never returned; both members raise the same error.  The stack member
+    raises it while a level is walked, before the rest of that level's
+    prefixes are made; the array member once its last frontier is counted.
+    A negative ``cap`` is a ConfigError, raised before any listing.
     """
     if cap is not None and cap < 0:
         raise ConfigError("cap: must be non-negative, got %d" % cap)
@@ -537,10 +537,11 @@ def _stack_columns(
 ) -> tuple[list[int], ...]:
     """enumerate_orders' stack member, for any grid.
 
-    One loop over an explicit stack of (prefix, left, need) entries: the
-    values a_0..a_{k-1} fixed so far, and the firms and revenue still to
-    place (``need`` is None without a revenue total).  No grid is too deep
-    for it.  A popped entry takes one of five cases:
+    One loop over an explicit stack of frames, one per level entered, each
+    an iterator of (prefix, left, need) entries: the values a_0..a_{k-1}
+    fixed so far, and the firms and revenue still to place (``need`` is None
+    without a revenue total).  No grid is too deep for it.  The loop takes
+    the top frame's entries in turn, each in one of five cases:
 
     - with no firms left, its one completion, zeros to the end, is kept when
       no revenue is left to place (or there is no total);
@@ -548,17 +549,20 @@ def _stack_columns(
       kept when the revenue matches;
     - without a total, at level n-2, the last two levels are zipped;
     - with a total, at level n-3, the last three levels are zipped;
-    - otherwise the level's range is pushed high to low, so it pops low to
-      high.
+    - otherwise a frame over the level's range of a_k is pushed, and the
+      loop goes on with it; it makes each child entry, low to high, only
+      when the loop reaches it.
 
     A kept run of m orders extends each column once: a prefix level by
     ``repeat(a, m)``, a zipped level by its ``range``.  An order kept alone
     waits as a row, and the waiting rows (at most ``_ROWS_KEPT``) move into
     the columns by one ``zip`` transpose before the next run.  An entry that
-    has placed every firm is finished at once rather than pushed level by
-    level.  Each entry pushed copies its prefix, O(levels) per node, the
-    size of an order.  The cap is checked before the waiting rows or a run,
-    of any length, are stored, from the run's length in arithmetic.
+    has placed every firm is finished at once rather than walked level by
+    level.  Each entry made copies its prefix, O(levels) per node, the size
+    of an order.  The cap is checked before the waiting rows or a run, of
+    any length, are stored, from the run's length in arithmetic.  No
+    level's entries are made ahead of the walk, so the cap fires while a
+    level is walked, with one frame per level held.
     """
     levels = grid.levels
     last = len(levels) - 1
@@ -578,26 +582,35 @@ def _stack_columns(
         rows.clear()
         consume(map(list.extend, columns, pieces))
 
-    stack = [((), config.n_firms, config.total_revenue)]  # (prefix, left, need)
+    def frame(prefix, left, need, e, values) -> Iterator[tuple]:
+        # the entries fixing a_k to each of ``values`` in turn, from the
+        # arguments bound now, not from the names the loop rebinds later
+        for a in values:
+            yield prefix + (a,), left - a, None if need is None else need - a * e
+
+    stack = [iter([((), config.n_firms, config.total_revenue)])]
     while stack:
-        prefix, left, need = stack.pop()
-        k = len(prefix)
-        if not left:
-            if not need:  # None without a total, else 0 once the total is met
-                rows.append(prefix + (0,) * (last + 1 - k))
-        elif k == last:
-            if need is None or left * top == need:
-                rows.append(prefix + (left,))
-        elif need is None and k == last - 1:
-            m = left + 1
-            keep((*map(repeat, prefix, repeat(m)), range(m), range(left, -1, -1)), m)
-        elif need is None:
-            stack.extend((prefix + (a,), left - a, None) for a in range(left, -1, -1))
-        else:
-            e, nxt = levels[k], levels[k + 1]
-            lo = max(0, -((need - left * nxt) // (nxt - e)))
-            hi = min(left, (left * top - need) // (top - e))
-            if k == last - 2:
+        for prefix, left, need in stack[-1]:
+            k = len(prefix)
+            if not left:
+                if not need:  # None without a total, else 0 once the total is met
+                    rows.append(prefix + (0,) * (last + 1 - k))
+            elif k == last:
+                if need is None or left * top == need:
+                    rows.append(prefix + (left,))
+            elif need is None and k == last - 1:
+                m = left + 1
+                keep((*map(repeat, prefix, repeat(m)), range(m), range(left, -1, -1)), m)
+            elif need is None:
+                stack.append(frame(prefix, left, None, 0, range(left + 1)))
+                break
+            else:
+                e, nxt = levels[k], levels[k + 1]
+                lo = max(0, -((need - left * nxt) // (nxt - e)))
+                hi = min(left, (left * top - need) // (top - e))
+                if k != last - 2:
+                    stack.append(frame(prefix, left, need, e, range(lo, hi + 1)))
+                    break
                 # a_{n-3} = lo + j leaves the numerator x - j*s, exact iff j*s = x mod d
                 x = left * top - need - lo * s
                 if x % h == 0:
@@ -610,10 +623,10 @@ def _stack_columns(
                     downs = range(b, b - m * a_down, -a_down)
                     ups = range(c, c + m * rest_up, rest_up)
                     keep((*map(repeat, prefix, repeat(m)), firsts, downs, ups), m)
-            else:  # pushed high to low, so the values pop low to high
-                stack.extend((prefix + (a,), left - a, need - a * e) for a in range(hi, lo - 1, -1))
-        if len(rows) >= _ROWS_KEPT:
-            keep(())
+            if len(rows) >= _ROWS_KEPT:
+                keep(())
+        else:
+            stack.pop()
     if rows:
         keep(())
     return columns
@@ -708,16 +721,14 @@ def enumerate_outcomes(
     it cannot make up the rest, and the loop stops at the first one too
     dear.  Groups, keyed by the level counts the walk keeps, come out sorted
     by occupancy, each in walk order (lexicographic for distinguishable
-    firms).  The walk recurses once per firm, so more than
-    ``MAX_WALK_FIRMS`` firms refuse with WalkDepthError before any listing.
+    firms).  The walk keeps one generator per firm placed on an explicit
+    stack, not one call per firm on the interpreter's, so no number of
+    firms is too deep for it; only the cap bounds it.
     Refuses with CapExceededError when the feasible outcome space is larger
     than ``cap``: every feasible order holds at least one outcome, so more
     than ``cap`` orders refuse while they are listed, before any
     multiplicity is computed.
     """
-    if config.n_firms > MAX_WALK_FIRMS:
-        bound = (config.n_firms, MAX_WALK_FIRMS)
-        raise WalkDepthError("enumerate_outcomes: %d firms, over its bound of %d" % bound)
     try:
         orders = enumerate_orders(grid, config, cap=cap)
     except CapExceededError:
@@ -734,8 +745,9 @@ def enumerate_outcomes(
     acc: list[tuple[int, int]] = []  # the (level, slot) of each placed firm
     groups: dict[tuple[int, ...], list[tuple]] = {}
 
-    def walk(start: int, revenue: int, rest: int) -> None:
-        # places one firm; ``rest`` firms follow it
+    def firm(start: int, revenue: int, rest: int) -> Iterator[tuple[int, int, int]]:
+        # places one firm at each position it may take in turn, ``rest`` firms
+        # following it; yields the next firm's arguments, or keeps the outcome
         for i in range(start, len(steps)):
             pos, level, e = steps[i]
             rev = revenue + e
@@ -748,14 +760,20 @@ def enumerate_outcomes(
             acc.append(pos)
             occ[level] += 1
             if rest:
-                walk(0 if mon else i, rev, rest - 1)
+                yield 0 if mon else i, rev, rest - 1
             else:  # with a total, the bounds at rest = 0 leave only rev == total
                 outcome = tuple(acc) if mon else tuple(Counter(acc).items())  # runs, in order
                 groups.setdefault(tuple(occ), []).append(outcome)
             acc.pop()
             occ[level] -= 1
 
-    walk(0, 0, config.n_firms - 1)
+    frames = [firm(0, 0, config.n_firms - 1)]  # one per firm placed, the latest on top
+    while frames:
+        child = next(frames[-1], None)
+        if child is None:
+            frames.pop()
+        else:
+            frames.append(firm(*child))
     keys = sorted(groups)
     orders = _records(EconomicOrder, len(keys), occupancy=keys)
     regimes, none = repeat(regime), repeat(None)

@@ -26,10 +26,6 @@ class CapExceededError(EconOrderError):
         self.cap = cap
 
 
-class WalkDepthError(EconOrderError):
-    """A recursive walk refused, before it began, an input past its bound."""
-
-
 class SingularityError(EconOrderError):
     """Bose-Einstein denominator is zero or negative at some revenue level."""
 

@@ -323,6 +323,24 @@ class TestEnumerate:
         assert "order list" in err["message"]
         assert counted == walked == checked == []
 
+    def test_cap_exceeded_on_a_million_firms_holds_no_level(self, tmp_path, capsys):
+        # the root level of five holds about 10^6 prefixes; the listing is
+        # refused at the first run past the cap, before the rest are made
+        text = extreme_config((1, 2, 3, 4, 5), 10**6, 3 * 10**6, "per")
+        config = write_config(tmp_path, text + "\n[caps]\nmax_outcomes = 1000\n")
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--config", str(config), "--out", str(out)]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "cap_exceeded"
+        assert "order list" in err["message"] and "cap of 1000" in err["message"]
+        assert not out.exists()
+        assert peak < 1_000_000
+
 
 class TestSolve:
     def test_two_level_solution_files(self, tmp_path):

@@ -45,7 +45,6 @@ from econorder import (
     validate_order,
 )
 from econorder import core, counting, enumeration, reports
-from econorder.errors import WalkDepthError
 from econorder.checks import random_counting_instance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -291,14 +290,28 @@ class TestEnumerateOrders:
         # length before any column grows; at N = 10^150 len(range) overflows
         total = n_firms + n_firms // 3 if len(levels) == 3 else None
         config = EconomyConfig(n_firms, total, Regime.PERFECT)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapExceededError, match="order list"):
-                enumerate_orders(RevenueGrid(levels, ()), config, cap=1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        assert refusal_peak(RevenueGrid(levels, ()), config, cap=1000) < 1_000_000
+
+    @pytest.mark.parametrize(
+        "levels, total", [((1, 2, 3, 4, 5), 3 * 10**6), ((1, 2, 3), None)], ids=["total", "free"]
+    )
+    def test_a_level_past_the_cap_is_refused_while_it_is_walked(self, levels, total):
+        # the root's level holds about 10^6 prefixes; the first run under
+        # them passes the cap, before the rest of the level is made
+        grid, config = RevenueGrid(levels, ()), EconomyConfig(10**6, total, Regime.PERFECT)
+        assert enumeration._listing(grid, config) is enumeration._stack_columns
+        assert refusal_peak(grid, config, cap=1000) < 1_000_000
+
+
+def refusal_peak(grid, config, cap):
+    """Peak traced memory of an enumerate_orders call that the cap refuses."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="order list"):
+            enumerate_orders(grid, config, cap=cap)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # enumerate_orders' selector constants that force each member on any grid
@@ -661,24 +674,27 @@ class TestEnumerateOutcomes:
         assert calls == []
         assert len(enumerate_orders(grid, config)) == 1143
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    @pytest.mark.parametrize("total", [None, enumeration.MAX_WALK_FIRMS], ids=["free", "total"])
-    def test_walk_takes_firms_up_to_its_bound(self, regime, total):
-        # one level, one slot: a single outcome, walked one frame per firm
-        n = enumeration.MAX_WALK_FIRMS
-        groups = enumerate_outcomes(RevenueGrid((1,), (1,)), EconomyConfig(n, total, regime))
-        assert [(order.occupancy, len(members)) for order, members in groups.items()] == [((n,), 1)]
-
-    @pytest.mark.parametrize("regime", list(Regime))
-    @pytest.mark.parametrize("n_firms", [enumeration.MAX_WALK_FIRMS + 1, 1_200])
-    def test_more_firms_than_the_bound_refuse_before_listing(self, monkeypatch, regime, n_firms):
-        # 1,200 firms used to end in a bare RecursionError
-        def fail(*args, **kwargs):
-            raise AssertionError("orders listed before the firm bound was checked")
-
-        monkeypatch.setattr(enumeration, "enumerate_orders", fail)
-        with pytest.raises(WalkDepthError, match="%d firms" % n_firms):
-            enumerate_outcomes(RevenueGrid((1,), (1,)), EconomyConfig(n_firms, None, regime))
+    @pytest.mark.parametrize(
+        "regime, degeneracy, n_firms, total",
+        [
+            (Regime.MONOPOLISTIC, 1, 5_000, None),
+            (Regime.MONOPOLISTIC, 1, 5_000, 5_000),
+            (Regime.PERFECT, 1, 5_000, None),
+            (Regime.PERFECT, 1, 5_000, 5_000),
+            # each multiset's Counter is O(N), so N stays near 600 here
+            (Regime.PERFECT, 2, 600, 600),
+        ],
+        ids=["mon-free", "mon-total", "per-free", "per-total", "per-two-slots"],
+    )
+    def test_walk_takes_firms_past_the_interpreter_stack(self, regime, degeneracy, n_firms, total):
+        # one frame per firm on the walk's own stack: a call per firm would
+        # pass CPython's limit of about 1,000 frames
+        grid = RevenueGrid((1,), (degeneracy,))
+        config = EconomyConfig(n_firms, total, regime)
+        groups = enumerate_outcomes(grid, config)
+        ((order, members),) = groups.items()
+        assert order.occupancy == (n_firms,)
+        assert len(members) == multiplicity(order, grid, regime) == (n_firms + 1) ** (degeneracy - 1)
 
 
 class TestCatalog:

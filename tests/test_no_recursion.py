@@ -1,10 +1,11 @@
-"""No function of the package calls itself by name.
+"""No function of the package calls itself by name, with no exception.
 
 A recursive walk is as deep as its input (levels, firms), and CPython stops
 at about a thousand frames with a bare RecursionError, not a named error.
-So the package's walks keep explicit stacks.  This parses each source file
-with ``ast`` and reports every function, nested ones included, whose body
-calls its own name (or ``self.<name>`` / ``cls.<name>`` in a method).
+So every walk of the package keeps an explicit stack.  This parses each
+source file with ``ast`` and reports every function, nested ones
+included, whose body calls its own name (or ``self.<name>`` /
+``cls.<name>`` in a method).
 """
 
 import ast
@@ -13,14 +14,6 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "econorder").glob("*.py"))
-
-# Allowed to recurse, by module and qualified name, each with its open fault.
-ALLOWED = {
-    # one call per firm; enumerate_outcomes refuses more than
-    # enumeration.MAX_WALK_FIRMS (500) firms with WalkDepthError before the
-    # walk, well below the interpreter's recursion limit of about 1,000
-    ("enumeration.py", "enumerate_outcomes.walk"),
-}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -60,18 +53,8 @@ def recursive_functions(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_function_calls_itself(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    recursive = [name for name in recursive_functions(tree) if (path.name, name) not in ALLOWED]
+    recursive = recursive_functions(tree)
     assert not recursive, "%s has recursive functions: %s" % (path.name, ", ".join(recursive))
-
-
-def test_the_allowed_functions_still_exist():
-    # an entry whose function is gone or no longer recurses must leave the list
-    found = {
-        (path.name, name)
-        for path in SOURCES
-        for name in recursive_functions(ast.parse(path.read_text()))
-    }
-    assert ALLOWED <= found
 
 
 def test_a_recursive_function_is_caught():
