@@ -631,6 +631,35 @@ class TestEnumerateOutcomes:
                 assert [m.assignment for m in members] == sorted(m.assignment for m in members)
 
     @pytest.mark.parametrize("regime", list(Regime), ids=["mon", "per"])
+    @pytest.mark.parametrize(
+        "grid, n_firms, total",
+        [
+            (RevenueGrid((0, 2, 3), (2, 1, 3)), 4, 8),
+            (RevenueGrid((1, 2, 5), (1, 3, 2)), 4, None),
+        ],
+        ids=["total", "free"],
+    )
+    def test_each_group_lists_its_members_in_walk_order(self, grid, n_firms, total, regime):
+        # the walk tries positions in (level, slot) order, an identical firm
+        # never stepping back past the one before it, so each group holds
+        # its members in the order itertools yields the same placements
+        positions = [(k, s) for k, g in enumerate(grid.degeneracies) for s in range(g)]
+        if regime is Regime.MONOPOLISTIC:
+            walks = itertools.product(positions, repeat=n_firms)
+        else:
+            walks = itertools.combinations_with_replacement(positions, n_firms)
+        expected: dict[tuple[int, ...], list[tuple]] = {}
+        for placed in walks:
+            if total is None or sum(grid.levels[k] for k, _ in placed) == total:
+                occ = tuple(sum(k == level for k, _ in placed) for level in range(grid.n))
+                runs = tuple((pos, placed.count(pos)) for pos in sorted(set(placed)))
+                expected.setdefault(occ, []).append(placed if regime is Regime.MONOPOLISTIC else runs)
+        groups = enumerate_outcomes(grid, EconomyConfig(n_firms, total, regime))
+        listed = {order.occupancy: [m.assignment for m in members] for order, members in groups.items()}
+        assert list(listed) == sorted(expected)
+        assert listed == expected
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=["mon", "per"])
     def test_group_sizes_never_read_the_closed_form(self, monkeypatch, regime):
         # multiplicity feeds only the cap check, so a spy that counts every
         # order as one outcome leaves the groups as they were
