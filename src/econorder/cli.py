@@ -17,13 +17,14 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
 from . import reports
 from .checks import run_checks
 from .configio import RunConfig, load_run_config
-from .enumeration import catalog, empirical_frequencies
+from .enumeration import catalog
 from .errors import CapExceededError, ConfigError, EconOrderError, InfeasibleError
 from .fitting import (
     binned_fit_rows,
@@ -113,27 +114,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK if solution.converged else EXIT_NONCONVERGENCE
 
 
-def _logged(outcomes, handle):
-    """Pass the outcomes through, writing each as a ``step,assignment`` row."""
-    for step, outcome in enumerate(outcomes):
-        handle.write("%d,%s\n" % (step, json.dumps(outcome.assignment)))
-        yield outcome
-
-
 def cmd_sample(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
-    outcomes = islice(cat.sample(run.seed), draws)
+    # the outcome stream refuses N >= 2**63 firms here, before --out is made
+    outcomes = islice(cat.sample(run.seed), draws) if args.log_outcomes else None
+    tally = Counter(islice(cat.picks(run.seed), draws))
     out = _out_dir(args, run)
-    if args.log_outcomes:  # each row is written as the tally reads it
+    if outcomes is not None:  # each row is written as it is drawn
         with (out / "outcomes.csv").open("w", newline="") as handle:
             handle.write("step,assignment\n")
-            freqs = empirical_frequencies(_logged(outcomes, handle), run.grid)
-    else:
-        freqs = empirical_frequencies(outcomes, run.grid)
-    reports.write_frequencies_csv(out / "frequencies.csv", freqs, cat, draws)
-    print("sampled %d outcomes over %d orders -> %s" % (draws, len(freqs), out))
+            for step, outcome in enumerate(outcomes):
+                handle.write("%d,%s\n" % (step, json.dumps(outcome.assignment)))
+    reports.write_frequencies_csv(out / "frequencies.csv", tally, cat, draws)
+    print("sampled %d outcomes over %d orders -> %s" % (draws, len(tally), out))
     return EXIT_OK
 
 

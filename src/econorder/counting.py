@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import EconomicOrder, Regime, RevenueGrid, _check_lengths, as_occupancy
+from .errors import ConfigError
 
 
 # Chain work s above which ``multiplicity`` takes the prime route.  On a
@@ -184,7 +185,8 @@ def _multiplicities(
       Python ints.  Every count is at most that product and every factor at
       least 1, so no running product overflows.
     - Every other listing, int64 columns turned into lists first: the chain
-      (``_chain``); a list of Python ints.
+      (``_chain``); a list of Python ints.  A binomial that ``math.comb``
+      refuses, one no memory could hold, is a ConfigError naming N.
     """
     if isinstance(columns[0], np.ndarray):
         if regime is Regime.MONOPOLISTIC:
@@ -193,7 +195,13 @@ def _multiplicities(
         if _largest_count(tabled) < 1 << 63:
             return _bose_einstein_int64(tabled, len(columns[0]))
         columns = [column.tolist() for column in columns]
-    return _chain(columns, degeneracies, regime)
+    try:
+        return _chain(columns, degeneracies, regime)
+    except OverflowError:  # C(n, k) with min(k, n - k) past 2**63 - 1
+        n_firms = sum(column[0] for column in columns)
+        raise ConfigError(
+            "count: N = %d firms is too many to form an order's exact count" % n_firms
+        ) from None
 
 
 def _chain(

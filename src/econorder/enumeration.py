@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -179,8 +179,8 @@ class _Entries(Sequence):
 _ROWS_KEPT = 256
 
 # Draws are placed in batches that double from _FIRST_BATCH draws up to about
-# _BATCH_CELLS array cells: one draw stays cheap, and a long stream pays
-# numpy's fixed cost per call rarely.
+# _BATCH_CELLS array cells (picks alone, _BATCH_CELLS picks): one draw stays
+# cheap, and a long stream pays numpy's fixed cost per call rarely.
 _FIRST_BATCH = 64
 _BATCH_CELLS = 1 << 16
 
@@ -200,8 +200,8 @@ class OrderCatalog:
     that ``entries[0]`` is the most probable order under the documented tie
     rule.  ``entries`` sorts the first time it is indexed or iterated, once
     per catalog, and ``entries.positions`` then holds the listing index of
-    each entry; its length, ``most_probable``, ``tie_set`` and ``sample``
-    read the columns and never sort.  The listing indices of the orders
+    each entry; its length, ``most_probable``, ``tie_set``, ``picks`` and
+    ``sample`` read the columns and never sort.  The listing indices of the orders
     with the top count are found once per catalog: by ``catalog`` on the
     int64 counts it was handed, else on first use by one ``max`` pass and
     one C-level pass comparing every count with it.  ``most_probable`` is
@@ -242,24 +242,50 @@ class OrderCatalog:
     def tie_set(self) -> tuple[EconomicOrder, ...]:
         return tuple(self.orders.take(self._ties))
 
+    def picks(self, seed: int) -> Iterator[int]:
+        """The listing index of each order that ``sample(seed)`` draws, in
+        turn, with nothing placed, so no firm count is too large for it."""
+        rng = random.Random(seed)
+        rng.getrandbits(128)  # what ``sample`` seeds its numpy Generator with
+        return chain.from_iterable(self._batches(rng, _BATCH_CELLS))
+
+    def _batches(self, rng: random.Random, largest: int) -> Iterator[list[int]]:
+        """The one definition of a pick, in lists of listing indices from
+        ``_FIRST_BATCH`` long, doubling up to ``largest``.  A batch runs
+        ``randrange(total)``'s rejection loop in C-level passes: ``size``
+        raw ``getrandbits(total.bit_length())`` and then only the shortfall
+        below ``total``, so it consumes ``rng`` as ``size`` calls of
+        ``randrange`` do, wherever the batches end; ``bisect_right`` into
+        the running totals picks the order."""
+        cumulative, total = tuple(accumulate(self.counts)), self.total_outcomes
+        getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
+        size = _FIRST_BATCH
+        while True:
+            picks = list(filter(below, map(getrandbits, repeat(bits, size))))
+            while len(picks) < size:
+                picks += filter(below, map(getrandbits, repeat(bits, size - len(picks))))
+            yield list(map(bisect_right, repeat(cumulative), picks))
+            size = min(2 * size, largest)
+
     def sample(self, seed: int) -> Iterator[MicroOutcome]:
         """Infinite, seeded stream of uniformly distributed feasible micro-outcomes.
 
-        Each draw is exact in two steps (the recursive method of Nijenhuis &
-        Wilf, *Combinatorial Algorithms*, 1978).  An order is picked with
-        probability multiplicity / total, by an exact big-integer index into
-        the running totals of ``counts``, summed when the stream starts; then
-        one of its outcomes is picked uniformly, and the draw carries the
-        order.  Orders are picked from the stream's ``random.Random``; a
-        batch of picked orders is then placed by exact integer draws of a
-        numpy Generator seeded from that same ``random.Random``, so one seed
-        drives the whole stream and the first k draws do not depend on how
-        many are taken.  A catalog of N >= 2**63 firms is refused with a
-        ConfigError when ``sample`` is called, before the stream starts.
-        The stream builds one int64 occupancy matrix from the order columns
-        when it starts, and a batch gathers its picked rows by index.  An
-        order's record is made from the columns the first time it is drawn,
-        and later draws of it share that record.
+        Each draw is exact in two steps, pick then place (the recursive
+        method of Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  An
+        order is picked with probability multiplicity / total, by an exact
+        big-integer index into the running totals of ``counts``, summed when
+        the stream starts; then one of its outcomes is picked uniformly, and
+        the draw carries the order.  Orders are picked from the stream's
+        ``random.Random``; a batch of picked orders is then placed by exact
+        integer draws of a numpy Generator seeded from that same
+        ``random.Random``, so one seed drives the whole stream and the first
+        k draws do not depend on how many are taken.  A catalog of
+        N >= 2**63 firms is refused with a ConfigError when ``sample`` is
+        called, before the stream starts.  The stream builds one int64
+        occupancy matrix from the order columns when it starts, and a batch
+        gathers its picked rows by index.  An order's record is made from
+        the columns the first time it is drawn, and later draws of it share
+        that record.
 
         - Distinguishable firms: each order's level labels are shuffled over
           the firms, and each firm gets a uniform slot of its level.
@@ -267,19 +293,14 @@ class OrderCatalog:
           slots of a level is a uniform choice of the g - 1 bars among
           a + g - 1 places, drawn by Floyd's algorithm (``_place_units``).
 
-        A pick is ``getrandbits(total.bit_length())``, drawn again while the
-        result is >= total: the calls ``randrange(total)`` makes.  A batch
-        draws its picks in C-level passes, ``size`` raw values and then only
-        the shortfall below ``total``, so it consumes the stream as ``size``
-        calls of ``randrange`` do; ``bisect_right`` into the running totals
-        picks the order.  The placement's index plan and its table of
-        (level, slot) positions are built once per stream, and a batch's
-        assignments are gathered from that table; ``core._records`` makes a
-        batch's outcomes in C-level passes.  The random work is O(N)
-        (distinguishable) or sum_k (g_k - 1) (indistinguishable) integer
-        draws inside numpy, and a level with one slot takes none.  No outcome
-        other than the drawn ones is ever built.  Every entry of an
-        assignment is a Python int.
+        The picks are ``_batches``', which ``picks`` also yields.  The
+        placement's index plan and its table of (level, slot) positions are
+        built once per stream, and a batch's assignments are gathered from
+        that table; ``core._records`` makes a batch's outcomes in C-level
+        passes.  The random work is O(N) (distinguishable) or sum_k (g_k - 1)
+        (indistinguishable) integer draws inside numpy, and a level with one
+        slot takes none.  No outcome other than the drawn ones is ever built.
+        Every entry of an assignment is a Python int.
         """
         n_firms = sum(column[0] for column in self.orders.columns)
         if n_firms >= 1 << 63:
@@ -293,32 +314,24 @@ class OrderCatalog:
         """``sample``'s stream, for a catalog of ``n_firms`` < 2**63 firms."""
         from numpy.random import default_rng  # numpy.random loads only when sampling
 
-        cumulative, total = tuple(accumulate(self.counts)), self.total_outcomes
         regimes = repeat(self.regime)
         rng = random.Random(seed)
         gen = default_rng(rng.getrandbits(128))
-        getrandbits, bits, below = rng.getrandbits, total.bit_length(), total.__gt__
         place = (_place_firms if self.regime is Regime.MONOPOLISTIC else _place_units)(
             self.degeneracies
         )
         occupancies = np.array(self.orders.columns).T  # one row per listed order
         made: dict[int, EconomicOrder] = {}  # the record of each order drawn so far
         width = n_firms + sum(self.degeneracies)
-        size, largest = _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_CELLS // width)
-        while True:
-            # randrange(total)'s own rejection loop, run over the whole batch
-            picks = list(filter(below, map(getrandbits, repeat(bits, size))))
-            while len(picks) < size:
-                picks += filter(below, map(getrandbits, repeat(bits, size - len(picks))))
-            indices = list(map(bisect_right, repeat(cumulative), picks))
+        for indices in self._batches(rng, max(_FIRST_BATCH, _BATCH_CELLS // width)):
             fresh = list(filterfalse(made.__contains__, set(indices)))
             made.update(zip(fresh, self.orders.take(fresh)))
             orders = list(map(made.__getitem__, indices))
             assignments = place(gen, occupancies[indices])
+            size = len(indices)
             yield from _records(
                 MicroOutcome, size, regime=regimes, assignment=assignments, drawn_order=orders
             )
-            size = min(2 * size, largest)
 
 
 def _positions(degeneracies: tuple[int, ...]) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .core import EconomicOrder, RevenueGrid
+from .core import RevenueGrid
 from .enumeration import OrderCatalog
 from .macro import IdentityReport, MacroParams
 from .maxent import CondensationReport, MultiplierSolution
@@ -146,27 +146,31 @@ def macro_payload(
 
 def write_frequencies_csv(
     path: Path,
-    frequencies: dict[EconomicOrder, Fraction],
+    tally: dict[int, int],
     catalog: OrderCatalog,
     draws: int,
 ) -> None:
+    """One row per listed order: its count among ``draws`` picks (``tally``
+    maps a listing index to its count, as a ``Counter`` of
+    ``OrderCatalog.picks`` does) and its frequency ``drawn / draws``, the
+    float ``Fraction(drawn, draws)`` rounds to, beside its exact one."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
         )
         total = catalog.total_outcomes
-        by_occupancy = {order.occupancy: freq for order, freq in frequencies.items()}
-        for occupancy, count in zip(zip(*catalog.orders.columns), catalog.counts):
-            freq = by_occupancy.get(occupancy, Fraction(0))
+        for index, (occupancy, count) in enumerate(zip(zip(*catalog.orders.columns), catalog.counts)):
+            drawn = tally.get(index, 0)
+            freq = drawn / draws
             exact = count / total  # float(Fraction(count, total)), no gcd
             writer.writerow(
                 [
                     occupancy_text(occupancy),
-                    freq.numerator * draws // freq.denominator,
-                    repr(float(freq)),
+                    drawn,
+                    repr(freq),
                     repr(exact),
-                    repr(abs(float(freq) - exact)),
+                    repr(abs(freq - exact)),
                 ]
             )
 

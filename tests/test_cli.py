@@ -477,10 +477,25 @@ class TestSample:
         with (tmp_path / "out" / "outcomes.csv").open() as handle:
             assert sum(1 for _ in handle) == 60_001
 
-    @pytest.mark.parametrize("extra", [[], ["--log-outcomes"]], ids=["tally", "log"])
+    def test_occupancies_past_int64_are_tallied(self, tmp_path):
+        # the per float-max config of the next test: a tally of picks holds
+        # no occupancy, so without --log-outcomes it samples its one order
+        config = write_config(
+            tmp_path, all_g1_config((1, 2, 10**155), PER_MAX, FLOAT_MAX, "per")
+        )
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        (row,) = read_rows(out / "frequencies.csv")
+        assert sum(map(int, row["occupancy"].split())) == PER_MAX
+        assert row["count"] == "10000" and row["frequency_float"] == "1.0"
+        assert row["exact_probability_float"] == "1.0" and row["abs_error"] == "0.0"
+
+    @pytest.mark.parametrize("extra", [["--log-outcomes"]], ids=["log"])
     def test_occupancies_past_int64_are_refused_by_name(self, tmp_path, capsys, extra):
-        # one feasible order, (0, N, 0) with N = isqrt(float max) ~ 1.34e154,
-        # which enumerate lists; the sampler refuses it before its stream
+        # one feasible order of N = isqrt(float max) ~ 1.34e154 firms, which
+        # enumerate lists; the outcome stream refuses it before it
         # builds an int64 occupancy matrix and before --out is made, with no
         # traceback
         config = write_config(
@@ -499,6 +514,63 @@ class TestSample:
         )
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate"], ["sample"], ["sample", "--log-outcomes"]],
+        ids=["enumerate", "sample", "log"],
+    )
+    def test_mon_count_past_comb_is_refused_by_name(self, tmp_path, capsys, argv):
+        # the one order of the float-max config puts about 6.2e153 of the
+        # N ~ 1.34e154 firms on level 0, so C(N, a_0) is past what math.comb
+        # forms; the count refuses it before any --out is made, with no
+        # traceback
+        config = write_config(
+            tmp_path, all_g1_config((1, 2, 10**155), PER_MAX, FLOAT_MAX, "mon")
+        )
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        err = json.loads(captured.out.strip().splitlines()[-1])
+        assert err["error"] == "config"
+        message = "count: N = %d firms is too many to form an order's exact count"
+        assert err["message"] == message % PER_MAX
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    def test_one_order_at_a_hundred_thousand_firms(self, tmp_path):
+        # 10^4 draws of the one order (0, 10^5): placing each draw's 10^5
+        # firm labels took about 52 s; the tally places none
+        config = write_config(tmp_path, all_g1_config((1, 2), 10**5, 10**5, "mon"))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        (row,) = read_rows(out / "frequencies.csv")
+        assert row["occupancy"] == "100000 0" and row["count"] == "10000"
+
+    @pytest.mark.parametrize("regime", ["mon", "per"])
+    def test_only_the_outcome_log_places(self, monkeypatch, tmp_path, regime):
+        # frequencies.csv reads only the picks; --log-outcomes places each draw
+        placed = []
+        for name in ("_place_firms", "_place_units"):
+            real = getattr(enumeration, name)
+
+            def spy(degeneracies, real=real, name=name):
+                placed.append(name)
+                return real(degeneracies)
+
+            monkeypatch.setattr(enumeration, name, spy)
+        config = write_config(tmp_path, CHECK_CONFIG.replace("regime = per", "regime = " + regime))
+        plain, logged = tmp_path / "plain", tmp_path / "logged"
+        assert main(["sample", "--config", str(config), "--out", str(plain)]) == 0
+        assert placed == []
+        assert main(["sample", "--config", str(config), "--out", str(logged), "--log-outcomes"]) == 0
+        assert placed == ["_place_firms" if regime == "mon" else "_place_units"]
+        table = "frequencies.csv"
+        assert (plain / table).read_bytes() == (logged / table).read_bytes()
 
     def test_outcome_log_opt_in(self, tmp_path):
         config = write_config(tmp_path, EXAMPLE_TWO_FIRMS + "\n[caps]\nsample_draws = 20\n")

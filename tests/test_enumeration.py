@@ -1244,6 +1244,22 @@ class TestSampling:
         ]
         assert [o.drawn_order for o in islice(cat.sample(31), 64 + 128)] == expected
 
+    # each listing member forced, and prefixes inside the first batch, at its
+    # end, just past it and past later batch ends
+    @pytest.mark.parametrize("k", [1, 64, 65, 193, 2000])
+    @pytest.mark.parametrize("constants", [STACK_MEMBER, ARRAY_MEMBER], ids=["stack", "array"])
+    @given(economy=feasible_economies(max_levels=5, max_degeneracy=4), seed=st.integers(0, 2**64))
+    @settings(max_examples=40, deadline=None)
+    def test_picks_are_the_orders_sample_draws(self, constants, k, economy, seed):
+        grid, config = economy
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(enumeration, name, value)
+            cat = catalog(grid, config)
+        index = {occupancy: j for j, occupancy in enumerate(zip(*cat.orders.columns))}
+        drawn = [index[o.drawn_order.occupancy] for o in islice(cat.sample(seed), k)]
+        assert [*islice(cat.picks(seed), k)] == drawn
+
     def test_grid_without_shared_pair_sums_reaches_both_orders(self):
         # on levels (1, 3, 4) no two distinct level pairs share a revenue sum,
         # the grid on which a pair-move chain never leaves its first order

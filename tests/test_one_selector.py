@@ -5,13 +5,16 @@ maxent.ARRAY_MIN_LEVELS and builds the member of the evaluator pair that the
 count selects.  enumeration._listing likewise reads the listing constants
 (LISTING_MIN_ROWS, LISTING_MAX_VALUES and the int64 room) and picks
 enumerate_orders' stack or array member, and counting._multiplicities picks
-how a listing is counted: the ratio walk, int64 products or the chain.  A
+how a listing is counted: the ratio walk, int64 products or the chain.
+OrderCatalog._batches is the one definition of a pick, which both
+OrderCatalog.sample and OrderCatalog.picks read.  A
 second reader of a constant, a second caller of a counting route, or a
 level-count test of its own in macro or counting, would let one caller take
 one member while another takes the other, and a patched constant would
 switch only some of them.  This parses each source file with ``ast`` and
 reports every read of a constant outside its selector, every reference to a
-counting route outside the functions allowed to take it, and every
+counting route outside the functions allowed to take it, every use of the
+pick's random calls outside the functions allowed to make them, and every
 comparison of ``grid.n`` against a constant in macro.py and counting.py.
 """
 
@@ -36,6 +39,14 @@ ROUTES = {
     "_ratio_walk": {"_multiplicities"},
     "_bose_einstein_int64": {"_multiplicities"},
     "_chain": {"_multiplicities", "_ratio_walk"},
+}
+# each call of the pick: the scopes of enumeration.py that may name it.  The
+# batch generator alone turns raw bits into a listing index; the two streams
+# each draw only the numpy Generator's 128-bit seed, and "" is the module's
+# import of bisect_right.
+PICK_CALLS = {
+    "bisect_right": {"", "OrderCatalog._batches"},
+    "getrandbits": {"OrderCatalog._batches", "OrderCatalog._stream", "OrderCatalog.picks"},
 }
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -138,6 +149,16 @@ def test_only_the_dispatcher_takes_a_counting_route(route):
         for scope in readers(ast.parse(path.read_text(), filename=str(path)), route)
     }
     assert found == {("counting.py", caller) for caller in ROUTES[route]}
+
+
+@pytest.mark.parametrize("name", PICK_CALLS)
+def test_one_definition_of_the_pick(name):
+    found = {
+        (path.name, scope)
+        for path in SOURCES
+        for scope in readers(ast.parse(path.read_text(), filename=str(path)), name)
+    }
+    assert found == {("enumeration.py", scope) for scope in PICK_CALLS[name]}
 
 
 @pytest.mark.parametrize("name", NO_DISPATCH)
