@@ -7,15 +7,16 @@ The multiplicity of an occupancy vector a over a grid with degeneracies g is
 
 computed in exact integer arithmetic, one order at a time (``multiplicity``)
 or for a whole listing at once (``_multiplicities``).  ``_multiplicities``
-alone picks how a listing is counted, from the columns it is handed:
-distinguishable firms on int64 columns (``enumerate_orders``' array member)
+alone picks how a listing is counted, from its row count, the columns it
+is handed and the regime: distinguishable firms on at least
+``WALK_MIN_ROWS`` rows, listed by either member of ``enumerate_orders``,
 are walked along the listing's runs, each row's count its predecessor's
 times an exact ratio of small falling factorials (``_ratio_walk``);
-indistinguishable firms on int64 columns are multiplied in numpy int64
-(``_bose_einstein_int64``, handed back as the int64 array) while the
-levels' largest factors multiply to less than 2**63; every other listing
-is counted in Python ints one level column at a time (the chain,
-``_chain``), which also counts the walk's run starts.
+indistinguishable firms on int64 columns (the array member's) are
+multiplied in numpy int64 (``_bose_einstein_int64``, handed back as the
+int64 array) while the levels' largest factors multiply to less than
+2**63; every other listing is counted in Python ints one level column at
+a time (the chain, ``_chain``), which also counts the walk's run starts.
 ``multiplicity`` takes the distinguishable count by one of two routes,
 chosen by the chain's work s = sum_k min(a_k, left_k - a_k), left_k being
 the firms not yet placed before level k: a chain of binomials
@@ -48,6 +49,19 @@ from .errors import ConfigError
 # s > N // 100 too: at N = 10^6 the crossover was 7,500 (2 levels), 12,000 (5).
 PRIME_ROUTE_MIN_WORK = 2_000
 PRIME_ROUTE_SIEVE_RATIO = 100
+
+# Rows from which ``_multiplicities`` walks a distinguishable-firm listing
+# (``_ratio_walk``, the stack member's lists converted to int64 once) rather
+# than chain every row (``_chain``).  Best of 15-25 on a 2-core Xeon (Python
+# 3.11.7, numpy 2.4.6), stack-member listings, chain / walk: a listing of
+# one run crosses at about 50 rows where N is large (levels 1 2 3, N =
+# 1,000: 51 rows 212 / 114 us) and at about 150 where N is small (levels 1
+# 2, no total: 151 rows 110 / 96 us); many short runs cross later (levels
+# 1..5, Pi = 3N: 318 rows 210 / 200 us).  From 64 rows on, the chain saves
+# at most about 0.11 ms where it is faster, while the walk saves 3.7 ms at
+# 140 rows (levels 0 3 7, N = 1,000).  The sampling grids list at most
+# about 25 rows and the exact-orders deck at least 956.
+WALK_MIN_ROWS = 64
 
 # Rows of level values times primes in one exponent block (8 MB of int64).
 _EXPONENT_BLOCK = 1 << 20
@@ -173,11 +187,13 @@ def _multiplicities(
     per level (the array member's ``arrays``); the orders share one firm
     count N.  The counts are ``multiplicity``'s, in listing order, with no
     Python call per order.  This is the one place that picks the route,
-    from the columns and the regime alone:
+    from the listing's row count, the columns and the regime alone:
 
-    - int64 columns of distinguishable firms: ``_ratio_walk`` along the
-      listing's runs, which counts only the rows that start a run by the
-      chain; a list of Python ints.
+    - distinguishable firms on at least ``WALK_MIN_ROWS`` rows with
+      N < 2**63: ``_ratio_walk`` along the listing's runs, on the int64
+      columns or the lists turned into int64 columns once, whichever member
+      listed them; it counts only the rows that start a run by the chain,
+      and hands back a list of Python ints.
     - int64 columns of indistinguishable firms, while the product over the
       levels of each level's largest factor, C(max a_k + g_k - 1, max a_k),
       is below 2**63 (the width of int64, not a tunable):
@@ -188,12 +204,19 @@ def _multiplicities(
       (``_chain``); a list of Python ints.  A binomial that ``math.comb``
       refuses, one no memory could hold, is a ConfigError naming N.
     """
-    if isinstance(columns[0], np.ndarray):
-        if regime is Regime.MONOPOLISTIC:
-            return _ratio_walk(columns, degeneracies)
+    arrays = isinstance(columns[0], np.ndarray)
+    if regime is Regime.MONOPOLISTIC:
+        if len(columns[0]) >= WALK_MIN_ROWS:
+            if arrays:  # the array member lists N < 2**61 alone
+                return _ratio_walk(columns, degeneracies)
+            if sum(column[0] for column in columns) < 1 << 63:
+                converted = [np.fromiter(column, np.int64, len(column)) for column in columns]
+                return _ratio_walk(converted, degeneracies)
+    elif arrays:
         tabled = [(column, g) for column, g in zip(columns, degeneracies) if g != 1]
         if _largest_count(tabled) < 1 << 63:
             return _bose_einstein_int64(tabled, len(columns[0]))
+    if arrays:
         columns = [column.tolist() for column in columns]
     try:
         return _chain(columns, degeneracies, regime)
@@ -274,71 +297,106 @@ def _bose_einstein_int64(tabled: list[tuple[np.ndarray, int]], size: int) -> np.
 
 def _ratio_walk(columns: Sequence[np.ndarray], degeneracies: tuple[int, ...]) -> list[int]:
     """N! / prod(a_k!) * prod(g_k^a_k) of every row of a listing of int64
-    ``columns`` by ``enumerate_orders``' array member, each row that
-    continues a run from its predecessor's count by an exact ratio.
+    ``columns``, each row that continues a run from its predecessor's count
+    by an exact ratio.
 
-    A run is one prefix a_0..a_{n-4}: a row starts a run where one of those
-    columns changes, so a three-level listing is one run.  Along a run the
-    member zips the last three levels (x, y, z) from one progression, so
-    every continuing row moves them by the same (+step, -a_down, +rest_up),
-    read from the first continuing pair.  The run starts are counted by the
-    chain (``_chain``), and row p of a run by
+    The tail is the last t = min(3, n) levels, the prefix the levels before
+    it.  The listing's one delta is the tail's move at the first row whose
+    prefix equals its predecessor's; a row continues a run only when its
+    prefix is unchanged and its tail moved by that delta, and every other
+    row starts a run.  ``enumerate_orders`` zips the tail, so along a run it
+    moves by (+step, -a_down, +rest_up) with a total, and without one by
+    (0, +1, -1), or (+1, -1) on two levels.  The run starts are counted by
+    the chain (``_chain``), and row p of a run by
 
         w_p = w_{p-1} * U_p // D_p,
-        U_p = perm(y_{p-1}, a_down) * g_x**step * g_z**rest_up,
-        D_p = perm(x_p, step) * perm(z_p, rest_up) * g_y**a_down,
 
-    since w_p * D_p = w_{p-1} * U_p for any such pair, so the division is
-    exact.  U and D come from tables of Python ints over the range of the
-    values they are read at, gathered as object arrays.  The walk is
-    offset-major: the runs are ranked longest first, so the runs still
-    going at step k are a prefix of those going at step k - 1, and step k
-    updates the k-th row of every such run by two numpy calls on slices.
-    The numpy calls grow with the longest run, not with the rows.
+    where a tail level that rises by d puts perm(a_p, d) into D_p and g**d
+    into U_p, and one that falls by d puts perm(a_{p-1}, d) into U_p and
+    g**d into D_p.  Then w_p * D_p = w_{p-1} * U_p for any such pair, so the
+    division is exact.  U and D are products of tables of Python ints
+    (``_falling``) gathered as object arrays, with the powers of g folded
+    into one table of each.  The walk is offset-major: the runs are ranked
+    longest first, so the runs still going at step k are a prefix of those
+    going at step k - 1, and while two or more go on, step k updates the
+    k-th row of every such run by two numpy calls on slices.  The numpy
+    calls grow with the second longest run, not with the rows; the rest of
+    the longest run, a listing's only run where it has one, goes on row by
+    row in Python, where a numpy call on one element would cost more than
+    its arithmetic.
     """
-    *prefix, x, y, z = columns
-    g_x, g_y, g_z = degeneracies[-3:]
-    fresh = np.zeros(len(x), dtype=bool)  # the rows that start a run
+    t = min(3, len(columns))
+    tail, size = columns[-t:], len(columns[0])
+    fresh = np.zeros(size, dtype=bool)  # the rows that start a run
     fresh[0] = True
-    for column in prefix:
+    for column in columns[:-t]:
         fresh[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(fresh)
+    p = int(fresh.argmin())  # the first row whose prefix holds, else 0
+    delta = [int(column[p] - column[p - 1]) for column in tail] if p else []
+    # the tail's sum holds with the prefix, so its last level needs no check
+    for column, d in zip(tail[:-1], delta):
+        fresh[1:] |= column[1:] - column[:-1] != d
+    (starts,) = fresh.nonzero()
     first = _chain(
         [column[starts].tolist() for column in columns], degeneracies, Regime.MONOPOLISTIC
     )
-    lengths = np.append(starts[1:], len(x)) - starts
+    lengths = np.append(starts[1:], size) - starts
     # going[k - 1]: the runs longer than k, for k = 1 .. longest - 1
-    going = (len(starts) - np.cumsum(np.bincount(lengths)))[1:-1]
+    going = (len(starts) - np.bincount(lengths).cumsum())[1:-1]
     if not going.size:
         return first
-    p = int(np.argmin(fresh))  # the first row that continues its predecessor
-    step, a_down, rest_up = int(x[p] - x[p - 1]), int(y[p - 1] - y[p]), int(z[p] - z[p - 1])
-    order = np.argsort(-lengths, kind="stable")
-    ends = np.cumsum(going)
+    order = (-lengths).argsort(kind="stable")
+    ends = going.cumsum()
     # the k-th row of each of the going[k - 1] runs, step by step
-    rank = np.arange(ends[-1]) - np.repeat(ends - going, going)
-    rows = starts[order][rank] + np.repeat(np.arange(1, going.size + 1), going)
-    ups = _falling(y[rows - 1], a_down, g_x**step * g_z**rest_up)
-    downs = _falling(x[rows], step, 1) * _falling(z[rows], rest_up, g_y**a_down)
-    counts = np.empty(len(x), dtype=object)
+    rank = np.arange(ends[-1]) - (ends - going).repeat(going)
+    rows = starts[order][rank] + np.arange(1, going.size + 1).repeat(going)
+    moves = list(zip(tail, delta, degeneracies[-t:]))
+    rises = [(column, d) for column, d, _ in moves if d > 0]
+    falls = [(column, -d) for column, d, _ in moves if d < 0]
+    ups = _ratio(falls, rows - 1, math.prod(g**d for _, d, g in moves if d > 0))
+    downs = _ratio(rises, rows, math.prod(g**-d for _, d, g in moves if d < 0))
+    counts = np.empty(size, dtype=object)
     counts[starts] = first
     walked = np.empty(len(rows), dtype=object)
     before, low = counts[starts[order]], 0
-    for high, n in zip(ends.tolist(), going.tolist()):
+    shared = int(np.count_nonzero(going > 1))  # the steps that two or more runs take
+    for high, n in zip(ends[:shared].tolist(), going[:shared].tolist()):
         here = walked[low:high]
         np.multiply(before[:n], ups[low:high], out=here)
         np.floor_divide(here, downs[low:high], out=here)
         before, low = here, high
+    # the one run left goes on row by row
+    count = before[0]
+    for j, (up, down) in enumerate(zip(ups[low:].tolist(), downs[low:].tolist()), low):
+        count = count * up // down
+        walked[j] = count
     counts[rows] = walked
     return counts.tolist()
 
 
+def _ratio(moves: list[tuple[np.ndarray, int]], rows: np.ndarray, factor: int) -> np.ndarray:
+    """prod over the ``moves`` (column, d) of perm(column[rows], d), times
+    ``factor``, as an object array: one ``_falling`` table per move, the
+    factor folded into the first."""
+    (column, d), *rest = moves
+    product = _falling(column[rows], d, factor)
+    for column, d in rest:
+        product = product * _falling(column[rows], d, 1)
+    return product
+
+
 def _falling(values: np.ndarray, k: int, factor: int) -> np.ndarray:
     """perm(a, k) * factor for each a of the int64 ``values``, as Python
-    ints in an object array, from one table over min(values)..max(values)."""
-    low = int(values.min())
-    table = [perm(a, k) * factor for a in range(low, int(values.max()) + 1)]
-    return np.array(table, dtype=object)[values - low]
+    ints in an object array, from one table: over min(values)..max(values)
+    where that range is no wider than the values it serves, else over their
+    distinct values, so that no table outgrows its rows."""
+    low, high = int(values.min()), int(values.max())
+    if high - low < len(values):
+        table, index = range(low, high + 1), values - low
+    else:
+        table, index = np.unique(values, return_inverse=True)
+        table = table.tolist()
+    return np.array([perm(a, k) * factor for a in table], dtype=object)[index]
 
 
 def log_multiplicity(

@@ -450,10 +450,12 @@ def enumerate_orders(
     ``core._records`` makes the orders without EconomicOrder's checks.
 
     Two members list the same columns, and one selector, ``_listing``, picks
-    the member for the grid: ``_stack_columns``, one loop over an explicit
-    stack of prefixes that lists any grid, and ``_level_columns``, which
-    expands a total's listing one level at a time over numpy int64 frontiers
-    and pays no Python call per prefix.  The selector reads one bound,
+    the member for the grid on listing speed alone (``catalog`` counts
+    either member's columns by the same routes): ``_stack_columns``, one
+    loop over an explicit stack of prefixes that lists any grid, and
+    ``_level_columns``, which expands a total's listing one level at a time
+    over numpy int64 frontiers and pays no Python call per prefix.  The
+    selector reads one bound,
 
         B = C(q + n - 2, n - 2),   q = min(N, (Pi - N*e_0) // (e_1 - e_0)),
 
@@ -463,12 +465,13 @@ def enumerate_orders(
     a_1..a_{n-2}, and a prefix of k <= n - 2 levels by a_1..a_{k-1} and its
     ``left``; both are at most n - 2 values summing to at most q, so B bounds
     the number of orders and the rows of every frontier.  The array member
-    runs only with a total on three or more levels (it zips the last
-    three), where B reaches ``LISTING_MIN_ROWS`` per level (below that
-    numpy's fixed cost of some 25 us per level outweighs the pops it
-    saves), where the n*B int64 values of the worst case fit in
-    ``LISTING_MAX_VALUES``, and where N*e_max and Pi (so every int64
-    intermediate) stay exact.  Everything else, among it the few-order
+    runs only with a total on four or more levels (it zips the last three,
+    so on three levels it has no level to expand, and the stack member
+    lists the one zipped run at once), where B reaches ``LISTING_MIN_ROWS``
+    per level (below that numpy's fixed cost of some 25 us per level
+    outweighs the pops it saves), where the n*B int64 values of the worst
+    case fit in ``LISTING_MAX_VALUES``, and where N*e_max and Pi (so every
+    int64 intermediate) stay exact.  Everything else, among it the few-order
     grids of the samplers, deep grids with few firms, grids past the memory
     budget and N past int64, is listed by the stack member.
 
@@ -487,20 +490,14 @@ def enumerate_orders(
     return _Orders(columns)
 
 
-# enumerate_orders' array member runs on grids of three or more levels where
+# enumerate_orders' array member runs on grids of four or more levels where
 # the bound B reaches LISTING_MIN_ROWS per level, and where the worst case's
 # n*B int64 values (as many again for their parents) stay within
 # LISTING_MAX_VALUES, 32 MB of each.  Best of 9 on a 2-core Xeon (Python
 # 3.11.7, numpy 2.4.6), listing alone, stack against array member: 38 / 93 us
 # at B/n = 16 (levels 1..4, N = 10), 100 / 104 us at 124 (N = 30), 323 / 172
 # us at 1,288 (N = 100); 60 / 96 us at 23 (levels 0 3 7 20, N = 12), 259 /
-# 145 us at 58 (levels 1..8, N = 5).  On three levels the stack member's one
-# entry is one zipped run, so the array member lists more slowly (9 / 41 us
-# at levels 1 2 3, N = 400, Pi = 800), but its int64 columns let the catalog
-# walk a mon listing: with g 1 2 3, 1.9-2.5 -> 0.9-1.5 ms for that catalog
-# and 400 -> 10-13 ms at N = 3,000, while the per catalog pays the listing,
-# 0.15 -> 0.16-0.28 ms.  Three levels take it at B >= 384 (every sampling
-# grid has B <= 25).
+# 145 us at 58 (levels 1..8, N = 5).
 LISTING_MIN_ROWS = 128
 LISTING_MAX_VALUES = 1 << 22
 # N*e_max, Pi and e_max**2 below this keep every int64 intermediate exact
@@ -510,13 +507,14 @@ _INT64_ROOM = 1 << 61
 def _listing(grid: RevenueGrid, config: EconomyConfig):
     """The one reader of LISTING_MIN_ROWS, LISTING_MAX_VALUES and
     _INT64_ROOM: the member of enumerate_orders that lists this grid,
-    _level_columns where a total is given on three or more levels and B
+    _level_columns where a total is given on four or more levels and B
     (see enumerate_orders) pays for its level passes and fits, else
     _stack_columns."""
     levels, total = grid.levels, config.total_revenue
     n = len(levels)
     # structural, not a tunable: the array member zips the last three levels
-    if total is None or n < 3:
+    # and expands the levels before them, of which three levels have none
+    if total is None or n < 4:
         return _stack_columns
     n_firms = config.n_firms
     q = min(n_firms, (total - n_firms * levels[0]) // (levels[1] - levels[0]))
@@ -648,7 +646,7 @@ def _stack_columns(
 def _level_columns(
     grid: RevenueGrid, config: EconomyConfig, cap: int | None
 ) -> tuple[np.ndarray, ...]:
-    """enumerate_orders' array member, for a total on three or more levels.
+    """enumerate_orders' array member, for a total on four or more levels.
 
     The frontier holds the ``left`` and ``need`` of every prefix as int64
     vectors, in listing order, starting from the one empty prefix.  Each
@@ -814,9 +812,10 @@ def catalog(
 
     The counts come from ``counting._multiplicities``, handed the listing's
     int64 columns (``arrays``) where the array member listed it, else its
-    lists; that function picks how they are counted.  Where it hands back
-    an int64 array (indistinguishable firms on int64 columns), the listing
-    indices of the top count's ties are taken on that array by one
+    lists; that function picks how they are counted, a mon listing's walk
+    or chain by its row count whichever member listed it.  Where it hands
+    back an int64 array (indistinguishable firms on int64 columns), the
+    listing indices of the top count's ties are taken on that array by one
     ``flatnonzero`` before its one ``tolist``, and the catalog keeps them;
     any other catalog finds them on first use (``OrderCatalog``).  The
     arrays are dropped once counted, so the catalog's ``orders.columns``

@@ -551,6 +551,21 @@ class TestSample:
         (row,) = read_rows(out / "frequencies.csv")
         assert row["occupancy"] == "100000 0" and row["count"] == "10000"
 
+    def test_two_levels_at_ten_thousand_firms_without_a_total(self, tmp_path):
+        # 10,001 orders in one zipped run, every one counted: the chain takes
+        # about 9 s, the ratio walk about 30 ms
+        text = "[grid]\nlevels = 1 2\ndegeneracies = 1 1\n\n[economy]\nN = 10000\nregime = mon\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        rows = {row["occupancy"]: row for row in read_rows(out / "frequencies.csv")}
+        assert len(rows) == 10_001
+        assert sum(int(row["count"]) for row in rows.values()) == 10_000
+        even = float(rows["5000 5000"]["exact_probability_float"])
+        assert even == math.comb(10**4, 5000) / 2**10**4
+
     @pytest.mark.parametrize("regime", ["mon", "per"])
     def test_only_the_outcome_log_places(self, monkeypatch, tmp_path, regime):
         # frequencies.csv reads only the picks; --log-outcomes places each draw

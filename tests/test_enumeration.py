@@ -315,7 +315,7 @@ def refusal_peak(grid, config, cap):
 
 
 # enumerate_orders' selector constants that force each member on any grid
-# with a total and three or more levels
+# with a total and four or more levels
 STACK_MEMBER = {"LISTING_MIN_ROWS": 2**62}
 ARRAY_MEMBER = {"LISTING_MIN_ROWS": 0, "LISTING_MAX_VALUES": 2**62}
 
@@ -338,8 +338,10 @@ class TestListingMembers:
     """The stack and array members of enumerate_orders list the same columns
     and refuse the same caps, each forced by the selector's constants."""
 
+    # four or more levels: on three the selector takes the stack member
+    # whatever its constants
     @given(
-        levels=st.lists(st.integers(0, 12), min_size=3, max_size=6, unique=True).map(sorted),
+        levels=st.lists(st.integers(0, 12), min_size=4, max_size=6, unique=True).map(sorted),
         n_firms=st.integers(1, 9),
         data=st.data(),
     )
@@ -380,8 +382,8 @@ class TestListingMembers:
             ((1, 2, 3, 4, 5), 30, 90, "_level_columns"),  # the exact-orders deck's smallest catalog
             ((1, 3, 4, 9, 10), 40, 200, "_level_columns"),
             ((1, 2, 3, 4), 100, 250, "_level_columns"),
-            ((1, 2, 3), 1000, 2000, "_level_columns"),  # B = 1001: one run of 501 orders
-            ((1, 2, 3), 300, 450, "_stack_columns"),  # B = 151, below 3 * LISTING_MIN_ROWS
+            ((1, 2, 3), 1000, 2000, "_stack_columns"),  # three levels: one zipped run of 501 orders
+            ((1, 2, 3), 300, 450, "_stack_columns"),  # three levels, B = 151
             ((1, 2, 3), 12, 20, "_stack_columns"),  # the uniform sampling grids
             ((1, 2, 3, 4, 5), 20, 23, "_stack_columns"),  # the chain sampling grids
             ((0, 3, 7, 20), 12, 60, "_stack_columns"),
@@ -1017,12 +1019,23 @@ class TestCatalogEntry:
         cat = five_level_catalog(regime)
         assert calls == [cat.entries[0].order]
 
-    # once as the selector picks the listing member, once with the array
-    # member forced wherever a total lies on three or more levels, so that
-    # per catalogs are counted on its int64 columns and mon catalogs by the
-    # ratio walk
-    @pytest.mark.parametrize("constants", [{}, ARRAY_MEMBER], ids=["selected", "array-member"])
+    # each listing member forced wherever a total lies on four or more
+    # levels, and each mon route forced by the walk's row rule: every mon
+    # listing walked at 0 rows, every one chained at 2**62.  Per catalogs are
+    # counted on the array member's int64 columns and by the chain on the
+    # stack member's lists
+    @pytest.mark.parametrize("walk_rows", [0, 2**62], ids=["walk", "chain"])
+    @pytest.mark.parametrize("member", [STACK_MEMBER, ARRAY_MEMBER], ids=["stack", "array"])
     @given(economy=feasible_economies(max_levels=5, max_degeneracy=4))
+    # no total: the zipped tail moves by (+1, -1) on two levels, one run, and
+    # by (0, +1, -1) on three or more, a run per a_{n-3} and prefix
+    @example(economy=(RevenueGrid((0, 5), (2, 3)), EconomyConfig(12, None, Regime.MONOPOLISTIC)))
+    @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(10, None, Regime.MONOPOLISTIC)))
+    @example(economy=(RevenueGrid((0, 3, 7, 20), (2, 3, 4, 2)), EconomyConfig(9, None, Regime.MONOPOLISTIC)))
+    @example(economy=(RevenueGrid((0, 3, 4, 9, 12), (4, 1, 3, 1, 2)), EconomyConfig(8, None, Regime.MONOPOLISTIC)))
+    # N past int64: 91 orders the walk cannot hold as int64, so the chain
+    # counts them at any row rule (g_0 = 1, since a_0 is about 2**64)
+    @example(economy=(RevenueGrid((1, 2, 3, 4), (1, 2, 3, 2)), EconomyConfig(2**64, 2**64 + 30, Regime.MONOPOLISTIC)))
     # a gapped tail: on levels 3 7 20, step, a_down and rest_up are 13, 17
     # and 4; 11 orders, two of which continue a run
     @example(economy=(RevenueGrid((0, 3, 7, 20), (2, 3, 4, 2)), EconomyConfig(21, 139, Regime.MONOPOLISTIC)))
@@ -1041,19 +1054,20 @@ class TestCatalogEntry:
     @example(economy=(RevenueGrid((1, 2, 3), (1, 1, 4333)), EconomyConfig(10**4, 10**4 + 12, Regime.PERFECT)))
     # a_0 = a_2 <= 6: each level's factors fit int64, their products do not
     @example(economy=(RevenueGrid((1, 2, 3), (4332, 1, 4332)), EconomyConfig(12, 24, Regime.PERFECT)))
-    # what the selector itself hands to the array member on three levels:
-    # B = 1001, one run of 501 orders; and B = 401 with a gap and level 0
+    # three levels with a total, each one run: 501 orders; and B = 401 with
+    # a gap and level 0
     @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(1000, 2000, Regime.MONOPOLISTIC)))
     @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(1000, 2000, Regime.PERFECT)))
     @example(economy=(RevenueGrid((0, 3, 7), (2, 3, 2)), EconomyConfig(400, 1400, Regime.MONOPOLISTIC)))
     # one order, (0, 0, 400), yet B = 401: a run with no continuing row
     @example(economy=(RevenueGrid((1, 2, 3), (2, 1, 3)), EconomyConfig(400, 1200, Regime.MONOPOLISTIC)))
     @settings(max_examples=200, deadline=None)
-    def test_column_counts_equal_multiplicity(self, constants, economy):
+    def test_column_counts_equal_multiplicity(self, member, walk_rows, economy):
         grid, config = economy
         with pytest.MonkeyPatch.context() as patch:
-            for name, value in constants.items():
+            for name, value in member.items():
                 patch.setattr(enumeration, name, value)
+            patch.setattr(counting, "WALK_MIN_ROWS", walk_rows)
             cat = catalog(grid, config)
         for order, count in zip(cat.orders, cat.counts):
             # a Python int, so that no artifact sees a numpy integer
@@ -1061,6 +1075,47 @@ class TestCatalogEntry:
         assert all(type(a) is int for column in cat.orders.columns for a in column)
         assert cat.orders.arrays is None
         assert cat.total_outcomes == feasible_outcome_count(grid, config)
+
+    def test_ratio_tables_hold_no_more_entries_than_rows(self, monkeypatch):
+        # levels 0 1 1000, Pi = 500 N: 11 orders in one run along which a_0
+        # steps by 999, so a table over min..max of a_0 would hold about a
+        # thousand entries per row it serves
+        grid = RevenueGrid((0, 1, 1000), (1, 1, 1))
+        config = EconomyConfig(20_000, 500 * 20_000, Regime.MONOPOLISTIC)
+        made, tables = [], []
+        perm, falling = counting.perm, counting._falling
+        monkeypatch.setattr(counting, "perm", lambda a, k: made.append(a) or perm(a, k))
+
+        def spy(values, k, factor):
+            before = len(made)
+            table = falling(values, k, factor)
+            tables.append((len(made) - before, len(values)))
+            return table
+
+        monkeypatch.setattr(counting, "_falling", spy)
+        monkeypatch.setattr(counting, "WALK_MIN_ROWS", 0)
+        cat = catalog(grid, config)
+        assert len(cat.counts) == 11 and tables
+        assert all(entries <= rows for entries, rows in tables), tables
+        for order, count in zip(cat.orders, cat.counts):
+            assert count == multiplicity(order, grid, Regime.MONOPOLISTIC)
+
+    def test_five_levels_at_two_hundred_firms(self, monkeypatch):
+        # 230,673 orders, listed by the stack member (n*B is past
+        # LISTING_MAX_VALUES) and walked on its lists in about 0.2 s, where
+        # the chain takes about 0.5 s.  The total's digest and the top order
+        # are the chain's
+        walked = []
+        walk = counting._ratio_walk
+        monkeypatch.setattr(counting, "_ratio_walk", lambda c, g: walked.append(len(c[0])) or walk(c, g))
+        config = EconomyConfig(200, 600, Regime.MONOPOLISTIC)
+        assert enumeration._listing(FIVE_LEVELS, config) is enumeration._stack_columns
+        cat = catalog(FIVE_LEVELS, config)
+        assert walked == [len(cat.counts)] == [230_673]
+        assert cat.tie_set() == (cat.most_probable(),)
+        assert cat.most_probable().occupancy == (32, 50, 39, 44, 35)
+        digest = hashlib.sha256(str(cat.total_outcomes).encode()).hexdigest()
+        assert digest == "daa4aec9026aee99a29c3510ec6e78336e0a6402c043ece04c2188f7ac01abfa"
 
 
 class TestSpontaneousOrder:
@@ -1087,7 +1142,7 @@ class TestSpontaneousOrder:
         top = max(e.multiplicity for e in cat.entries)
         assert cat.tie_set() == tuple(e.order for e in cat.entries if e.multiplicity == top)
 
-    # each listing member forced wherever a total lies on three or more
+    # each listing member forced wherever a total lies on four or more
     # levels, so that per catalogs take their ties on the int64 counts of
     # the array member and on the chain's Python ints of the stack member
     @pytest.mark.parametrize("constants", [STACK_MEMBER, ARRAY_MEMBER], ids=["stack", "array"])

@@ -4,8 +4,9 @@ maxent._evaluator compares a grid's level count against
 maxent.ARRAY_MIN_LEVELS and builds the member of the evaluator pair that the
 count selects.  enumeration._listing likewise reads the listing constants
 (LISTING_MIN_ROWS, LISTING_MAX_VALUES and the int64 room) and picks
-enumerate_orders' stack or array member, and counting._multiplicities picks
-how a listing is counted: the ratio walk, int64 products or the chain.
+enumerate_orders' stack or array member, and counting._multiplicities reads
+WALK_MIN_ROWS and picks how a listing is counted: the ratio walk, int64
+products or the chain.
 OrderCatalog._batches is the one definition of a pick, which both
 OrderCatalog.sample and OrderCatalog.picks read.  A
 second reader of a constant, a second caller of a counting route, or a
@@ -32,6 +33,7 @@ SELECTORS = {
     "LISTING_MIN_ROWS": ("enumeration.py", "_listing"),
     "LISTING_MAX_VALUES": ("enumeration.py", "_listing"),
     "_INT64_ROOM": ("enumeration.py", "_listing"),
+    "WALK_MIN_ROWS": ("counting.py", "_multiplicities"),
 }
 NO_DISPATCH = ("macro.py", "counting.py")
 # each counting route: the functions of counting.py that may call it
