@@ -3,7 +3,8 @@
 Every command reads a validated config (or a data file for ``fit``), writes
 machine-readable CSV/JSON into the output directory, and exits with
 0 on success, 2 on infeasibility, 3 on non-convergence, 4 on an exceeded
-enumeration cap, and 1 on any other error.  The output directory is made
+enumeration cap or a count with more decimal digits than the interpreter
+prints, and 1 on any other error.  The output directory is made
 only once the command's catalog, solve or Boltzmann fit has succeeded, so a
 run that exits 2 or 4, or is refused its data or config, leaves no empty
 directory behind.  Outputs are deterministic for a fixed config and seed
@@ -67,9 +68,24 @@ def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
     return dataclasses.replace(run_config, **updates) if updates else run_config
 
 
+def _check_printable(total: int) -> None:
+    """Refuse a total outcome count T whose decimal text passes CPython's
+    int-to-str limit (sys.get_int_max_str_digits, 0 for none).  T bounds
+    every count, numerator and denominator that enumerate prints.  Its
+    digits are bounded from its bit length (log10 2 < 0.30103), at most one
+    too many below 10**8 bits, which one power of ten settles."""
+    limit = sys.get_int_max_str_digits()
+    digits = total.bit_length() * 30103 // 100000 + 1
+    if limit and digits > limit and total < 10 ** (digits - 1):
+        digits -= 1
+    if limit and digits > limit:
+        raise CapExceededError(digits, limit, "total outcome count", "decimal digits")
+
+
 def cmd_enumerate(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
+    _check_printable(cat.total_outcomes)
     out = _out_dir(args, run)
     reports.write_orders_csv(out / "orders.csv", cat)
     reports.dump_json(out / "spontaneous.json", reports.spontaneous_payload(cat))

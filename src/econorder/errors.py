@@ -14,14 +14,17 @@ class InfeasibleError(EconOrderError):
 
 
 class CapExceededError(EconOrderError):
-    """Exhaustive enumeration refused: the space to list exceeds the cap.
+    """Exhaustive enumeration refused: the space to list exceeds the cap, or
+    its count has more decimal digits than the interpreter prints.
 
     ``count`` is None when listing stopped at the first element past the cap.
     """
 
-    def __init__(self, count: int | None, cap: int, space: str = "outcome space"):
+    def __init__(
+        self, count: int | None, cap: int, space: str = "outcome space", unit: str = "elements"
+    ):
         size = "more than %d" % cap if count is None else count
-        super().__init__(f"{space} has {size} elements, exceeding the cap of {cap}")
+        super().__init__(f"{space} has {size} {unit}, exceeding the cap of {cap}")
         self.count = count
         self.cap = cap
 

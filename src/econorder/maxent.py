@@ -22,8 +22,15 @@ b >= 0 at the solution and a is the gap at the condensing end.
 solve_multipliers runs damped Newton on Phi with a backtracking Armijo line
 search, which converges globally on a strictly convex objective (Boyd &
 Vandenberghe, Convex Optimization, 2004, sec. 9.5), here started from the
-closed form of a two-level grid.  The loop reads only scalar sums from each
-evaluation: sum a, sum a u, ln Z and the Hessian sums.
+closed form of a two-level grid.  The loop reads only scalar sums, each
+taken once per Newton step: ln Z from the closed form at every trial point,
+then at the accepted point the gradient sums sum a and sum a u (totals) and
+the Hessian sums (curvature).  Under monopolistic competition the Hessian
+weight is a itself, so curvature reuses the gradient sums and adds only
+the spread sum a (u - mean)^2; under perfect competition it sums the weight
+a + a^2 / g afresh.  The mon ln Z is sum a too, but totals takes it again:
+reading it from ln Z measured no gain on the float member, and on the array
+member np.add.reduce and basis @ a round differently.
 
 One evaluator pair holds the closed form, the sums Newton reads and the
 Stirling sum: _FloatLevels on Python floats, read straight from the grid's
@@ -154,35 +161,51 @@ class _FloatLevels:
         Past overflow it gives the values numpy gives: g e^(-x) = inf (mon),
         g / expm1(x) = 0.0 (per).  Bose-Einstein ln Z uses
         1 / (1 - exp(-x)) = 1 + a / g.
+
+        Each occupancy is taken straight from alpha + beta e_k.  A level at
+        or past the wall stops that pass: x_k = +-0.0 divides by zero, and
+        x_k < 0 gives a_k <= -g_k, outside log1p's domain.  Only then, or
+        when a term overflows, is x listed, by _past_the_wall.
         """
+        g, e = self.g, self.e
+        try:
+            if self.regime is Regime.PERFECT:
+                occ = [gk / math.expm1(alpha + beta * ek) for gk, ek in zip(g, e)]
+                return occ, reduce(add, [gk * math.log1p(ak / gk) for gk, ak in zip(g, occ)], 0.0)
+            occ = [gk * math.exp(-(alpha + beta * ek)) for gk, ek in zip(g, e)]
+            return occ, reduce(add, occ, 0.0)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            pass  # outside the handler, a wall raised below chains no context
+        return self._past_the_wall(alpha, beta)
+
+    def _past_the_wall(self, alpha: float, beta: float):
+        """closed_form on the listed x: the wall check, then the overflowing
+        terms as numpy has them."""
         g = self.g
         x = [alpha + beta * ek for ek in self.e]
         if self.regime is Regime.PERFECT:
             low = min(x)
             if low <= 0.0:
                 raise _wall(x.index(low), low)
-            try:
-                occ = [gk / math.expm1(xk) for gk, xk in zip(g, x)]
-            except OverflowError:
-                occ = [gk / _inf_on_overflow(math.expm1, xk) for gk, xk in zip(g, x)]
+            occ = [gk / _inf_on_overflow(math.expm1, xk) for gk, xk in zip(g, x)]
             return occ, reduce(add, [gk * math.log1p(ak / gk) for gk, ak in zip(g, occ)], 0.0)
-        try:
-            occ = [gk * math.exp(-xk) for gk, xk in zip(g, x)]
-        except OverflowError:
-            occ = [gk * _inf_on_overflow(math.exp, -xk) for gk, xk in zip(g, x)]
+        occ = [gk * _inf_on_overflow(math.exp, -xk) for gk, xk in zip(g, x)]
         return occ, reduce(add, occ, 0.0)
 
     def totals(self, v) -> tuple[float, float]:
         """(sum v, sum v e)."""
         return reduce(add, v, 0.0), reduce(add, map(mul, v, self.e), 0.0)
 
-    def curvature(self, occ) -> tuple[float, float, float]:
+    def curvature(self, occ, sums) -> tuple[float, float, float]:
         """(sum w, the w-weighted mean of e, sum w (e - mean)^2), where w is
-        the Hessian weight of each level."""
+        the Hessian weight of each level, given sums = totals(occ).  Under
+        monopolistic competition w is the occupancy itself, and sums are its
+        totals; under perfect competition w = a + a^2 / g is summed here."""
         w = occ
         if self.regime is Regime.PERFECT:
             w = [ak + ak * (ak / gk) for ak, gk in zip(occ, self.g)]
-        w_sum, w_e = self.totals(w)
+            sums = self.totals(w)
+        w_sum, w_e = sums
         e_mean = w_e / w_sum
         spread = reduce(add, [wk * (ek - e_mean) ** 2 for wk, ek in zip(w, self.e)], 0.0)
         return w_sum, e_mean, spread
@@ -252,9 +275,12 @@ class _ArrayLevels(_FloatLevels):
         return (self.basis @ v).tolist()
 
     @np.errstate(over="ignore")
-    def curvature(self, occ) -> tuple[float, float, float]:
-        w = occ + occ * (occ / self.g) if self.regime is Regime.PERFECT else occ
-        w_sum, w_e = self.totals(w)
+    def curvature(self, occ, sums) -> tuple[float, float, float]:
+        w = occ
+        if self.regime is Regime.PERFECT:
+            w = occ + occ * (occ / self.g)
+            sums = self.totals(w)
+        w_sum, w_e = sums
         e_mean = w_e / w_sum
         return w_sum, e_mean, float(w @ (self.e - e_mean) ** 2)
 
@@ -509,7 +535,7 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
     steps = 0
     polishing = converged = pinned = False
     while True:
-        s_n, s_u = levels.totals(occ)
+        sums = s_n, s_u = levels.totals(occ)
         res_n = s_n - n_firms
         res_pi = e0 * res_n + span * (s_u - pi_u)
         converged = abs(res_n) <= _TOL * n_firms and abs(res_pi) <= _TOL * pi
@@ -518,7 +544,7 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
         polishing = converged
         # Hessian sum_k w_k (1, u_k)(1, u_k)^T, factored about the weighted
         # mean of u so that the 2x2 solve never subtracts nearly equal terms
-        w_sum, u_mean, spread = levels.curvature(occ)
+        w_sum, u_mean, spread = levels.curvature(occ, sums)
         grad_a, grad_b = -res_n, pi_u - s_u  # gradient of Phi
         step_b = -(grad_b - u_mean * grad_a) / spread
         step_a = -grad_a / w_sum - u_mean * step_b

@@ -341,6 +341,37 @@ class TestEnumerate:
         assert not out.exists()
         assert peak < 1_000_000
 
+    def test_total_past_the_digit_limit_exits_4(self, tmp_path, capsys):
+        # two levels, no total: T = 2**14400 has 4,335 digits, past CPython's
+        # default int-to-str limit of 4,300, which every count would meet
+        config = write_config(tmp_path, EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 14400"))
+        out = tmp_path / "o"
+        assert main(["enumerate", "--config", str(config), "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "cap_exceeded"
+        assert err["message"] == (
+            "total outcome count has 4335 decimal digits, exceeding the cap of 4300"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("room", [0, -1])
+    def test_digit_limit_is_exact(self, tmp_path, capsys, room):
+        # N = 2127: T = 2**2127 has 641 digits, one above the lowest limit
+        # CPython takes (640); a limit of 641 writes every file, 640 refuses
+        config = write_config(tmp_path, EXAMPLE_TWO_FIRMS.replace("N = 2", "N = 2127"))
+        out = tmp_path / "o"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(641 + room)
+        try:
+            code = main(["enumerate", "--config", str(config), "--out", str(out)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == (4 if room else 0)
+        assert out.exists() != bool(room)
+        if not room:
+            top = json.loads((out / "spontaneous.json").read_text())
+            assert top["total_outcomes"] == str(2**2127)
+
 
 class TestSolve:
     def test_two_level_solution_files(self, tmp_path):

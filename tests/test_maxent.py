@@ -522,6 +522,7 @@ class TestEvaluatorsAgree:
             with pytest.raises(SingularityError) as err:
                 arrays_at.closed_form(alpha, beta)
             assert err.value.level_index == wall.level_index
+            assert str(err.value) == str(wall)
             return
         arrays, array_log_z = arrays_at.closed_form(alpha, beta)
         for got, want in zip(floats, arrays.tolist()):
@@ -533,6 +534,49 @@ class TestEvaluatorsAgree:
             assert log_z == array_log_z
         else:
             assert math.isclose(log_z, array_log_z, rel_tol=sum_rtol(grid.n), abs_tol=TINY)
+
+    # (levels, alpha, beta, the wall's level and x under perfect competition):
+    # x < 0 below levels where x > 0, x = alpha + beta e exactly zero on an
+    # interior level, of either sign, and x < 0 on one level while expm1
+    # overflows on another, in either order along the grid.  The wall is the level where x is smallest.
+    WALLS = {
+        "negative-below-positive": ((1, 3, 4), -2.0, 1.0, 0, "-1"),
+        "interior-plus-zero": ((1, 2, 3), -2.0, 1.0, 0, "-1"),
+        "every-level-plus-zero": ((1, 2, 3), 0.0, 0.0, 0, "0"),
+        "every-level-minus-zero": ((1, 2, 3), -0.0, -0.0, 0, "-0"),
+        "minus-zero-at-level-zero": ((0, 1, 2), -0.0, -1.0, 2, "-2"),
+        "negative-then-overflow": ((1, 2, 1000), -1.5, 1.0, 0, "-0.5"),
+        "overflow-then-negative": ((1, 2, 1000), 999.5, -1.0, 2, "-0.5"),
+    }
+
+    @pytest.mark.parametrize("case", WALLS)
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_walls_raise_alike(self, case, regime):
+        levels, alpha, beta, k, x = self.WALLS[case]
+        pair = evaluator_pair(RevenueGrid(levels, (2, 1, 3)), regime)
+        if regime is Regime.MONOPOLISTIC:  # no wall: g e^(-x), inf past overflow
+            floats, arrays = (levels.closed_form(alpha, beta) for levels in pair)
+            assert floats[0] == arrays[0].tolist() and floats[1] == arrays[1]
+            return
+        for levels in pair:
+            with pytest.raises(SingularityError) as err:
+                levels.closed_form(alpha, beta)
+            assert err.value.level_index == k
+            assert str(err.value) == (
+                "Bose-Einstein occupancy undefined at level %d: alpha + beta*e = %s <= 0" % (k, x)
+            )
+
+    # just off the wall: x = 5e-324 on every level (g / x overflows to inf),
+    # and x = 2**-60 + e 2**-70, where expm1(x) = x exactly
+    @pytest.mark.parametrize("alpha, beta", [(5e-324, 0.0), (2.0**-60, 2.0**-70)])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_just_off_the_wall_alike(self, alpha, beta, regime):
+        floats, arrays = (
+            levels.closed_form(alpha, beta)
+            for levels in evaluator_pair(RevenueGrid((1, 2, 3), (2, 1, 3)), regime)
+        )
+        assert floats[0] == arrays[0].tolist()
+        assert floats[1] == arrays[1]
 
     @given(
         grid=evaluator_grids(min_levels=1),
