@@ -5,9 +5,12 @@ machine-readable CSV/JSON into the output directory, and exits with
 0 on success, 2 on infeasibility, 3 on non-convergence, 4 on an exceeded
 enumeration cap or a count with more decimal digits than the interpreter
 prints, and 1 on any other error.  The output directory is made
-only once the command's catalog, solve or Boltzmann fit has succeeded, so a
+only once the command's catalog, solve or Boltzmann fit has succeeded, or
+check's suites have run, so a
 run that exits 2 or 4, or is refused its data or config, leaves no empty
-directory behind.  Outputs are deterministic for a fixed config and seed
+directory behind.  ``reports`` writes each file whole: it fills a temporary
+sibling and renames it over the file's name, so a failed run leaves no
+partial file.  Outputs are deterministic for a fixed config and seed
 set.
 """
 
@@ -138,11 +141,8 @@ def cmd_sample(args) -> int:
     outcomes = islice(cat.sample(run.seed), draws) if args.log_outcomes else None
     tally = Counter(islice(cat.picks(run.seed), draws))
     out = _out_dir(args, run)
-    if outcomes is not None:  # each row is written as it is drawn
-        with (out / "outcomes.csv").open("w", newline="") as handle:
-            handle.write("step,assignment\n")
-            for step, outcome in enumerate(outcomes):
-                handle.write("%d,%s\n" % (step, json.dumps(outcome.assignment)))
+    if outcomes is not None:
+        reports.write_outcomes_csv(out / "outcomes.csv", outcomes)
     reports.write_frequencies_csv(out / "frequencies.csv", tally, cat, draws)
     print("sampled %d outcomes over %d orders -> %s" % (draws, len(tally), out))
     return EXIT_OK
@@ -152,38 +152,20 @@ def cmd_fit(args) -> int:
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
     samples = load_samples(args.data)
-    payload: dict = {"n_samples": len(samples), "source": samples.source}
-    exit_code = EXIT_OK
     boltzmann = fit_boltzmann(samples, tail_quantile=args.tail_quantile)
     out = _out_dir(args)
     gof_b = goodness_of_fit(boltzmann)
-    payload["boltzmann"] = {
-        "parameters": boltzmann.parameters,
-        "ks_statistic": boltzmann.ks_statistic,
-        "log_likelihood": boltzmann.log_likelihood,
-        "n_used": boltzmann.n_used,
-        "gof_passed": gof_b.passed,
-        "gof_critical_value": gof_b.critical_value,
-    }
+    skipped = None
     try:
         bose = fit_bose_einstein(samples, bins=args.bins, tail_quantile=args.tail_quantile)
-        gof_be = goodness_of_fit(bose) if bose.converged else None
-        payload["bose_einstein"] = {
-            "parameters": bose.parameters,
-            "ks_statistic": None if gof_be is None else bose.ks_statistic,
-            "converged": bose.converged,
-            "n_used": bose.n_used,
-            "gof_passed": None if gof_be is None else gof_be.passed,
-            "gof_critical_value": None if gof_be is None else gof_be.critical_value,
-        }
-        if not bose.converged:
-            exit_code = EXIT_NONCONVERGENCE
     except ConfigError as exc:
-        payload["bose_einstein"] = {"skipped": str(exc)}
-        bose = None
+        bose, skipped = None, str(exc)
+    gof_be = goodness_of_fit(bose) if bose is not None and bose.converged else None
     rows = binned_fit_rows(samples, boltzmann, bose, args.bins)
     reports.write_binned_fit_csv(out / "binned.csv", rows)
-    reports.dump_json(out / "fit.json", payload)
+    reports.dump_json(
+        out / "fit.json", reports.fit_payload(samples, boltzmann, gof_b, bose, gof_be, skipped)
+    )
     print(
         "fit: boltzmann ks=%.4g%s -> %s"
         % (
@@ -192,7 +174,7 @@ def cmd_fit(args) -> int:
             out,
         )
     )
-    return exit_code
+    return EXIT_NONCONVERGENCE if bose is not None and not bose.converged else EXIT_OK
 
 
 def cmd_macro(args) -> int:
@@ -222,14 +204,9 @@ def cmd_macro(args) -> int:
 
 def cmd_check(args) -> int:
     run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    out = _out_dir(args, run)
     results = run_checks(run)
-    payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    out = _out_dir(args, run)
+    payload = reports.check_payload(results)
     reports.dump_json(out / "check.json", payload)
     for r in results:
         print("%s %s" % ("PASS" if r.passed else "FAIL", r.name))

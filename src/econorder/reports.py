@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON serialisation of catalogs, solutions, and fits.
 
 Outputs carry no timestamps or environment data, so identical inputs and
-seeds produce byte-identical files.
+seeds produce byte-identical files.  Every file is written by ``_written``,
+whole or not at all.
 """
 
 from __future__ import annotations
@@ -9,11 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
+from .checks import CheckResult
 from .core import RevenueGrid
 from .enumeration import OrderCatalog
+from .fitting import FitResult, GoodnessReport, SampleSet
 from .macro import IdentityReport, MacroParams
 from .maxent import CondensationReport, MultiplierSolution
 
@@ -30,8 +34,33 @@ def _float_or_none(value):
     return value
 
 
+@contextmanager
+def _written(path: Path):
+    """Yield a text handle on a temporary sibling of ``path`` and rename it
+    over ``path`` once the block ends; on any exception delete it and
+    re-raise, so ``path`` keeps whatever it held before."""
+    temp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        with open(temp, "w", newline="") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def _csv_rows(path: Path, names: list[str]):
+    """Yield a CSV writer on ``_written(path)`` that has written the header ``names``."""
+    with _written(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(names)
+        yield writer
+
+
 def dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _written(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
@@ -43,11 +72,8 @@ def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
     positions, total = catalog.entries.positions, catalog.total_outcomes
     occupancies = zip(*(map(column.__getitem__, positions) for column in catalog.orders.columns))
     counts = map(catalog.counts.__getitem__, positions)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
-        )
+    names = ["occupancy", "multiplicity", "probability_num", "probability_den", "probability_float"]
+    with _csv_rows(path, names) as writer:
         for occupancy, count in zip(occupancies, counts):
             common = math.gcd(count, total)
             writer.writerow(
@@ -62,14 +88,14 @@ def write_orders_csv(path: Path, catalog: OrderCatalog) -> None:
 
 
 def spontaneous_payload(catalog: OrderCatalog) -> dict:
-    count, total = catalog.counts[catalog._top], catalog.total_outcomes
-    probability = Fraction(count, total)
+    """The most probable order, ``catalog.entries[0]`` under the tie rule."""
+    top, total = catalog.entries[0], catalog.total_outcomes
     return {
-        "order": list(catalog.most_probable().occupancy),
-        "multiplicity": str(count),
-        "probability_num": str(probability.numerator),
-        "probability_den": str(probability.denominator),
-        "probability_float": count / total,
+        "order": list(top.order.occupancy),
+        "multiplicity": str(top.multiplicity),
+        "probability_num": str(top.probability.numerator),
+        "probability_den": str(top.probability.denominator),
+        "probability_float": top.multiplicity / total,
         "tie_set": [list(o.occupancy) for o in catalog.tie_set()],
         "total_outcomes": str(total),
         "n_orders": len(catalog.orders),
@@ -77,9 +103,7 @@ def spontaneous_payload(catalog: OrderCatalog) -> dict:
 
 
 def write_occupancy_csv(path: Path, grid: RevenueGrid, occupancy) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["level_index", "revenue", "degeneracy", "occupancy"])
+    with _csv_rows(path, ["level_index", "revenue", "degeneracy", "occupancy"]) as writer:
         for k, (e, g, a) in enumerate(zip(grid.levels, grid.degeneracies, occupancy)):
             writer.writerow([k, e, g, repr(float(a))])
 
@@ -144,6 +168,49 @@ def macro_payload(
     }
 
 
+def fit_payload(
+    samples: SampleSet,
+    boltzmann: FitResult,
+    boltzmann_gof: GoodnessReport,
+    bose: FitResult | None,
+    bose_gof: GoodnessReport | None,
+    skipped: str | None,
+) -> dict:
+    """Both fits beside their goodness of fit: ``bose`` is None when its fit
+    was refused for the reason ``skipped``, ``bose_gof`` when it diverged."""
+    payload = {
+        "n_samples": len(samples),
+        "source": samples.source,
+        "boltzmann": {
+            "parameters": boltzmann.parameters,
+            "ks_statistic": boltzmann.ks_statistic,
+            "log_likelihood": boltzmann.log_likelihood,
+            "n_used": boltzmann.n_used,
+            "gof_passed": boltzmann_gof.passed,
+            "gof_critical_value": boltzmann_gof.critical_value,
+        },
+    }
+    if bose is None:
+        payload["bose_einstein"] = {"skipped": skipped}
+    else:
+        payload["bose_einstein"] = {
+            "parameters": bose.parameters,
+            "ks_statistic": None if bose_gof is None else bose.ks_statistic,
+            "converged": bose.converged,
+            "n_used": bose.n_used,
+            "gof_passed": None if bose_gof is None else bose_gof.passed,
+            "gof_critical_value": None if bose_gof is None else bose_gof.critical_value,
+        }
+    return payload
+
+
+def check_payload(results: list[CheckResult]) -> dict:
+    return {
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": all(r.passed for r in results),
+    }
+
+
 def write_frequencies_csv(
     path: Path,
     tally: dict[int, int],
@@ -154,11 +221,8 @@ def write_frequencies_csv(
     maps a listing index to its count, as a ``Counter`` of
     ``OrderCatalog.picks`` does) and its frequency ``drawn / draws``, the
     float ``Fraction(drawn, draws)`` rounds to, beside its exact one."""
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
-        )
+    names = ["occupancy", "count", "frequency_float", "exact_probability_float", "abs_error"]
+    with _csv_rows(path, names) as writer:
         total = catalog.total_outcomes
         for index, (occupancy, count) in enumerate(zip(zip(*catalog.orders.columns), catalog.counts)):
             drawn = tally.get(index, 0)
@@ -175,21 +239,19 @@ def write_frequencies_csv(
             )
 
 
+def write_outcomes_csv(path: Path, outcomes) -> None:
+    """One row per outcome of the stream ``outcomes``, written as it is
+    drawn: its step and its assignment as JSON, quoted as one CSV field."""
+    with _csv_rows(path, ["step", "assignment"]) as writer:
+        for step, outcome in enumerate(outcomes):
+            writer.writerow([step, json.dumps(outcome.assignment)])
+
+
 def write_binned_fit_csv(path: Path, rows: list[dict]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["bin_center", "observed_count", "fitted_boltzmann", "fitted_bose_einstein"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row["bin_center"]),
-                    row["observed_count"],
-                    repr(row["fitted_boltzmann"]),
-                    repr(row["fitted_bose_einstein"]),
-                ]
-            )
+    """Each row's values in the header's order, by ``repr`` (the count is an int)."""
+    names = ["bin_center", "observed_count", "fitted_boltzmann", "fitted_bose_einstein"]
+    with _csv_rows(path, names) as writer:
+        writer.writerows([repr(row[name]) for name in names] for row in rows)
 
 
 def error_payload(kind: str, message: str) -> dict:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, counting, enumeration
+from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, cli, counting, enumeration
 from econorder.checks import check_sampler
 from econorder.cli import main
 
@@ -633,8 +633,9 @@ class TestSample:
     def test_outcome_log_rows_match_frequencies(
         self, tmp_path, regime, levels, degeneracies, total
     ):
-        # every logged assignment is JSON (a numpy integer would make json.dumps
-        # raise), and the orders it spells are the counts in frequencies.csv
+        # every row is two CSV fields, step and a quoted JSON assignment (a
+        # numpy integer would make json.dumps raise), and the orders the
+        # assignments spell are the counts in frequencies.csv
         text = (
             f"[grid]\nlevels = {levels}\ndegeneracies = {degeneracies}\n\n"
             f"[economy]\nN = 4\nPi = {total}\nregime = {regime}\nseeds = 11\n\n"
@@ -643,11 +644,12 @@ class TestSample:
         out = tmp_path / "out"
         config = write_config(tmp_path, text)
         assert main(["sample", "--config", str(config), "--out", str(out), "--log-outcomes"]) == 0
-        lines = (out / "outcomes.csv").read_text().splitlines()
-        assert lines[0] == "step,assignment" and len(lines) == 301
+        with (out / "outcomes.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["step", "assignment"] and len(rows) == 301
+        assert all(len(row) == 2 for row in rows)
         tally: dict[str, int] = {}
-        for step, line in enumerate(lines[1:]):
-            index, assignment = line.split(",", 1)
+        for step, (index, assignment) in enumerate(rows[1:]):
             assert int(index) == step
             placed = json.loads(assignment)
             if regime == "mon":
@@ -807,6 +809,16 @@ class TestCheck:
             "sampler_chisquare",
             "macro_identities",
         }
+
+    def test_out_is_made_only_after_the_suites_run(self, monkeypatch, tmp_path):
+        def stopped(run):
+            raise EconOrderError("suites stopped")
+
+        monkeypatch.setattr(cli, "run_checks", stopped)
+        config = write_config(tmp_path, CHECK_CONFIG)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_fault_injection_fails_naming_order(self, monkeypatch, tmp_path):
         # the column count of (2, 0) one short on the unconstrained two-firm

@@ -23,10 +23,11 @@ GOLDEN = {
     ("sample", "two_firms.ini", "--seed", "1"): {
         "frequencies.csv": "9096d4824cbbb02f51aad45d6621992612228ce05a625a9ddf753f2b68c853a7",
     },
-    # every assignment of the stream, not only its tallies
+    # every assignment of the stream, not only its tallies; each JSON
+    # assignment is one quoted CSV field
     ("sample", "two_firms.ini", "--seed", "1", "--log-outcomes"): {
         "frequencies.csv": "9096d4824cbbb02f51aad45d6621992612228ce05a625a9ddf753f2b68c853a7",
-        "outcomes.csv": "550a9b2fab210e46417056889941a1389b01874bafac43a6714e9866049daa47",
+        "outcomes.csv": "9337d620a8c8294a09962f85c8968cbd0ba70b772749b7ad0c59c21c9edb7aae",
     },
     ("solve", "condensation.ini"): {
         "occupancy.csv": "d0d06c21ec7da05ec09cf4dca01d0b95ee9d41a0c0a37dc7270eff6f0d692588",
