@@ -17,7 +17,6 @@ from itertools import islice
 
 import numpy as np
 
-from .configio import RunConfig
 from .core import EconomyConfig, Regime, RevenueGrid
 from .enumeration import catalog, enumerate_outcomes
 from .errors import EconOrderError
@@ -314,8 +313,11 @@ def check_macro_identities(seed: int) -> CheckResult:
     return CheckResult("macro_identities", passed, detail)
 
 
-def run_checks(run_config: RunConfig) -> list[CheckResult]:
-    seed = run_config.seed
+def run_checks(seed: int) -> list[CheckResult]:
+    """Every suite's result, in a fixed order.  The suites build grids of
+    their own in both regimes, fixed or drawn from ``seed`` (seed + 1, + 2
+    and + 3 for the later random suites), so the seed is all they read.  A
+    suite that raises an EconOrderError gives one failed result."""
     results = []
     for fn in (
         check_two_firm_example,

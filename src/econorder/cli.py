@@ -58,7 +58,9 @@ def _out_dir(args, run_config: RunConfig | None = None) -> Path:
     return path
 
 
-def _apply_overrides(args, run_config: RunConfig) -> RunConfig:
+def _run_config(args) -> RunConfig:
+    """``--config`` loaded under ``--regime``, then ``--seed`` and ``--lambda`` applied."""
+    run_config = load_run_config(args.config, args.regime)
     updates = {}
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
@@ -86,7 +88,7 @@ def _check_printable(total: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    run = _apply_overrides(args, load_run_config(args.config, args.regime))
+    run = _run_config(args)
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
     _check_printable(cat.total_outcomes)
     out = _out_dir(args, run)
@@ -100,26 +102,24 @@ def cmd_enumerate(args) -> int:
 
 
 def _solve_bundle(run: RunConfig):
+    """(solution, macro, identity), what ``solve`` and ``macro`` share; the
+    last two are None unless the multipliers are finite and β != 0."""
     solution = solve_multipliers(run.grid, run.economy)
-    condensation = detect_condensation(
-        solution,
-        run.grid,
-        run.economy,
-        fraction_threshold=run.thresholds.ground_fraction,
-        gap_threshold=run.thresholds.gap,
-    )
     macro = identity = None
     if solution.alpha is not None and solution.beta not in (None, 0.0):
         macro = macro_from_multipliers(solution.alpha, solution.beta, run.lam)
         identity = entropy_identity_residual(
             solution.alpha, solution.beta, run.grid, run.economy.regime
         )
-    return solution, condensation, macro, identity
+    return solution, macro, identity
 
 
 def cmd_solve(args) -> int:
-    run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    solution, condensation, macro, identity = _solve_bundle(run)
+    run = _run_config(args)
+    solution, macro, identity = _solve_bundle(run)
+    condensation = detect_condensation(
+        solution, run.grid, run.economy, run.thresholds.ground_fraction, run.thresholds.gap
+    )
     out = _out_dir(args, run)
     reports.dump_json(
         out / "solution.json",
@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    run = _apply_overrides(args, load_run_config(args.config, args.regime))
+    run = _run_config(args)
     draws = run.caps.sample_draws
     cat = catalog(run.grid, run.economy, cap=run.caps.max_outcomes)
     # the outcome stream refuses N >= 2**63 firms here, before --out is made
@@ -178,8 +178,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_macro(args) -> int:
-    run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    solution, condensation, macro, identity = _solve_bundle(run)
+    run = _run_config(args)
+    solution, macro, identity = _solve_bundle(run)
     if macro is None or identity is None:
         raise InfeasibleError(
             "macro mapping undefined: boundary-degenerate economy has no finite multipliers"
@@ -203,8 +203,8 @@ def cmd_macro(args) -> int:
 
 
 def cmd_check(args) -> int:
-    run = _apply_overrides(args, load_run_config(args.config, args.regime))
-    results = run_checks(run)
+    run = _run_config(args)
+    results = run_checks(run.seed)
     out = _out_dir(args, run)
     payload = reports.check_payload(results)
     reports.dump_json(out / "check.json", payload)
@@ -255,7 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_lambda=True)
     p.set_defaults(func=cmd_macro)
 
-    p = sub.add_parser("check", help="run the internal verification suites")
+    p = sub.add_parser(
+        "check",
+        help="run the internal verification suites",
+        description="Run the internal verification suites on fixed, seeded grids of their "
+        "own in both regimes.  Only seeds and output_dir are read from the config, which "
+        "must still be valid; --regime only lets a config without a regime load.",
+    )
     add_common(p, with_seed=True)
     p.set_defaults(func=cmd_check)
     return parser

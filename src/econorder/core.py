@@ -138,15 +138,8 @@ class EconomicOrder:
     def __post_init__(self):
         object.__setattr__(self, "occupancy", as_occupancy(self.occupancy))
 
-    def __len__(self) -> int:
-        return len(self.occupancy)
-
     def __iter__(self):
         return iter(self.occupancy)
-
-    @property
-    def n_firms(self) -> int:
-        return sum(self.occupancy)
 
 
 def _records(cls: type, size: int, **slots: Iterable) -> list:

@@ -94,14 +94,33 @@ def multiplicity(
         ):
             return _multinomial_by_primes(occ, grid.degeneracies)
         # N! / prod a_k! as a product of binomials C(firms left, a_k)
-        for a, g in zip(occ, grid.degeneracies):
-            result *= comb(left, a) if g == 1 else comb(left, a) * g**a
-            left -= a
+        try:
+            for a, g in zip(occ, grid.degeneracies):
+                result *= comb(left, a) if g == 1 else comb(left, a) * g ** _exponent(a)
+                left -= a
+        except OverflowError:
+            raise _too_many_firms(sum(occ)) from None
         return result
     for a, g in zip(occ, grid.degeneracies):
         if g != 1:
             result *= comb(a + g - 1, a)
     return result
+
+
+def _exponent(a: int) -> int:
+    """``a``, the exponent of a power g**a, unless it is past 2**63 - 1, the
+    bound ``math.comb`` puts on its k: then the OverflowError that ``comb``
+    raises, for CPython would start to build such a power, with no bound on
+    its time or memory."""
+    if a >> 63:
+        raise OverflowError("g**a: exponent %d past 2**63 - 1" % a)
+    return a
+
+
+def _too_many_firms(n_firms: int) -> ConfigError:
+    return ConfigError(
+        "count: N = %d firms is too many to form an order's exact count" % n_firms
+    )
 
 
 def _chain_work(occ: Sequence[int]) -> int:
@@ -202,7 +221,8 @@ def _multiplicities(
       least 1, so no running product overflows.
     - Every other listing, int64 columns turned into lists first: the chain
       (``_chain``); a list of Python ints.  A binomial that ``math.comb``
-      refuses, one no memory could hold, is a ConfigError naming N.
+      refuses, or a power g**a past the same bound (``_exponent``),
+      one no memory could hold, is a ConfigError naming N.
     """
     arrays = isinstance(columns[0], np.ndarray)
     if regime is Regime.MONOPOLISTIC:
@@ -220,11 +240,8 @@ def _multiplicities(
         columns = [column.tolist() for column in columns]
     try:
         return _chain(columns, degeneracies, regime)
-    except OverflowError:  # C(n, k) with min(k, n - k) past 2**63 - 1
-        n_firms = sum(column[0] for column in columns)
-        raise ConfigError(
-            "count: N = %d firms is too many to form an order's exact count" % n_firms
-        ) from None
+    except OverflowError:  # C(n, k) with min(k, n - k), or g**a with a, past 2**63 - 1
+        raise _too_many_firms(sum(column[0] for column in columns)) from None
 
 
 def _chain(
@@ -244,14 +261,18 @@ def _chain(
     - Indistinguishable firms: a table of C(a_k + g_k - 1, a_k).
 
     Levels with g_k = 1 take no table, except level 0 of distinguishable
-    firms.
+    firms.  Every exponent a_k is at most N, so only N >= 2**63 has a power
+    table's exponents checked (``_exponent``) before it is built.
     """
     mon = regime is Regime.MONOPOLISTIC
     factors = []  # one lazy column of factors per level and kind
     if mon:
         n = sum(column[0] for column in columns)
         first, g = columns[0], degeneracies[0]
-        table = {a: comb(n, a) * g**a for a in set(first)}
+        values = set(first)
+        if g != 1 and n >> 63:
+            _exponent(max(values))
+        table = {a: comb(n, a) * g**a for a in values}
         factors.append(map(table.__getitem__, first))
         left = repeat(n)
         for prev, column in zip(columns, columns[1:-1]):
@@ -261,6 +282,8 @@ def _chain(
     for column, g in tabled:
         if g != 1:
             values = set(column)
+            if mon and n >> 63:
+                _exponent(max(values))
             table = {a: g**a for a in values} if mon else {a: comb(a + g - 1, a) for a in values}
             factors.append(map(table.__getitem__, column))
     if not factors:

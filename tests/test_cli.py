@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,15 @@ import pytest
 from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, cli, counting, enumeration
 from econorder.checks import check_sampler
 from econorder.cli import main
+
+SOURCE_ROOT = str(Path(cli.__file__).resolve().parent.parent)
+# the CLI in a process whose address space may not grow past 1 GiB
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from econorder.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 EXAMPLE_TWO_FIRMS = """
 [grid]
@@ -371,6 +383,30 @@ class TestEnumerate:
         if not room:
             top = json.loads((out / "spontaneous.json").read_text())
             assert top["total_outcomes"] == str(2**2127)
+
+    def test_power_past_comb_bound_is_refused_not_built(self, tmp_path):
+        # levels 1 2 3, g 1 1 2, N = 10^20, Pi = 3N - 1: the one order
+        # (0, 1, N - 1) counts N * 2**(N - 1), a power no memory holds.  Run
+        # under a 1 GiB address space and a time budget, enumerate refuses
+        # it by name where building 2**(N - 1) died with a MemoryError.
+        n_firms = 10**20
+        text = extreme_config((1, 2, 3), n_firms, 3 * n_firms - 1, "mon", (1, 1, 2))
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        path = os.pathsep.join(filter(None, (SOURCE_ROOT, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "enumerate", "--config", str(config),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1, result.stderr
+        err = json.loads(result.stdout.strip().splitlines()[-1])
+        message = "count: N = %d firms is too many to form an order's exact count"
+        assert err == {"error": "config", "message": message % n_firms}
+        assert not out.exists()
 
 
 class TestSolve:
@@ -792,6 +828,14 @@ class TestMacro:
         assert report["lambda"] == 2.0
         assert report["T"] == pytest.approx(2.0 * report["lnOmega"])
         assert report["mu"] == pytest.approx(5.41903, abs=1e-4)
+
+    def test_builds_no_condensation_report(self, monkeypatch, tmp_path):
+        def refused(*args, **kwargs):
+            raise AssertionError("macro.json holds no condensation report")
+
+        monkeypatch.setattr(cli, "detect_condensation", refused)
+        config = write_config(tmp_path, TWO_LEVEL_SOLVE)
+        assert main(["macro", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCheck:

@@ -96,6 +96,11 @@ def test_missing_regime_without_override(tmp_path):
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = 1 2\n", "economy.seeds"),
         ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\nseeds = -1\n", "economy.seeds"),
         ("[grid]\nlevels = 1 2\nquantum = 0.5\n\n[economy]\nN = 2\nregime = mon\n", "grid.quantum"),
+        ("[grid]\nlevels =\n\n[economy]\nN = 2\nregime = mon\n", "grid.levels: expected at least one integer"),
+        ("levels = 1 2\n\n[economy]\nN = 2\nregime = mon\n", "config parse error: File contains no section headers"),
+        ("[grid]\ndegeneracies = 1 1\n\n[economy]\nN = 2\nregime = mon\n", "grid.levels: key is required"),
+        ("[grid]\nlevels = 1 2\n\n[economy]\nPi = 3\nregime = mon\n", "economy.N: key is required"),
+        ("[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[caps]\nsample_draws = 0\n", "caps.sample_draws: must be positive"),
     ],
 )
 def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):
@@ -110,6 +115,8 @@ def test_malformed_fields_carry_paths(tmp_path, text, path_fragment):
         ("[thresholds]\ngap = inf", "thresholds.gap"),
         ("[thresholds]\ngap = -1e-6", "thresholds.gap"),
         ("[thresholds]\nground_fraction = -inf", "thresholds.ground_fraction"),
+        ("[thresholds]\nground_fraction = 0", r"thresholds.ground_fraction: must lie in \(0, 1\]"),
+        ("[thresholds]\nground_fraction = 1.5", r"thresholds.ground_fraction: must lie in \(0, 1\]"),
         ("lambda = inf", "economy.lambda"),
         ("lambda = nan", "economy.lambda"),
     ],

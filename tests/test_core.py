@@ -37,6 +37,19 @@ def test_grid_rejects_bad_degeneracies():
         RevenueGrid((1, 2), (1,))
 
 
+@pytest.mark.parametrize(
+    "levels, degeneracies, message",
+    [
+        ((), (), "grid.levels: at least one revenue level required"),
+        ((-1, 2), (1, 1), "grid.levels: levels must be non-negative integers"),
+    ],
+    ids=["no-level", "negative"],
+)
+def test_grid_refusals_name_their_field(levels, degeneracies, message):
+    with pytest.raises(ConfigError, match=message):
+        RevenueGrid(levels, degeneracies)
+
+
 def test_grid_defaults_degeneracy_to_one_per_level():
     grid = RevenueGrid((1, 5, 9), ())
     assert grid.degeneracies == (1, 1, 1)

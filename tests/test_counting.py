@@ -68,6 +68,28 @@ def test_multiplicity_examples(occ, degens, regime, expected):
     assert brute_force_count(occ, degens, regime) == expected
 
 
+@pytest.mark.parametrize("regime", list(Regime), ids=["mon", "per"])
+def test_multiplicity_refuses_a_sequence_of_the_wrong_length(regime):
+    message = "order: occupancy length 3 does not match grid with 2 levels"
+    with pytest.raises(ConfigError, match=message):
+        multiplicity((1, 1, 0), RevenueGrid((1, 2), (1, 2)), regime)
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(0, 1, 10**22 - 1), (10**22 - 10**19, 10**19, 0)],
+    ids=["power", "binomial"],
+)
+def test_multiplicity_refuses_a_factor_past_comb_by_name(occ):
+    # N = 10^22 on levels with g (1, 1, 2): 2**(N - 1) and C(N, 10^19), both
+    # on the chain route, are factors no memory holds; the power used to be
+    # started rather than refused
+    grid = RevenueGrid((1, 2, 3), (1, 1, 2))
+    message = "count: N = %d firms is too many to form an order's exact count" % 10**22
+    with pytest.raises(ConfigError, match=message):
+        multiplicity(occ, grid, Regime.MONOPOLISTIC)
+
+
 def test_multiplicity_small_lattice_against_brute_force():
     # exhaustive sweep over a reduced lattice of degeneracies and occupancies
     for degens in product((1, 2, 3), repeat=2):

@@ -389,6 +389,8 @@ class TestListingMembers:
             ((0, 3, 7, 20), 12, 60, "_stack_columns"),
             (tuple(range(1, 2001)), 1, 1000, "_stack_columns"),  # B per level is 1
             (tuple(range(1, 1201)), 3, 12, "_stack_columns"),  # n*B is 3.5e11
+            # q = 25 and n - 2 = 28 pass the budget's bit length: B is not formed
+            (tuple(range(1, 31)), 30, 55, "_stack_columns"),
             ((1, 2, 3, 4, 5), 10**6, 3 * 10**6, "_stack_columns"),  # n*B is 8.3e17
             ((1, 2, 3, 4, 5), 10**150, 3 * 10**150, "_stack_columns"),  # past int64
             ((1, 2, 3, 4, 5), 30, None, "_stack_columns"),

@@ -57,6 +57,21 @@ class TestLoadSamples:
         with pytest.raises(ConfigError, match="bad.csv:2"):
             load_samples(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("5\n7,2\n", "rows.csv:2: expected one column, got 2"),
+            ("5,1\n7\n", "rows.csv:2: expected value,count columns"),
+            ("5,1\n7,x\n", "rows.csv:2: cannot parse count 'x'"),
+        ],
+        ids=["two-after-one", "one-after-two", "count"],
+    )
+    def test_mixed_or_unparsable_rows_name_their_line(self, tmp_path, rows, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(rows)
+        with pytest.raises(ConfigError, match=message):
+            load_samples(path)
+
     def test_negative_value_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("5\n-2\n")
@@ -216,6 +231,10 @@ class TestGoodnessOfFit:
         assert report.critical_value == ks_critical_value(fit.n_used)
         assert report.passed == (fit.ks_statistic < report.critical_value)
 
+    def test_critical_value_needs_a_sample(self):
+        with pytest.raises(ConfigError, match="KS critical value requires n >= 1"):
+            ks_critical_value(0)
+
     def test_unconverged_fit_never_passes(self):
         fit = FitResult("bose_einstein", {}, math.nan, None, 500, (0.0, 1.0), False)
         assert not goodness_of_fit(fit).passed
@@ -266,3 +285,7 @@ class TestSyntheticGenerators:
     def test_levels_must_exceed_mu(self):
         with pytest.raises(ConfigError):
             synthetic_bose_einstein(100, [1, 2, 3], 1.5, 2.0, seed=0)
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ConfigError, match="synthetic BE mode must be bin_weights or continuous"):
+            synthetic_bose_einstein(100, [1, 2, 3], 0.5, 2.0, seed=0, mode="histogram")

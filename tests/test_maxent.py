@@ -104,6 +104,14 @@ class TestSolve:
         assert sol.boundary
         assert sol.occupancy == (0.0, 10.0)
 
+    @pytest.mark.parametrize("solve", [solve_multipliers, solve_multipliers_bisection])
+    @pytest.mark.parametrize("total, occ", [(10, (10.0, 0.0, 0.0)), (30, (0.0, 0.0, 10.0))])
+    def test_boundary_degenerate_economy(self, solve, total, occ):
+        sol = solve(GRID_3, EconomyConfig(10, total, Regime.PERFECT))
+        assert sol.method == "degenerate" and sol.boundary and sol.converged
+        assert sol.alpha is None and sol.beta is None
+        assert sol.occupancy == occ
+
     def test_unconstrained_config_rejected(self):
         with pytest.raises(ConfigError):
             solve_multipliers(GRID_2, EconomyConfig(10, None, Regime.MONOPOLISTIC))
@@ -253,6 +261,15 @@ def assert_newton_solves(grid, config):
 
 
 class TestNewtonRobustness:
+    @pytest.mark.parametrize("regime", list(Regime), ids=["mon", "per"])
+    def test_a_line_search_that_finds_no_step_stops_the_solve(self, monkeypatch, regime):
+        # with a least step above 1 no trial step is taken, so the first line
+        # search runs out; only perfect competition marks that stop pinned
+        monkeypatch.setattr(econorder.maxent, "_MIN_STEP", 2.0)
+        sol = solve_multipliers(GRID_3, EconomyConfig(10, 18, regime))
+        assert not sol.converged and sol.iterations == 0 and sol.method == "newton"
+        assert sol.pinned is (regime is Regime.PERFECT)
+
     @pytest.mark.parametrize("levels, degens, n_firms, total, regime", HARD_INSTANCES)
     def test_hard_instances_converge(self, levels, degens, n_firms, total, regime):
         grid = RevenueGrid(levels, degens)
