@@ -106,7 +106,7 @@ def _solve_bundle(run: RunConfig):
     last two are None unless the multipliers are finite and β != 0."""
     solution = solve_multipliers(run.grid, run.economy)
     macro = identity = None
-    if solution.alpha is not None and solution.beta not in (None, 0.0):
+    if solution.beta and math.isfinite(solution.alpha) and math.isfinite(solution.beta):
         macro = macro_from_multipliers(solution.alpha, solution.beta, run.lam)
         identity = entropy_identity_residual(
             solution.alpha, solution.beta, run.grid, run.economy.regime
@@ -182,7 +182,8 @@ def cmd_macro(args) -> int:
     solution, macro, identity = _solve_bundle(run)
     if macro is None or identity is None:
         raise InfeasibleError(
-            "macro mapping undefined: boundary-degenerate economy has no finite multipliers"
+            "macro mapping undefined: no finite multipliers with beta != 0"
+            " (a boundary-degenerate economy has none)"
         )
     out = _out_dir(args, run)
     log_omega = stirling_log_multiplicity(solution.occupancy, run.grid, run.economy.regime)

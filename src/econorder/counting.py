@@ -143,10 +143,14 @@ def _multinomial_by_primes(occ: Sequence[int], degeneracies: Sequence[int]) -> i
     tree and raised to its exponent, and those powers and the g_k^a_k are
     multiplied by one more tree, in order of size.  numpy holds only the
     primes and their exponents, all <= N; every big product is an exact
-    Python int.
+    Python int.  A sieve numpy cannot make (past its largest array, or past
+    the memory it may take) is refused by name, as too many firms.
     """
     n = sum(occ)
-    primes = _primes_upto(n)
+    try:
+        primes = _primes_upto(n)
+    except (ValueError, MemoryError):
+        raise _too_many_firms(n) from None
     # the levels' distinct values, each weighted by how often it is
     # subtracted; a_k <= 1 adds no factor, and N is added once
     big = np.array([a for a in occ if a > 1], dtype=np.int64)

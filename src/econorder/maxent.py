@@ -43,9 +43,13 @@ Stirling form of counting.log_multiplicity for real occupancies, which each
 member checks once in its own representation), macro.log_W and
 macro.entropy_identity_residual all go through it.  Float sums run left to
 right, the order numpy's add.reduce takes below eight terms, never by
-builtin sum, which is compensated from Python 3.12.  Far from the
-Bose-Einstein wall exp and expm1 overflow: both evaluators then give an
-infinite (mon) or zero (per) occupancy, without a warning or an exception.
+builtin sum, which is compensated from Python 3.12.  The float member has
+one fast pass; a point where it raises (a level at or past the
+Bose-Einstein wall, or a term that overflows) is evaluated by the array
+member on the same levels, so the wall is raised in one place, and such a
+point's sums are numpy's, in numpy's summation order.  Far from the wall
+exp and expm1 overflow: both evaluators then give an infinite (mon) or
+zero (per) occupancy, without a warning or an exception.
 
 solve_multipliers_bisection is an independent oracle, used only by checks
 and tests, with its own Python-scalar occupancy: the firm count is
@@ -122,22 +126,6 @@ class CondensationReport:
     gap_threshold: float
 
 
-def _wall(k: int, xk: float) -> SingularityError:
-    return SingularityError(
-        "Bose-Einstein occupancy undefined at level %d: "
-        "alpha + beta*e = %g <= 0" % (k, xk),
-        level_index=k,
-    )
-
-
-def _inf_on_overflow(f, x: float) -> float:
-    """f(x) for math.exp or math.expm1, inf where it overflows, as in numpy."""
-    try:
-        return f(x)
-    except OverflowError:
-        return math.inf
-
-
 def _finite_multipliers(alpha: float, beta: float) -> None:
     """Refuse non-finite multipliers before either evaluator runs."""
     if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -158,14 +146,15 @@ class _FloatLevels:
         """(occupancy, ln Z) at x = alpha + beta e.
 
         Raises SingularityError when some x_k <= 0 under perfect competition.
-        Past overflow it gives the values numpy gives: g e^(-x) = inf (mon),
-        g / expm1(x) = 0.0 (per).  Bose-Einstein ln Z uses
-        1 / (1 - exp(-x)) = 1 + a / g.
+        Past overflow it gives g e^(-x) = inf (mon), g / expm1(x) = 0.0
+        (per).  Bose-Einstein ln Z uses 1 / (1 - exp(-x)) = 1 + a / g.
 
         Each occupancy is taken straight from alpha + beta e_k.  A level at
         or past the wall stops that pass: x_k = +-0.0 divides by zero, and
-        x_k < 0 gives a_k <= -g_k, outside log1p's domain.  Only then, or
-        when a term overflows, is x listed, by _past_the_wall.
+        x_k < 0 gives a_k <= -g_k, outside log1p's domain; so does a term
+        that overflows.  Such an exceptional point is the array member's:
+        _ArrayLevels evaluates it on the same e and g, raises the wall or
+        gives numpy's overflow values, and sums in numpy's order.
         """
         g, e = self.g, self.e
         try:
@@ -176,21 +165,10 @@ class _FloatLevels:
             return occ, reduce(add, occ, 0.0)
         except (ZeroDivisionError, ValueError, OverflowError):
             pass  # outside the handler, a wall raised below chains no context
-        return self._past_the_wall(alpha, beta)
-
-    def _past_the_wall(self, alpha: float, beta: float):
-        """closed_form on the listed x: the wall check, then the overflowing
-        terms as numpy has them."""
-        g = self.g
-        x = [alpha + beta * ek for ek in self.e]
-        if self.regime is Regime.PERFECT:
-            low = min(x)
-            if low <= 0.0:
-                raise _wall(x.index(low), low)
-            occ = [gk / _inf_on_overflow(math.expm1, xk) for gk, xk in zip(g, x)]
-            return occ, reduce(add, [gk * math.log1p(ak / gk) for gk, ak in zip(g, occ)], 0.0)
-        occ = [gk * _inf_on_overflow(math.exp, -xk) for gk, xk in zip(g, x)]
-        return occ, reduce(add, occ, 0.0)
+        occ, log_z = _ArrayLevels(np.array(e, float), np.array(g, float), self.regime).closed_form(
+            alpha, beta
+        )
+        return occ.tolist(), log_z
 
     def totals(self, v) -> tuple[float, float]:
         """(sum v, sum v e)."""
@@ -264,7 +242,11 @@ class _ArrayLevels(_FloatLevels):
         if self.regime is Regime.PERFECT:
             if np.minimum.reduce(x) <= 0.0:
                 k = int(np.argmin(x))
-                raise _wall(k, x[k])
+                raise SingularityError(
+                    "Bose-Einstein occupancy undefined at level %d: "
+                    "alpha + beta*e = %g <= 0" % (k, x[k]),
+                    level_index=k,
+                )
             occ = self.g / np.expm1(x)
             return occ, float(self.g @ np.log1p(occ / self.g))
         occ = self.g * np.exp(-x)
@@ -308,7 +290,9 @@ class _ArrayLevels(_FloatLevels):
 def _evaluator(grid: RevenueGrid, regime: Regime, e0: int = 0, span: int | None = None):
     """The one reader of ARRAY_MIN_LEVELS: _FloatLevels for a grid with fewer
     levels, else _ArrayLevels, on the grid's own levels or, given span, on
-    the solver's shifted levels u = (e - e0) / span."""
+    the solver's shifted levels u = (e - e0) / span.  A float member hands a
+    point its fast pass cannot evaluate to an array member of its own; that
+    is not a size choice, and this stays the one place that makes one."""
     if grid.n < ARRAY_MIN_LEVELS:
         e = grid.levels if span is None else [(ek - e0) / span for ek in grid.levels]
         return _FloatLevels(e, grid.degeneracies, regime)
@@ -517,11 +501,18 @@ def _newton(levels: _FloatLevels, anchored: tuple, config: EconomyConfig) -> Mul
     perfect = config.regime is Regime.PERFECT
     g_total, g_far = levels.totals(levels.g)
     g_near, n_near = g_total - g_far, n_firms - pi_u
+    if not g_near:  # one degeneracy at u = 1 holds every bit of sum g
+        g_near = math.fsum(gk * (1.0 - uk) for gk, uk in zip(levels.g, levels.e))
     if perfect:
         a = math.log1p(g_near / n_near)
         b = max(math.log1p(g_far / pi_u) - a, -0.5 * a)
     else:
-        b = max(math.log(g_far * n_near / (g_near * pi_u)), 0.0)
+        ratio = g_far * n_near / (g_near * pi_u)
+        if 0.0 < ratio < math.inf:
+            b = math.log(ratio)
+        else:  # the ratio is past the float range, its logarithm is not
+            b = math.log(g_far) + math.log(n_near) - math.log(g_near) - math.log(pi_u)
+        b = max(b, 0.0)
         # the firm-count constraint has a closed-form root in a at fixed b:
         # N = sum_k g_k e^(-a - b u_k), and sum_k g_k e^(-b u_k) is ln Z at (0, b)
         a = math.log(levels.closed_form(0.0, b)[1] / n_firms)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from econorder import EconOrderError, EconomyConfig, Regime, RevenueGrid, cli, counting, enumeration
+from econorder import (
+    EconOrderError,
+    EconomyConfig,
+    Regime,
+    RevenueGrid,
+    cli,
+    counting,
+    enumeration,
+    solve_multipliers,
+)
 from econorder.checks import check_sampler
 from econorder.cli import main
 
@@ -479,6 +489,36 @@ class TestSolve:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         solution = json.loads((out / "solution.json").read_text())
         assert solution["converged"] is True and solution["method"] == "newton"
+
+    def test_a_degeneracy_that_holds_every_bit_of_the_sum_solves(self, tmp_path):
+        # levels 1 2, g 1 10^17: sum g less sum g u is 0.0 in floats, and the
+        # mon start divided by it (a ZeroDivisionError traceback, exit 1)
+        text = (
+            "[grid]\nlevels = 1 2\ndegeneracies = 1 %d\n\n"
+            "[economy]\nN = 1000\nPi = 1500\nregime = mon\n" % 10**17
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert solution["converged"] is True and "macro" in solution
+
+    def test_non_finite_multipliers_are_not_mapped(self, monkeypatch, tmp_path, capsys):
+        # an unconverged solve that ends on a NaN alpha and an infinite beta
+        # writes its solution without macro fields and exits 3; macro refuses it
+        def unsolved(grid, economy):
+            solution = solve_multipliers(grid, economy)
+            return dataclasses.replace(solution, alpha=math.nan, beta=-math.inf, converged=False)
+
+        monkeypatch.setattr(cli, "solve_multipliers", unsolved)
+        config = write_config(tmp_path, TWO_LEVEL_SOLVE)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        solution = json.loads((out / "solution.json").read_text())
+        assert solution["alpha"] is None and solution["beta"] is None
+        assert "macro" not in solution and "identity" not in solution
+        assert main(["macro", "--config", str(config), "--out", str(tmp_path / "macro")]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert "no finite multipliers" in err["message"]
 
 class TestSample:
     def test_constrained_two_firm_only_split_order(self, tmp_path):

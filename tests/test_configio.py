@@ -136,3 +136,9 @@ def test_zero_gap_loads(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_run_config("/nonexistent/econorder.ini")
+
+
+def test_a_number_that_does_not_parse_names_its_key(tmp_path):
+    text = "[grid]\nlevels = 1 2\n\n[economy]\nN = 2\nregime = mon\n\n[thresholds]\ngap = abc\n"
+    with pytest.raises(ConfigError, match="thresholds.gap: expected a finite number, got 'abc'"):
+        load_run_config(write(tmp_path, text))

@@ -116,6 +116,13 @@ def test_economy_config_validation():
     assert cfg.total_revenue is None
 
 
+def test_economy_config_parses_a_regime_given_as_text():
+    assert EconomyConfig(3, None, "per").regime is Regime.PERFECT
+    assert EconomyConfig(3, None, " Boltzmann ").regime is Regime.MONOPOLISTIC
+    with pytest.raises(ConfigError, match="regime: expected 'mon' or 'per', got 'oligopoly'"):
+        EconomyConfig(3, None, "oligopoly")
+
+
 def test_regime_parsing():
     assert Regime.parse("mon") is Regime.MONOPOLISTIC
     assert Regime.parse("per") is Regime.PERFECT
@@ -198,6 +205,14 @@ def test_validate_order_single_level_identity():
     config = EconomyConfig(1, 4, Regime.MONOPOLISTIC)
     report = validate_order(EconomicOrder((1,)), grid, config)
     assert report.feasible and report.firm_residual == 0 and report.revenue_residual == 0
+
+
+@pytest.mark.parametrize("occupancy, feasible", [((1, 2), True), ((1, 1), False)])
+def test_validate_order_without_a_total_checks_the_firm_count_alone(occupancy, feasible):
+    grid = RevenueGrid((1, 2), (1, 1))
+    report = validate_order(EconomicOrder(occupancy), grid, EconomyConfig(3, None, Regime.MONOPOLISTIC))
+    assert report.revenue_residual is None
+    assert report.firm_residual == sum(occupancy) - 3 and report.feasible is feasible
 
 
 def test_validate_order_length_mismatch():

@@ -1,7 +1,11 @@
 """Multiplicity counting against brute-force and big-integer oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from econorder import (
     EconomyConfig,
     Regime,
     RevenueGrid,
+    catalog,
     enumerate_outcomes,
     log_multiplicity,
     multiplicity,
@@ -20,6 +25,8 @@ from econorder import (
 )
 from econorder import counting
 from econorder.counting import PRIME_ROUTE_MIN_WORK, PRIME_ROUTE_SIEVE_RATIO
+
+SOURCE_ROOT = str(Path(counting.__file__).resolve().parent.parent)
 
 
 def brute_force_count(occ, degens, regime):
@@ -88,6 +95,54 @@ def test_multiplicity_refuses_a_factor_past_comb_by_name(occ):
     message = "count: N = %d firms is too many to form an order's exact count" % 10**22
     with pytest.raises(ConfigError, match=message):
         multiplicity(occ, grid, Regime.MONOPOLISTIC)
+
+
+def test_catalog_refuses_a_level_zero_power_past_comb_by_name():
+    # levels 1 2 3, g 2 1 1, N = 10^20, Pi = N + 1: the one order (N - 1, 1, 0)
+    # is counted by the chain, whose level-0 table needs 2**(N - 1)
+    n = 10**20
+    grid = RevenueGrid((1, 2, 3), (2, 1, 1))
+    message = "count: N = %d firms is too many to form an order's exact count" % n
+    with pytest.raises(ConfigError, match=message):
+        catalog(grid, EconomyConfig(n, n + 1, Regime.MONOPOLISTIC))
+
+
+def test_multiplicity_refuses_a_sieve_past_numpy_by_name():
+    # (N/2, N/2, 0) at N = 10^22 takes the prime route, whose sieve of N + 1
+    # flags is past numpy's largest array; it used to raise a bare ValueError
+    grid = RevenueGrid((1, 2, 3), (1, 1, 2))
+    message = "count: N = %d firms is too many to form an order's exact count" % 10**22
+    with pytest.raises(ConfigError, match=message):
+        multiplicity((10**22 // 2, 10**22 // 2, 0), grid, Regime.MONOPOLISTIC)
+
+
+# multiplicity in a process whose address space may not grow past 1 GiB
+LIMITED_SIEVE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from econorder import ConfigError, Regime, RevenueGrid, multiplicity
+try:
+    multiplicity((5 * 10**10, 5 * 10**10, 0), RevenueGrid((1, 2, 3), (1, 1, 2)), Regime.MONOPOLISTIC)
+except ConfigError as exc:
+    print(exc)
+"""
+
+
+def test_multiplicity_refuses_a_sieve_past_memory_by_name():
+    # at N = 10^11 the sieve takes 100 GB, past the limit: it used to raise a
+    # bare MemoryError
+    path = os.pathsep.join(filter(None, (SOURCE_ROOT, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", LIMITED_SIEVE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == (
+        "count: N = %d firms is too many to form an order's exact count" % 10**11
+    )
 
 
 def test_multiplicity_small_lattice_against_brute_force():

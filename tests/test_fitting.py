@@ -72,6 +72,16 @@ class TestLoadSamples:
         with pytest.raises(ConfigError, match=message):
             load_samples(path)
 
+    @pytest.mark.parametrize(
+        "rows, values",
+        [("\n5\n\n ,\n7\n", [5.0, 7.0]), ("5,2\n\n7,1\n", [5.0, 5.0, 7.0])],
+        ids=["one-column", "value-count"],
+    )
+    def test_blank_rows_are_skipped(self, tmp_path, rows, values):
+        path = tmp_path / "blank.csv"
+        path.write_text(rows)
+        assert load_samples(path).values.tolist() == values
+
     def test_negative_value_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("5\n-2\n")
@@ -186,6 +196,13 @@ class TestBoseEinsteinFit:
     def test_sample_count_precondition(self):
         with pytest.raises(ConfigError):
             fit_bose_einstein(SampleSet(np.arange(99.0)))
+
+    def test_equal_samples_give_no_fit(self):
+        # 200 equal values: no spread to fit a law to, so the fit reports
+        # non-convergence with no KS statistic, never a fabricated fit
+        fit = fit_bose_einstein(SampleSet(np.full(200, 3.0)))
+        assert fit.converged is False and math.isnan(fit.ks_statistic)
+        assert fit.support == (3.0, 3.0)
 
     def test_bin_count_precondition(self):
         samples = synthetic_exponential(500, 1.0, 0.0, seed=0)

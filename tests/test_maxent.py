@@ -270,6 +270,31 @@ class TestNewtonRobustness:
         assert not sol.converged and sol.iterations == 0 and sol.method == "newton"
         assert sol.pinned is (regime is Regime.PERFECT)
 
+    @pytest.mark.parametrize(
+        "levels, degens, n_firms, total, regime",
+        [
+            # one degeneracy at u = 1 holds every bit of sum g, so that sum g
+            # less sum g u is 0.0: mon divided by it, per started on the wall
+            ((1, 2), (1, 10**17), 1000, 1500, Regime.MONOPOLISTIC),
+            ((1, 2), (1, 10**17), 1000, 1500, Regime.PERFECT),
+            ((1, 2, 3), (1, 1, 10**17), 1000, 2500, Regime.MONOPOLISTIC),
+            ((1, 2, 3), (1, 1, 10**17), 1000, 2500, Regime.PERFECT),
+            # the mon start ratio g_far n_near / (g_near pi_u) overflows: it
+            # started from beta = -inf and gave a NaN alpha
+            ((991, 8035), (10**6, 3), 10**300, 8035 * 10**300 - 1, Regime.MONOPOLISTIC),
+        ],
+        ids=["swallowed-2-mon", "swallowed-2-per", "swallowed-3-mon", "swallowed-3-per",
+             "ratio-past-range"],
+    )
+    def test_starts_that_floats_lose_converge(self, levels, degens, n_firms, total, regime):
+        grid = RevenueGrid(levels, degens)
+        config = EconomyConfig(n_firms, total, regime)
+        sol = assert_newton_solves(grid, config)
+        oracle = solve_multipliers_bisection(grid, config)
+        assert oracle.converged
+        # check_solver's bound on the gap to the oracle
+        assert max(abs(sol.alpha - oracle.alpha), abs(sol.beta - oracle.beta)) <= 1e-8
+
     @pytest.mark.parametrize("levels, degens, n_firms, total, regime", HARD_INSTANCES)
     def test_hard_instances_converge(self, levels, degens, n_firms, total, regime):
         grid = RevenueGrid(levels, degens)
@@ -651,15 +676,18 @@ class TestEvaluatorsAgree:
 
     @pytest.mark.parametrize("grid, config", OVERFLOWING_TRIALS)
     def test_trial_points_past_overflow(self, grid, config, monkeypatch):
+        # the float member hands each point its fast pass cannot take to the
+        # array member; some of those points overflow: an infinite (mon) or
+        # zero (per) occupancy
         overflowed = []
-        inf_on_overflow = econorder.maxent._inf_on_overflow
+        array_closed_form = econorder.maxent._ArrayLevels.closed_form
 
-        def spy(f, x):
-            value = inf_on_overflow(f, x)
-            overflowed.append(math.isinf(value))
-            return value
+        def spy(levels, alpha, beta):
+            occ, log_z = array_closed_form(levels, alpha, beta)
+            overflowed.append(bool(np.isinf(occ).any() or (occ == 0.0).any()))
+            return occ, log_z
 
-        monkeypatch.setattr(econorder.maxent, "_inf_on_overflow", spy)
+        monkeypatch.setattr(econorder.maxent._ArrayLevels, "closed_form", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             floats = solve_multipliers(grid, config)
